@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import Iterator
 
 from . import matching as mt
 from .graphs import Edge, PlaneCubicGraph, norm_edge
@@ -50,48 +51,41 @@ def is_anti_kekule_set(g: PlaneCubicGraph | mt.Adjacency, edges) -> bool:
     return mt.is_connected(left) and not mt.has_perfect_matching(left)
 
 
-def _edge_masks(adj: dict[int, frozenset[int]]) -> tuple[list[Edge], dict[Edge, int], int]:
-    edges = mt.edges_of(adj)
-    masks = {e: 0 for e in edges}
-    count = 0
-    for i, pm in enumerate(mt.perfect_matchings(adj)):
-        bit = 1 << i
-        count += 1
-        for e in pm:
-            masks[e] |= bit
-    full = (1 << count) - 1
-    return edges, masks, full
+def sets_of_size(index: mt.PmIndex, size: int) -> Iterator[frozenset[Edge]]:
+    """Anti-Kekule sets of exactly this size, in lexicographic order.
 
-
-def _search_size(adj, edges, masks, full, size):
-    """Lexicographically ordered witnesses of exactly this size."""
-    for combo in itertools.combinations(edges, size):
+    ``index`` must hold every perfect matching (built without a cap).
+    """
+    if not index.full:
+        raise AntiKekuleError("graph has no perfect matching to destroy")
+    for combo in itertools.combinations(index.edges, size):
         acc = 0
         for e in combo:
-            acc |= masks[e]
-        if acc != full:
+            acc |= index.masks[e]
+        if acc != index.full:
             continue
-        left = mt.without_edges(adj, combo)
+        left = mt.without_edges(index.adj, combo)
         if mt.is_connected(left):
             yield frozenset(combo)
 
 
-def anti_kekule_number(g: PlaneCubicGraph | mt.Adjacency) -> AntiKekuleResult:
+def search(index: mt.PmIndex) -> AntiKekuleResult:
     """Smallest anti-Kekule set, searched at sizes 1, 2, 3, then 4.
 
     Raises SearchExhausted if nothing of size <= 4 works; for the graphs
     this project studies that would be a falsification and must be loud.
     """
-    adj = mt.adjacency_of(g)
-    if not mt.has_perfect_matching(adj):
-        raise AntiKekuleError("graph has no perfect matching to destroy")
-    edges, masks, full = _edge_masks(adj)
     for size in range(1, SEARCH_CAP + 1):
-        for witness in _search_size(adj, edges, masks, full, size):
+        for witness in sets_of_size(index, size):
             return AntiKekuleResult(size, witness)
     raise SearchExhausted(
         f"no anti-Kekule set of size <= {SEARCH_CAP}; every fullerene should "
         f"have one of size 3 or 4")
+
+
+def anti_kekule_number(g: PlaneCubicGraph | mt.Adjacency) -> AntiKekuleResult:
+    """Smallest anti-Kekule set of the graph; see ``search``."""
+    return search(mt.PmIndex(mt.adjacency_of(g)))
 
 
 def min_anti_kekule_sets(g: PlaneCubicGraph | mt.Adjacency, size: int) -> list[frozenset[Edge]]:
@@ -100,14 +94,4 @@ def min_anti_kekule_sets(g: PlaneCubicGraph | mt.Adjacency, size: int) -> list[f
         raise AntiKekuleError(f"size is capped at {SEARCH_CAP}")
     if size <= 0:
         return []
-    adj = mt.adjacency_of(g)
-    if not mt.has_perfect_matching(adj):
-        raise AntiKekuleError("graph has no perfect matching to destroy")
-    edges, masks, full = _edge_masks(adj)
-    return list(_search_size(adj, edges, masks, full, size))
-
-
-def has_anti_kekule_set_of_size(g: PlaneCubicGraph | mt.Adjacency, size: int) -> bool:
-    adj = mt.adjacency_of(g)
-    edges, masks, full = _edge_masks(adj)
-    return next(_search_size(adj, edges, masks, full, size), None) is not None
+    return list(sets_of_size(mt.PmIndex(mt.adjacency_of(g)), size))

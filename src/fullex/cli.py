@@ -3,7 +3,8 @@
 Graphs travel between subcommands as binary planar_code (stdin/stdout or
 files); analysis results are printed as JSON with sorted keys.  Exit codes:
 0 when every check passes, 1 when a counterexample or negative verdict was
-found, 2 for usage or input errors.
+found, 2 for usage or input errors, 3 for an internal error, reported with
+its traceback on stderr.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+import traceback
 from typing import Optional
 
 from . import __version__
@@ -29,6 +31,7 @@ from .graphs import (GraphError, canonical_code, is_chiral, norm_edge,
 EXIT_OK = 0
 EXIT_COUNTEREXAMPLE = 1
 EXIT_USAGE = 2
+EXIT_INTERNAL = 3
 
 
 def _emit(obj) -> None:
@@ -159,17 +162,21 @@ def cmd_antikekule(args) -> int:
 
 
 def _parse_edges(spec: str):
+    """Edges written u-v,u-v; None when the spec does not parse."""
     out = []
     for part in spec.split(","):
         u, _, v = part.partition("-")
-        out.append(norm_edge(int(u), int(v)))
+        try:
+            out.append(norm_edge(int(u), int(v)))
+        except ValueError:
+            return None
     return out
 
 
 def cmd_certify(args) -> int:
     graphs = _read_input(args.file)
     pair = _parse_edges(args.edges)
-    if len(pair) != 2:
+    if pair is None or len(pair) != 2:
         return _fail("--edges expects exactly two edges, e.g. 0-1,4-9")
     records = []
     all_extend = True
@@ -274,9 +281,11 @@ def main(argv=None) -> int:
         return args.func(args)
     except (GraphError, planar_code.PlanarCodeError, EnumerationError,
             mt.MatchingError, ext_mod.ExtendabilityError,
-            ak_mod.AntiKekuleError, families.BadLayerCount,
-            ValueError, OSError) as exc:
+            ak_mod.AntiKekuleError, families.BadLayerCount, OSError) as exc:
         return _fail(str(exc))
+    except Exception:
+        traceback.print_exc()
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -3,15 +3,16 @@
 A graph is k-extendable when it is connected, has at least 2k + 2 vertices
 and every matching of k edges lies in some perfect matching.  The scan over
 candidate matchings is exhaustive; when the perfect matchings of the graph
-are few enough to enumerate they are indexed per edge as bitsets, which
-turns each candidate test into an AND of k integers.
+are few enough to enumerate they are indexed per edge as bitsets
+(``matching.PmIndex``), which turns each candidate test into an AND of k
+integers.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
 from . import matching as mt
 from .graphs import Edge, PlaneCubicGraph
@@ -43,54 +44,17 @@ class ExtendabilityReport:
     certificate: Optional[mt.DeficiencyCertificate]
 
 
-class _PmIndex:
-    """Per-edge bitsets over the enumerated perfect matchings, or None."""
-
-    def __init__(self, adj: dict[int, frozenset[int]]):
-        self.masks: dict[Edge, int] | None = None
-        if len(adj) > mt.COUNT_LIMIT:
-            return
-        masks: dict[Edge, int] = {e: 0 for e in mt.edges_of(adj)}
-        count = 0
-        for i, pm in enumerate(mt.perfect_matchings(adj)):
-            if i >= ENUMERATION_CAP:
-                return
-            count += 1
-            bit = 1 << i
-            for e in pm:
-                masks[e] |= bit
-        self.count = count
-        self.masks = masks
-
-    def extends(self, edges: tuple[Edge, ...]) -> bool | None:
-        if self.masks is None:
-            return None
-        acc = -1
-        for e in edges:
-            acc &= self.masks[e]
-            if acc == 0:
-                return False
-        return True
-
-
 def _candidate_matchings(adj: dict[int, frozenset[int]], k: int):
     """Size-k matchings in lexicographic order of their sorted edge lists."""
-    edges = mt.edges_of(adj)
-    for combo in itertools.combinations(edges, k):
-        seen: set[int] = set()
-        ok = True
-        for u, v in combo:
-            if u in seen or v in seen:
-                ok = False
-                break
-            seen.update((u, v))
-        if ok:
+    for combo in itertools.combinations(mt.edges_of(adj), k):
+        if len({v for e in combo for v in e}) == 2 * k:
             yield combo
 
 
-def _check_preconditions(adj: dict[int, frozenset[int]], k: int) -> None:
-    if k > K_CAP:
-        raise ExtendabilityError(f"k is capped at {K_CAP}, got {k}")
+def check_preconditions(adj: dict[int, frozenset[int]], k: int) -> None:
+    """Raise unless the graph is connected, matchable and big enough for k."""
+    if not 0 <= k <= K_CAP:
+        raise ExtendabilityError(f"k must lie in 0..{K_CAP}, got {k}")
     if len(adj) < 2 * k + 2:
         raise TooFewVertices(
             f"{len(adj)} vertices but k = {k} needs at least {2 * k + 2}")
@@ -100,26 +64,33 @@ def _check_preconditions(adj: dict[int, frozenset[int]], k: int) -> None:
         raise NoPerfectMatching("graph has no perfect matching")
 
 
-def is_k_extendable(g: PlaneCubicGraph | mt.Adjacency, k: int) -> ExtendabilityReport:
-    """Scan all size-k matchings; the first one that fails becomes the witness.
+def nonextendable_matchings(index: mt.PmIndex, k: int) -> Iterator[tuple[Edge, ...]]:
+    """Size-k matchings in no perfect matching, in lexicographic order;
+    the caller checks the preconditions."""
+    for cand in _candidate_matchings(index.adj, k):
+        if not index.extends(cand):
+            yield cand
 
-    The witness certificate is the deficiency certificate of the graph with
-    the witness endpoints removed, re-verifiable on its own.
-    """
+
+def _report(adj: dict[int, frozenset[int]], k: int,
+            witness: Optional[tuple[Edge, ...]]) -> ExtendabilityReport:
+    """The verdict for a witness or None; a witness is certified by the
+    deficiency certificate of the graph minus its endpoints."""
+    if witness is None:
+        return ExtendabilityReport(k, True, None, None)
+    covered = {v for e in witness for v in e}
+    cert = mt.deficiency_certificate(mt.induced(adj, covered))
+    return ExtendabilityReport(k, False, witness, cert)
+
+
+def is_k_extendable(g: PlaneCubicGraph | mt.Adjacency, k: int) -> ExtendabilityReport:
+    """Scan all size-k matchings; the first one that fails becomes the witness."""
     adj = mt.adjacency_of(g)
-    _check_preconditions(adj, k)
+    check_preconditions(adj, k)
     if k == 0:
         return ExtendabilityReport(0, True, None, None)
-    index = _PmIndex(adj)
-    for cand in _candidate_matchings(adj, k):
-        verdict = index.extends(cand)
-        if verdict is None:
-            verdict = mt.extends_to_perfect(adj, cand)
-        if not verdict:
-            covered = {v for e in cand for v in e}
-            cert = mt.deficiency_certificate(mt.induced(adj, covered))
-            return ExtendabilityReport(k, False, cand, cert)
-    return ExtendabilityReport(k, True, None, None)
+    index = mt.PmIndex(adj, ENUMERATION_CAP)
+    return _report(adj, k, next(nonextendable_matchings(index, k), None))
 
 
 def extendability_number(g: PlaneCubicGraph | mt.Adjacency, cap: int = K_CAP) -> int:
@@ -127,11 +98,13 @@ def extendability_number(g: PlaneCubicGraph | mt.Adjacency, cap: int = K_CAP) ->
     adj = mt.adjacency_of(g)
     if not mt.has_perfect_matching(adj):
         raise NoPerfectMatching("graph has no perfect matching")
+    index = mt.PmIndex(adj, ENUMERATION_CAP)
     best = 0
     for k in range(1, min(cap, K_CAP) + 1):
         if len(adj) < 2 * k + 2:
             break
-        if not is_k_extendable(adj, k).extendable:
+        check_preconditions(adj, k)
+        if next(nonextendable_matchings(index, k), None) is not None:
             break
         best = k
     return best
@@ -140,15 +113,6 @@ def extendability_number(g: PlaneCubicGraph | mt.Adjacency, cap: int = K_CAP) ->
 def nonextendable_pairs(g: PlaneCubicGraph | mt.Adjacency) -> list[ExtendabilityReport]:
     """Every size-2 matching with no perfect-matching extension, certified."""
     adj = mt.adjacency_of(g)
-    _check_preconditions(adj, 2)
-    index = _PmIndex(adj)
-    out = []
-    for cand in _candidate_matchings(adj, 2):
-        verdict = index.extends(cand)
-        if verdict is None:
-            verdict = mt.extends_to_perfect(adj, cand)
-        if not verdict:
-            covered = {v for e in cand for v in e}
-            cert = mt.deficiency_certificate(mt.induced(adj, covered))
-            out.append(ExtendabilityReport(2, False, cand, cert))
-    return out
+    check_preconditions(adj, 2)
+    index = mt.PmIndex(adj, ENUMERATION_CAP)
+    return [_report(adj, 2, w) for w in nonextendable_matchings(index, 2)]

@@ -30,12 +30,6 @@ class TubeDescriptor:
     traversed_edges: tuple[frozenset[Edge], ...]
     cap_stars: tuple[frozenset[Edge], frozenset[Edge]]
 
-    def all_traversed(self) -> frozenset[Edge]:
-        out: set[Edge] = set()
-        for layer in self.traversed_edges:
-            out |= layer
-        return frozenset(out)
-
     def matching_layers(self) -> tuple[frozenset[Edge], ...]:
         """Edge layers where every perfect matching picks exactly one edge.
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Collection, Iterable, Mapping, Sequence
 
 Edge = tuple[int, int]
 
@@ -64,9 +64,6 @@ class Face:
         b = self.boundary
         return [(b[i], b[(i + 1) % len(b)]) for i in range(len(b))]
 
-    def edges(self) -> frozenset[Edge]:
-        return frozenset(norm_edge(u, v) for u, v in self.directed_edges())
-
     def is_simple_cycle(self) -> bool:
         return len(set(self.boundary)) == len(self.boundary)
 
@@ -84,12 +81,6 @@ class FaceInventory:
     @property
     def count(self) -> int:
         return len(self.faces)
-
-    def histogram(self) -> dict[int, int]:
-        hist: dict[int, int] = {}
-        for f in self.faces:
-            hist[f.size] = hist.get(f.size, 0) + 1
-        return hist
 
 
 @dataclass(frozen=True)
@@ -139,11 +130,6 @@ class PlaneCubicGraph:
 
     def adj_dict(self) -> dict[int, frozenset[int]]:
         return {v: self.adj[v] for v in range(self.n)}
-
-    def rotation_successor(self, u: int, v: int) -> int:
-        """Neighbor after u in the rotation at v (the face-tracing rule)."""
-        r = self.rot[v]
-        return r[(r.index(u) + 1) % 3]
 
     def __repr__(self) -> str:
         return f"PlaneCubicGraph(n={self.n}, m={self.m}, f={len(self._faces)})"
@@ -443,9 +429,13 @@ def is_chiral(g: PlaneCubicGraph) -> bool:
 # Connectivity, girth, cycles, cuts
 # ---------------------------------------------------------------------------
 
-def _components(vertices: Iterable[int], adj: dict[int, Iterable[int]],
-                blocked_edges: frozenset[Edge] = frozenset()) -> list[set[int]]:
-    todo = set(vertices)
+def components(adj: Mapping[int, Iterable[int]],
+               blocked_edges: frozenset[Edge] = frozenset()) -> list[set[int]]:
+    """Vertex sets of the components of adj minus the blocked edges.
+
+    Listed in order of their smallest vertex.
+    """
+    todo = set(adj)
     comps = []
     while todo:
         start = min(todo)
@@ -467,13 +457,13 @@ def connectivity(g: PlaneCubicGraph) -> int:
     """Vertex connectivity by exhaustive small-cut search (cubic, so <= 3)."""
     verts = set(range(g.n))
     adj = g.adj_dict()
-    if len(_components(verts, adj)) > 1:
+    if len(components(adj)) > 1:
         return 0
     for k in (1, 2):
         for cut in itertools.combinations(range(g.n), k):
             rest = verts.difference(cut)
             sub = {v: [w for w in adj[v] if w in rest] for v in rest}
-            if rest and len(_components(rest, sub)) > 1:
+            if rest and len(components(sub)) > 1:
                 return k
     return 3
 
@@ -539,13 +529,12 @@ def edge_cuts_up_to(g: PlaneCubicGraph, k: int) -> list[EdgeCut]:
     """All minimal edge cuts of size <= k (exhaustive subsets, k <= 4)."""
     if k > 4:
         raise ValueError("edge cut enumeration is capped at k = 4")
-    verts = set(range(g.n))
     adj = g.adj_dict()
     cuts = []
     for size in range(1, k + 1):
         for combo in itertools.combinations(g.edge_list, size):
             blocked = frozenset(combo)
-            comps = _components(verts, adj, blocked)
+            comps = components(adj, blocked)
             if len(comps) != 2:
                 continue
             # minimal: every removed edge must actually join the two sides
@@ -557,27 +546,43 @@ def edge_cuts_up_to(g: PlaneCubicGraph, k: int) -> list[EdgeCut]:
     return cuts
 
 
-def _has_cycle(comp: set[int], adj: dict[int, Iterable[int]],
-               blocked_edges: frozenset[Edge]) -> bool:
+def has_cycle(comp: Collection[int], adj: Mapping[int, Iterable[int]],
+              blocked_edges: frozenset[Edge] = frozenset()) -> bool:
+    """True iff the connected vertex set spans a cycle (edges >= vertices)."""
     edges = sum(1 for v in comp for w in adj[v]
                 if w in comp and norm_edge(v, w) not in blocked_edges) // 2
     return edges >= len(comp)
 
 
 def has_cyclic_cut_leq3(g: PlaneCubicGraph) -> bool:
-    """True iff <= 3 edges can be removed leaving two components with cycles."""
-    verts = set(range(g.n))
+    """True iff <= 3 edges can be removed leaving two components with cycles.
+
+    Exhaustive over edge subsets; ``has_cyclic_bond`` gives the same answer
+    from the cuts of ``edge_cuts_up_to(g, 3)``.
+    """
     adj = g.adj_dict()
     for size in range(1, 4):
         for combo in itertools.combinations(g.edge_list, size):
             blocked = frozenset(combo)
-            comps = _components(verts, adj, blocked)
+            comps = components(adj, blocked)
             if len(comps) < 2:
                 continue
-            cyclic = sum(1 for c in comps if _has_cycle(c, adj, blocked))
+            cyclic = sum(1 for c in comps if has_cycle(c, adj, blocked))
             if cyclic >= 2:
                 return True
     return False
+
+
+def has_cyclic_bond(adj: Mapping[int, Iterable[int]], cuts: Iterable[EdgeCut]) -> bool:
+    """True iff one of the minimal cuts has a cycle on both sides.
+
+    With g's adjacency and ``edge_cuts_up_to(g, 3)`` this equals
+    ``has_cyclic_cut_leq3(g)`` for connected g.  Let F be a set of <= 3 edges and C1, C2 cyclic
+    components of G - F; then d(C1) lies in F.  The component D of
+    G - d(C1) containing C2 gives a minimal cut d(D) within d(C1), and
+    both of its sides contain a cycle.  The converse is immediate.
+    """
+    return any(all(has_cycle(side, adj) for side in cut.sides) for cut in cuts)
 
 
 def cube_graph() -> PlaneCubicGraph:

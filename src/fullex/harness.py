@@ -15,6 +15,7 @@ import itertools
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -25,16 +26,16 @@ from . import families
 from . import matching as mt
 from . import planar_code
 from .enumerator import Catalogue, enumerate_fullerenes
-from .graphs import (PlaneCubicGraph, canonical_code, connectivity,
-                     edge_cuts_up_to, girth, has_cyclic_cut_leq3,
-                     short_cycles_facial, validate_fullerene)
+from .graphs import (PlaneCubicGraph, canonical_code, components,
+                     connectivity, edge_cuts_up_to, girth, has_cycle,
+                     has_cyclic_bond, short_cycles_facial, validate_fullerene)
 
 
 def _edge_list(edges) -> list[list[int]]:
     return [list(e) for e in sorted(edges)]
 
 
-def _certificate_digest(g: PlaneCubicGraph, witness) -> dict:
+def _certificate_digest(adj: dict[int, frozenset[int]], witness) -> dict:
     """Deficiency data for the graph minus the witness pair's endpoints.
 
     Recomputes the boundary-edge counts of the deleted configuration: for
@@ -42,7 +43,6 @@ def _certificate_digest(g: PlaneCubicGraph, witness) -> dict:
     edge counts inside S, inside the endpoint set, and between them, and
     checks the degree-sum identity they must satisfy in a cubic graph.
     """
-    adj = g.adj_dict()
     e0_verts = sorted({v for e in witness for v in e})
     cert = mt.deficiency_certificate(mt.induced(adj, e0_verts))
     s = cert.S
@@ -77,12 +77,21 @@ def _certificate_digest(g: PlaneCubicGraph, witness) -> dict:
 
 
 def analyze_graph(g: PlaneCubicGraph) -> dict:
-    """Full analysis digest of one fullerene; plain JSON-able values only."""
+    """Full analysis digest of one fullerene; plain JSON-able values only.
+
+    Each fact is computed once: one index of all perfect matchings serves
+    the k = 1, 2, 3 scans and the anti-Kekule search.
+    """
     inv = validate_fullerene(g)
     tube = families.recognize_tube(g)
     cuts3 = edge_cuts_up_to(g, 3)
-    rep2 = ext_mod.is_k_extendable(g, 2)
-    ak = ak_mod.anti_kekule_number(g)
+    adj = g.adj_dict()
+    ext_mod.check_preconditions(adj, ext_mod.K_CAP)
+    index = mt.PmIndex(adj)
+    witnesses = [next(ext_mod.nonextendable_matchings(index, k), None)
+                 for k in (1, 2, 3)]
+    flags = [w is None for w in witnesses]
+    ak = ak_mod.search(index)
     digest = {
         "n": g.n,
         "p4": inv.p4,
@@ -92,19 +101,20 @@ def analyze_graph(g: PlaneCubicGraph) -> dict:
         "girth": girth(g),
         "short_cycles_facial": short_cycles_facial(g),
         "nontrivial_cuts_leq3": sum(1 for c in cuts3 if not c.trivial),
-        "has_cyclic_cut_leq3": has_cyclic_cut_leq3(g),
+        "has_cyclic_cut_leq3": has_cyclic_bond(adj, cuts3),
         "is_tube": tube is not None,
         "tube_layers": tube.n_layers if tube else None,
-        "one_extendable": ext_mod.is_k_extendable(g, 1).extendable,
-        "two_extendable": rep2.extendable,
-        "three_extendable": ext_mod.is_k_extendable(g, 3).extendable,
-        "extendability": ext_mod.extendability_number(g),
+        "one_extendable": flags[0],
+        "two_extendable": flags[1],
+        "three_extendable": flags[2],
+        # the first k that fails, as extendability_number's loop stops
+        "extendability": (flags + [False]).index(False),
         "ak_number": ak.number,
         "ak_witness": _edge_list(ak.witness_set),
         "certificate": None,
     }
-    if not rep2.extendable:
-        digest["certificate"] = _certificate_digest(g, rep2.witness)
+    if witnesses[1] is not None:
+        digest["certificate"] = _certificate_digest(adj, witnesses[1])
     return digest
 
 
@@ -241,14 +251,19 @@ class DigestCache:
         return os.path.join(self.directory, f"fullerenes_n{n}.json")
 
     def load(self, n: int) -> dict[str, dict]:
+        """Cached digests; a missing, undecodable or stale sidecar is a miss."""
         path = self._path(n)
         if path is None or not os.path.exists(path):
             return {}
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-        if data.get("version") != __version__:
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                data = json.load(fh)
+        except ValueError:
             return {}
-        return data.get("digests", {})
+        if not isinstance(data, dict) or data.get("version") != __version__:
+            return {}
+        digests = data.get("digests")
+        return digests if isinstance(digests, dict) else {}
 
     def save(self, n: int, catalogue: Catalogue, digests: dict[str, dict]) -> None:
         path = self._path(n)
@@ -263,9 +278,17 @@ class DigestCache:
                 f"{k[0]},{k[1]},{k[2]}": v for k, v in sorted(catalogue.counts.items())},
             "digests": digests,
         }
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        # write beside the target and rename, so a crash never leaves a
+        # half-written sidecar behind
+        tmp = f"{path}.{os.getpid()}.tmp"
+        try:
+            with open(tmp, "w", encoding="utf-8") as fh:
+                json.dump(payload, fh, indent=2, sort_keys=True)
+                fh.write("\n")
+            os.replace(tmp, path)
+        finally:
+            if os.path.exists(tmp):
+                os.remove(tmp)
 
 
 def catalogue_digests(catalogue: Catalogue, jobs: int = 1,
@@ -273,24 +296,24 @@ def catalogue_digests(catalogue: Catalogue, jobs: int = 1,
     """Digest per canonical hex for the catalogue, optionally in parallel.
 
     Output is independent of the worker count: graphs are keyed by their
-    canonical code and the mapping is rebuilt in catalogue order.
+    canonical code and the mapping is rebuilt in catalogue order.  Workers
+    are capped by the CPUs and the uncached graphs; one runs in process.
     """
     cached = cache.load(catalogue.n) if cache else {}
     todo = [g for g in catalogue.graphs
             if canonical_code(g).hex() not in cached]
-    fresh: dict[str, dict] = {}
-    if todo:
-        if jobs > 1:
-            packed = [planar_code.encode_graph(g) for g in todo]
-            try:
-                with ProcessPoolExecutor(max_workers=jobs) as pool:
-                    results = list(pool.map(_analyze_packed, packed))
-            except OSError:
-                results = [analyze_graph(g) for g in todo]
-        else:
-            results = [analyze_graph(g) for g in todo]
-        for g, digest in zip(todo, results):
-            fresh[canonical_code(g).hex()] = digest
+    workers = min(jobs, os.cpu_count() or 1, len(todo))
+    results = None
+    if workers > 1:
+        packed = [planar_code.encode_graph(g) for g in todo]
+        try:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                results = list(pool.map(_analyze_packed, packed))
+        except (OSError, BrokenProcessPool):
+            pass  # analysed serially below
+    if results is None:
+        results = [analyze_graph(g) for g in todo]
+    fresh = {canonical_code(g).hex(): digest for g, digest in zip(todo, results)}
     digests = {}
     for g in catalogue.graphs:
         key = canonical_code(g).hex()
@@ -334,11 +357,8 @@ def _tube_suite(nmax: int) -> list[ClaimResult]:
         cut_ok = True
         for layer in desc.traversed_edges:
             left = mt.without_edges(adj, layer)
-            comps = mt.components(left)
-            cyclic = sum(
-                1 for comp in comps
-                if sum(1 for v in comp for w in left[v] if w in comp) // 2 >= len(comp))
-            if len(comps) != 2 or cyclic != 2:
+            comps = components(left)
+            if len(comps) != 2 or not all(has_cycle(c, left) for c in comps):
                 cut_ok = False
         cut_claim.record(cut_ok, {"layers": layers})
         rec = families.recognize_tube(g)
@@ -360,20 +380,16 @@ def _sporadic_suite(nmax: int, catalogues: dict[int, Catalogue],
     for n in (12, 14, 18, 20):
         if n > nmax:
             continue
-        cat = catalogues[n]
-        dig = digests[n]
-        cands = [
-            g for g in cat.graphs
-            if not dig[canonical_code(g).hex()]["is_tube"]
-            and dig[canonical_code(g).hex()]["ak_number"] == 3
-            and not dig[canonical_code(g).hex()]["two_extendable"]]
+        pairs = [(g, digests[n][canonical_code(g).hex()]) for g in catalogues[n].graphs]
+        cands = [(g, d) for g, d in pairs if not d["is_tube"]
+                 and d["ak_number"] == 3 and not d["two_extendable"]]
         present.record(bool(cands), {"n": n, "candidates": len(cands)})
-        for g in cands:
-            cert = dig[canonical_code(g).hex()]["certificate"]
+        for g, d in cands:
+            cert = d["certificate"]
             ok = (cert is not None
                   and cert["component_count"] == cert["s_size"] + 2
                   and cert["all_factor_critical"])
-            certs.record(ok, _counterexample(g, dig[canonical_code(g).hex()]))
+            certs.record(ok, _counterexample(g, d))
     return [present, certs]
 
 

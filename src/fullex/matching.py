@@ -13,7 +13,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .graphs import Edge, PlaneCubicGraph, norm_edge
+from .graphs import Edge, PlaneCubicGraph, components, norm_edge
 
 Adjacency = Mapping[int, Iterable[int]]
 
@@ -61,25 +61,6 @@ def without_edges(adj: Adjacency, edges: Iterable[Edge]) -> dict[int, frozenset[
 
 def edges_of(adj: Adjacency) -> list[Edge]:
     return sorted({norm_edge(v, w) for v, ns in adj.items() for w in ns})
-
-
-def components(adj: Adjacency) -> list[set[int]]:
-    todo = set(adj)
-    out = []
-    while todo:
-        start = min(todo)
-        comp = {start}
-        todo.discard(start)
-        stack = [start]
-        while stack:
-            x = stack.pop()
-            for y in adj[x]:
-                if y in todo:
-                    todo.discard(y)
-                    comp.add(y)
-                    stack.append(y)
-        out.append(comp)
-    return out
 
 
 def is_connected(adj: Adjacency) -> bool:
@@ -252,6 +233,46 @@ def perfect_matchings(g: PlaneCubicGraph | Adjacency) -> Iterator[tuple[Edge, ..
 
 def count_perfect_matchings(g: PlaneCubicGraph | Adjacency) -> int:
     return sum(1 for _ in perfect_matchings(g))
+
+
+class PmIndex:
+    """Per-edge bitsets over the perfect matchings of one graph.
+
+    Bit i of ``masks[e]`` is set when the i-th perfect matching contains e;
+    ``full`` has a bit per perfect matching.  With a ``cap``, past
+    COUNT_LIMIT vertices or ``cap`` matchings ``masks`` is None and
+    ``extends`` runs one matching computation per query instead.
+    """
+
+    def __init__(self, adj: Mapping[int, frozenset[int]], cap: int | None = None):
+        self.adj = adj
+        self.edges = edges_of(adj)
+        self.masks: dict[Edge, int] | None = None
+        self.full = 0
+        if cap is not None and len(adj) > COUNT_LIMIT:
+            return
+        masks = {e: 0 for e in self.edges}
+        count = 0
+        for pm in perfect_matchings(adj):
+            if count == cap:
+                return
+            bit = 1 << count
+            for e in pm:
+                masks[e] |= bit
+            count += 1
+        self.masks = masks
+        self.full = (1 << count) - 1
+
+    def extends(self, edges: Iterable[Edge]) -> bool:
+        """True iff the matching is contained in some perfect matching."""
+        if self.masks is None:
+            return extends_to_perfect(self.adj, edges)
+        acc = -1
+        for e in edges:
+            acc &= self.masks[e]
+            if acc == 0:
+                return False
+        return True
 
 
 def is_factor_critical(g: PlaneCubicGraph | Adjacency) -> bool:

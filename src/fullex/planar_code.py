@@ -8,6 +8,7 @@ terminating 0 byte.  Writing then reading is byte-identical.
 
 from __future__ import annotations
 
+import io
 from typing import BinaryIO, Iterable, Iterator
 
 from .graphs import PlaneCubicGraph, from_rotation
@@ -28,19 +29,24 @@ def encode_graph(g: PlaneCubicGraph) -> bytes:
 
 
 def write_graphs(fh: BinaryIO, graphs: Iterable[PlaneCubicGraph]) -> int:
-    fh.write(HEADER)
-    count = 0
+    """Write the header and every graph; nothing is written if one is too big."""
+    graphs = list(graphs)
     for g in graphs:
         if g.n > 255:
             raise PlanarCodeError(f"{g.n} vertices exceed the one-byte limit")
+    fh.write(HEADER)
+    for g in graphs:
         fh.write(encode_graph(g))
-        count += 1
-    return count
+    return len(graphs)
 
 
 def write_file(path, graphs: Iterable[PlaneCubicGraph]) -> int:
+    """Like ``write_graphs``; the file is not touched if a graph is too big."""
+    buf = io.BytesIO()
+    count = write_graphs(buf, graphs)
     with open(path, "wb") as fh:
-        return write_graphs(fh, graphs)
+        fh.write(buf.getvalue())
+    return count
 
 
 def read_graphs(data: bytes) -> Iterator[PlaneCubicGraph]:

@@ -151,3 +151,45 @@ def test_verify_all_cache_roundtrip(tmp_path):
     assert (tmp_path / "fullerenes_n8.json").exists()
     b = run_cli(["verify-all", "--nmax", "10", "--cache-dir", str(tmp_path)])
     assert b.stdout == a.stdout
+
+
+def test_negative_k_is_a_usage_error():
+    r = run_cli(["extend-check", "--k", "-1"], input=cube_bytes())
+    assert r.returncode == 2
+    assert b"k must lie in" in r.stderr
+
+
+def test_certify_unparsable_edges_is_a_usage_error():
+    r = run_cli(["certify", "--edges", "0-x,1-2"], input=cube_bytes())
+    assert r.returncode == 2
+    assert b"--edges expects" in r.stderr
+
+
+def test_gen_tube_too_large_writes_nothing(tmp_path):
+    r = run_cli(["gen-tube", "42"])  # 260 vertices
+    assert r.returncode == 2
+    assert r.stdout == b""
+    assert b"one-byte limit" in r.stderr
+    out = tmp_path / "tube.plc"
+    assert run_cli(["gen-tube", "42", "--out", str(out)]).returncode == 2
+    assert not out.exists()
+
+
+def test_corrupt_sidecar_is_rewritten(tmp_path):
+    sidecar = tmp_path / "fullerenes_n8.json"
+    sidecar.write_bytes(b"\x00garbage{")
+    r = run_cli(["verify-all", "--nmax", "8", "--cache-dir", str(tmp_path)])
+    assert r.returncode == 0
+    assert json.loads(sidecar.read_text())["count"] == 1
+
+
+def test_internal_error_exits_three(monkeypatch, capsys):
+    from fullex import cli
+
+    def broken(args):
+        raise ValueError("an internal bug, not bad input")
+
+    monkeypatch.setattr(cli, "cmd_canonical", broken)
+    assert cli.main(["canonical"]) == 3
+    err = capsys.readouterr().err
+    assert "Traceback" in err and "an internal bug" in err

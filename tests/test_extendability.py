@@ -68,7 +68,7 @@ def test_nonextendable_pairs_empty_for_dodecahedron(dodecahedron):
 
 def test_pm_index_agrees_with_direct_checks(cube):
     adj = M.adjacency_of(cube)
-    index = E._PmIndex(adj)
+    index = M.PmIndex(adj, E.ENUMERATION_CAP)
     for cand in E._candidate_matchings(adj, 2):
         assert index.extends(cand) == M.extends_to_perfect(adj, cand)
 
@@ -82,6 +82,8 @@ def test_preconditions():
         E.is_k_extendable(disconnected, 1)
     with pytest.raises(E.NoPerfectMatching):
         E.extendability_number({0: {1, 2}, 1: {0, 2}, 2: {0, 1}})
+    with pytest.raises(E.ExtendabilityError):
+        E.is_k_extendable(small, -1)
 
 
 def test_path_four_middle_edge_is_witness():
@@ -96,3 +98,13 @@ def test_enumerated_twelve_vertex_fullerenes():
     cat = enumerate_fullerenes(12)
     verdicts = sorted(E.is_k_extendable(g, 2).extendable for g in cat.graphs)
     assert verdicts == [False, True]  # one sporadic exception, one prism
+
+
+def test_capped_index_falls_back_to_matching_computations(cube):
+    adj = M.adjacency_of(cube)
+    capped = M.PmIndex(adj, 3)  # the cube has 9 perfect matchings
+    assert capped.masks is None
+    full = M.PmIndex(adj)
+    assert full.full == (1 << 9) - 1
+    for cand in E._candidate_matchings(adj, 3):
+        assert capped.extends(cand) == full.extends(cand)

@@ -1,6 +1,12 @@
 import json
+from concurrent.futures.process import BrokenProcessPool
 
+import pytest
+
+from fullex import families as F
+from fullex import graphs as G
 from fullex import harness
+from fullex import matching as M
 from fullex import planar_code as PC
 from fullex.graphs import canonical_code
 from fullex.enumerator import enumerate_fullerenes
@@ -89,3 +95,111 @@ def test_counterexample_record_identifies_graph(cube):
     assert rec["canonical"] == canonical_code(cube).hex()
     g = next(PC.read_graphs(PC.HEADER + bytes.fromhex(rec["planar_code"])))
     assert canonical_code(g) == canonical_code(cube)
+
+
+def test_analyze_graph_computes_each_fact_once(monkeypatch):
+    calls = {"pm": 0, "cert": 0}
+    enumerate_pms = M.perfect_matchings
+    certify = M.deficiency_certificate
+
+    def counted_pms(g):
+        calls["pm"] += 1
+        return enumerate_pms(g)
+
+    def counted_cert(g):
+        calls["cert"] += 1
+        return certify(g)
+
+    monkeypatch.setattr(M, "perfect_matchings", counted_pms)
+    monkeypatch.setattr(M, "deficiency_certificate", counted_cert)
+    graphs = list(enumerate_fullerenes(12).graphs) + [F.build_tube(1)[0]]
+    certified = 0
+    for g in graphs:
+        calls.update(pm=0, cert=0)
+        d = harness.analyze_graph(g)
+        assert calls["pm"] == 1
+        assert calls["cert"] <= 1
+        certified += calls["cert"]
+        assert (d["certificate"] is None) == d["two_extendable"]
+    assert certified == 2  # the sporadic n = 12 graph and the tube
+
+
+def test_derived_cyclic_cut_flag_matches_exhaustive_scan():
+    graphs = [g for n in range(8, 17, 2) for g in enumerate_fullerenes(n).graphs]
+    graphs += [F.build_tube(layers)[0] for layers in (1, 2, 3)]
+    flags = []
+    for g in graphs:
+        d = harness.analyze_graph(g)
+        assert d["has_cyclic_cut_leq3"] == G.has_cyclic_cut_leq3(g)
+        flags.append(d["has_cyclic_cut_leq3"])
+    assert any(flags) and not all(flags)
+
+
+class _RecordingPool:
+    """Stand-in for ProcessPoolExecutor that runs the map in process."""
+
+    created: list[int] = []
+    broken = False
+
+    def __init__(self, max_workers):
+        self.created.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        if self.broken:
+            raise BrokenProcessPool("a worker died")
+        return map(fn, items)
+
+
+def test_jobs_clamped_to_cpus_and_uncached_graphs(monkeypatch):
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "created", [])
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 4)
+    cat12 = enumerate_fullerenes(12)
+    serial = harness.catalogue_digests(cat12, jobs=1)
+    assert harness.catalogue_digests(cat12, jobs=10**6) == serial
+    assert _RecordingPool.created == [2]  # two graphs at n = 12
+    harness.catalogue_digests(enumerate_fullerenes(16), jobs=10**6)
+    assert _RecordingPool.created == [2, 4]  # six graphs, four CPUs
+    harness.catalogue_digests(enumerate_fullerenes(8), jobs=10**6)
+    assert _RecordingPool.created == [2, 4]  # one graph runs serially
+
+
+def test_broken_pool_falls_back_to_serial(monkeypatch):
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "broken", True)
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+    cat = enumerate_fullerenes(12)
+    assert (harness.catalogue_digests(cat, jobs=2)
+            == harness.catalogue_digests(cat, jobs=1))
+
+
+def test_unreadable_sidecar_is_a_cache_miss(tmp_path):
+    cache = harness.DigestCache(str(tmp_path))
+    sidecar = tmp_path / "fullerenes_n8.json"
+    stale_shape = json.dumps({"version": harness.__version__, "digests": 7})
+    for garbage in (b"{not json", b"\xff\xfe\x00", b"[1, 2]", stale_shape.encode()):
+        sidecar.write_bytes(garbage)
+        assert cache.load(8) == {}
+
+
+def test_failed_sidecar_save_keeps_the_previous_file(tmp_path, monkeypatch):
+    cat = enumerate_fullerenes(8)
+    cache = harness.DigestCache(str(tmp_path))
+    digests = harness.catalogue_digests(cat, cache=cache)
+
+    def dump_then_fail(obj, fh, **kwargs):
+        fh.write("{")
+        raise OSError("disk full")
+
+    monkeypatch.setattr(harness.json, "dump", dump_then_fail)
+    with pytest.raises(OSError):
+        cache.save(8, cat, {})
+    monkeypatch.undo()
+    assert cache.load(8) == digests
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["fullerenes_n8.json"]
