@@ -23,7 +23,7 @@ from . import families
 from . import harness
 from . import matching as mt
 from . import planar_code
-from .enumerator import (EnumerationError, configured_bound,
+from .enumerator import (DEFAULT_BOUND, EnumerationError, configured_bound,
                          enumerate_fullerenes, naive_enumerate)
 from .graphs import (GraphError, canonical_code, is_chiral, norm_edge,
                      validate_fullerene)
@@ -209,7 +209,8 @@ def cmd_canonical(args) -> int:
 
 
 def cmd_verify_all(args) -> int:
-    report = harness.verify_all(args.nmax, jobs=args.jobs,
+    nmax = configured_bound() if args.nmax is None else args.nmax
+    report = harness.verify_all(nmax, jobs=args.jobs,
                                 cache_dir=args.cache_dir)
     sys.stdout.write(report.render())
     return EXIT_OK if report.ok else EXIT_COUNTEREXAMPLE
@@ -262,7 +263,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_canonical)
 
     p = sub.add_parser("verify-all", help="run the complete claim suite")
-    p.add_argument("--nmax", type=int, default=configured_bound())
+    p.add_argument("--nmax", type=int, default=None,
+                   help="largest vertex count (default: FULLEX_NMAX, else "
+                        f"{DEFAULT_BOUND})")
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--cache-dir", default=None)
     p.set_defaults(func=cmd_verify_all)

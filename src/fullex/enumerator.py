@@ -7,6 +7,9 @@ Two independent routes:
   triangulation on five or more vertices contracts to a smaller one, so
   level-by-level splitting with isomorph rejection is complete), those with
   all degrees in {4, 5, 6} are dualized, and the duals are validated.
+  Isomorph rejection keys each child by a BFS code started only from its
+  darts of least local signature (`_tri_key`), and the requested level
+  keys only the children that pass the degree test.
 * ``naive_enumerate`` searches rotation systems directly in a breadth-first
   normal form with face-size pruning; it exists only to certify the fast
   route and assumes nothing about the structure of the result.
@@ -17,8 +20,8 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
-from .graphs import (GraphError, PlaneCubicGraph, canonical_code, faces,
-                     from_rotation, is_fullerene, rotation_code,
+from .graphs import (GraphError, PlaneCubicGraph, _bfs_code, canonical_code,
+                     canonical_form, faces, from_rotation, is_fullerene,
                      validate_fullerene)
 
 DEFAULT_BOUND = 20
@@ -41,7 +44,11 @@ def configured_bound() -> int:
     value = os.environ.get("FULLEX_NMAX")
     if value is None:
         return DEFAULT_BOUND
-    return int(value)
+    try:
+        return int(value)
+    except ValueError:
+        raise EnumerationError(
+            f"FULLEX_NMAX must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -59,10 +66,15 @@ class Catalogue:
 
 
 def _catalogue_from(graphs) -> tuple[tuple[PlaneCubicGraph, ...], dict]:
+    """One member per class, in canonical labelling, sorted by canonical code.
+
+    The labels depend only on the code, so every route to a class (and any
+    rewrite of a route) yields the same rotation system for it.
+    """
     by_code: dict[bytes, PlaneCubicGraph] = {}
     for g in graphs:
         by_code.setdefault(canonical_code(g), g)
-    ordered = tuple(by_code[c] for c in sorted(by_code))
+    ordered = tuple(canonical_form(by_code[c]) for c in sorted(by_code))
     counts: dict[tuple[int, int, int], int] = {}
     for g in ordered:
         inv = faces(g)
@@ -128,27 +140,100 @@ def _split_vertex(n: int, rot: Rotation, w: int, a: int, b: int) -> Rotation:
     return tuple(new_rot)
 
 
+def _tri_key(n: int, rot: Rotation) -> bytes:
+    """Dedup key of a triangulation: the least BFS code from its least roots.
+
+    The signature of a dart (u, v) is (deg u, deg v, min, max) of the
+    degrees of the two apexes x, y, the third vertices of the triangles on
+    either side of uv.  The roots are the darts of least signature, and the
+    key is the least `_bfs_code` over the roots in both orientations.
+
+    Proof that the key is canonical.  Let phi map T1 onto T2, preserving
+    the orientation or reversing it.  phi preserves degrees and maps the
+    two triangles on uv onto the two on phi(u)phi(v), so it maps the
+    apexes {x, y} onto the apexes of the image dart; a reversal only swaps
+    the two sides, which min and max ignore.  So every dart keeps its
+    signature, and phi maps the root set of T1 onto that of T2.  The BFS
+    from a root in one orientation of T1 and the BFS from its image in the
+    matching orientation of T2 label corresponding vertices alike and emit
+    the same code.  Both keys are thus the least of the same set of codes.
+    Conversely a BFS code lists the whole rotation system in its own
+    labelling, so equal keys mean isomorphic embeddings up to mirroring,
+    exactly as equal `rotation_code`s do.
+    """
+    deg = [len(r) for r in rot]
+    least = None
+    roots: list[tuple[int, int]] = []
+    for u in range(n):
+        r = rot[u]
+        k = len(r)
+        for i in range(k):
+            x, y = deg[r[i - 1]], deg[r[(i + 1) % k]]
+            sig = (deg[u], deg[r[i]], x, y) if x < y else (deg[u], deg[r[i]], y, x)
+            if least is None or sig < least:
+                least = sig
+                roots = [(u, r[i])]
+            elif sig == least:
+                roots.append((u, r[i]))
+    best: list[int] | None = None
+    for rr in (rot, tuple(r[::-1] for r in rot)):
+        for u, v in roots:
+            cand = _bfs_code(n, rr, u, v, best)
+            if cand is not None:
+                best = cand
+    assert best is not None
+    return bytes(best)
+
+
+def _children(n: int, parents, leaves: bool = False) -> dict[bytes, Rotation]:
+    """The vertex splits of triangulations on n vertices, one per class.
+
+    With `leaves`, only the splits whose child has every degree in
+    {4, 5, 6} are made and keyed.  The child's degrees are read off the
+    parent: splitting w (degree d) at rotation positions a < b gives w
+    degree b - a + 2 and the new vertex d - b + a + 2, r[a] and r[b] each
+    gain one, and every other vertex keeps its degree.
+    """
+    level: dict[bytes, Rotation] = {}
+    for rot in parents:
+        deg = [len(r) for r in rot]
+        bad = [x for x in range(n) if not 4 <= deg[x] <= 6]
+        if leaves and len(bad) > 3:
+            continue  # a split changes the degrees of three vertices only
+        for w in range(n):
+            r = rot[w]
+            d = deg[w]
+            for a in range(d):
+                for b in range(a + 1, d):
+                    if leaves and not (
+                            2 <= b - a <= 4 and 2 <= d - b + a <= 4
+                            and deg[r[a]] < 6 and deg[r[b]] < 6
+                            and all(x in (w, r[a], r[b]) for x in bad)):
+                        continue
+                    child = _split_vertex(n, rot, w, a, b)
+                    level.setdefault(_tri_key(n + 1, child), child)
+    return level
+
+
 def _triangulations(v: int) -> list[Rotation]:
-    """All simple sphere triangulations on v vertices (cached, canonical order)."""
+    """All simple sphere triangulations on v vertices (cached, key order)."""
     if v < 4:
         return []
     if not _tri_levels:
-        _tri_levels.append({rotation_code(4, _K4_ROT): _K4_ROT})
+        _tri_levels.append({_tri_key(4, _K4_ROT): _K4_ROT})
     while len(_tri_levels) < v - 3:
-        level: dict[bytes, Rotation] = {}
-        size = len(_tri_levels) + 4
-        for rot in _tri_levels[-1].values():
-            n = size - 1
-            for w in range(n):
-                d = len(rot[w])
-                for a in range(d):
-                    for b in range(a + 1, d):
-                        child = _split_vertex(n, rot, w, a, b)
-                        code = rotation_code(size, child)
-                        if code not in level:
-                            level[code] = child
-        _tri_levels.append(level)
+        n = len(_tri_levels) + 3
+        _tri_levels.append(_children(n, _tri_levels[-1].values()))
     return [rot for _, rot in sorted(_tri_levels[v - 4].items())]
+
+
+def _fullerene_triangulations(v: int) -> list[Rotation]:
+    """The triangulations on v vertices with every degree in {4, 5, 6}.
+
+    One per class, unordered.  Level v is neither built in full nor
+    stored: only its leaves are split off level v - 1.
+    """
+    return list(_children(v - 1, _triangulations(v - 1), leaves=True).values())
 
 
 def _dualize(n: int, rot: Rotation) -> PlaneCubicGraph:
@@ -188,14 +273,8 @@ def enumerate_fullerenes(n: int, bound: int | None = None) -> Catalogue:
     if cached is not None:
         return cached
     v = n // 2 + 2
-    duals = []
-    for rot in _triangulations(v):
-        degrees = {len(r) for r in rot}
-        if degrees <= {4, 5, 6}:
-            g = _dualize(v, rot)
-            if is_fullerene(g):
-                duals.append(g)
-    graphs, counts = _catalogue_from(duals)
+    duals = [_dualize(v, rot) for rot in _fullerene_triangulations(v)]
+    graphs, counts = _catalogue_from(g for g in duals if is_fullerene(g))
     cat = Catalogue(n, graphs, counts)
     _fast_cache[n] = cat
     return cat

@@ -364,6 +364,30 @@ def canonical_code(g: PlaneCubicGraph) -> bytes:
     return g._canonical
 
 
+def from_code(code: bytes) -> PlaneCubicGraph:
+    """The graph a rotation code lists: per vertex, in label order, its
+    degree and then its neighbours in rotation order."""
+    rot, i = [], 0
+    while i < len(code):
+        k = code[i]
+        rot.append(tuple(code[i + 1:i + 1 + k]))
+        i += 1 + k
+    return from_rotation(len(rot), rot)
+
+
+def canonical_form(g: PlaneCubicGraph) -> PlaneCubicGraph:
+    """The copy of g labelled as its canonical code lists it.
+
+    Every isomorphic copy, mirror images included, has the same canonical
+    form.  Its canonical code is the code it was built from: the BFS from
+    vertex 0 to vertex 1 reproduces the code, and no root does better.
+    """
+    code = canonical_code(g)
+    h = from_code(code)
+    h._canonical = code
+    return h
+
+
 def is_isomorphic(g1: PlaneCubicGraph, g2: PlaneCubicGraph) -> bool:
     if g1.n != g2.n:
         return False

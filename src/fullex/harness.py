@@ -76,6 +76,13 @@ def _certificate_digest(adj: dict[int, frozenset[int]], witness) -> dict:
     }
 
 
+DIGEST_FIELDS = frozenset({
+    "n", "p4", "p5", "p6", "connectivity", "girth", "short_cycles_facial",
+    "nontrivial_cuts_leq3", "has_cyclic_cut_leq3", "is_tube", "tube_layers",
+    "one_extendable", "two_extendable", "three_extendable", "extendability",
+    "ak_number", "ak_witness", "certificate"})
+
+
 def analyze_graph(g: PlaneCubicGraph) -> dict:
     """Full analysis digest of one fullerene; plain JSON-able values only.
 
@@ -251,7 +258,13 @@ class DigestCache:
         return os.path.join(self.directory, f"fullerenes_n{n}.json")
 
     def load(self, n: int) -> dict[str, dict]:
-        """Cached digests; a missing, undecodable or stale sidecar is a miss."""
+        """Cached digests; a missing, undecodable or stale sidecar is a miss,
+        and so is an entry that is not a dict with the digest's fields.
+
+        A sidecar without the `labelling` marker was written before catalogue
+        members were rebuilt in canonical labelling, so its witnesses may
+        name other vertices than the graph keyed by the same code: a miss.
+        """
         path = self._path(n)
         if path is None or not os.path.exists(path):
             return {}
@@ -260,10 +273,14 @@ class DigestCache:
                 data = json.load(fh)
         except ValueError:
             return {}
-        if not isinstance(data, dict) or data.get("version") != __version__:
+        if (not isinstance(data, dict) or data.get("version") != __version__
+                or data.get("labelling") != "canonical"):
             return {}
         digests = data.get("digests")
-        return digests if isinstance(digests, dict) else {}
+        if not isinstance(digests, dict):
+            return {}
+        return {key: d for key, d in digests.items()
+                if isinstance(d, dict) and d.keys() == DIGEST_FIELDS}
 
     def save(self, n: int, catalogue: Catalogue, digests: dict[str, dict]) -> None:
         path = self._path(n)
@@ -272,6 +289,7 @@ class DigestCache:
         os.makedirs(self.directory, exist_ok=True)
         payload = {
             "version": __version__,
+            "labelling": "canonical",
             "n": n,
             "count": catalogue.size,
             "counts_by_faces": {
@@ -317,7 +335,7 @@ def catalogue_digests(catalogue: Catalogue, jobs: int = 1,
     digests = {}
     for g in catalogue.graphs:
         key = canonical_code(g).hex()
-        digests[key] = cached.get(key) or fresh[key]
+        digests[key] = cached[key] if key in cached else fresh[key]
     if cache:
         cache.save(catalogue.n, catalogue, digests)
     return digests

@@ -1,0 +1,61 @@
+"""Pinned census of the (4,5,6)-fullerene catalogues.
+
+`data/census.json` holds, for every even n in 8..22, the catalogue size,
+the face-vector histogram and the sha256 of the sorted canonical codes.
+An enumerator rewrite must reproduce it exactly.  Tier-1 checks n <= 20;
+n = 22 runs only with FULLEX_CENSUS_FULL=1.
+
+Regenerate (only ever from an enumerator already known to be right):
+
+    PYTHONPATH=src python tests/test_census.py > tests/data/census.json
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import os
+import sys
+
+import pytest
+
+from fullex import enumerator as EN
+
+CENSUS_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                           "data", "census.json")
+CENSUS_SIZES = range(8, 23, 2)
+FULL = os.environ.get("FULLEX_CENSUS_FULL") == "1"
+
+
+def census_row(n: int) -> dict:
+    cat = EN.enumerate_fullerenes(n, bound=max(CENSUS_SIZES))
+    codes = "\n".join(sorted(c.hex() for c in cat.canonical_codes()))
+    return {
+        "size": cat.size,
+        "faces": {f"{p4},{p5},{p6}": k
+                  for (p4, p5, p6), k in sorted(cat.counts.items())},
+        "sha256": hashlib.sha256(codes.encode()).hexdigest(),
+    }
+
+
+def _pinned() -> dict:
+    with open(CENSUS_PATH) as fh:
+        return json.load(fh)
+
+
+@pytest.mark.parametrize("n", [
+    n if n <= 20 else pytest.param(n, marks=pytest.mark.skipif(
+        not FULL, reason="n = 22 runs with FULLEX_CENSUS_FULL=1"))
+    for n in CENSUS_SIZES])
+def test_census(n):
+    assert census_row(n) == _pinned()[str(n)]
+
+
+def test_census_covers_sizes():
+    assert sorted(map(int, _pinned())) == list(CENSUS_SIZES)
+
+
+if __name__ == "__main__":
+    json.dump({str(n): census_row(n) for n in CENSUS_SIZES}, sys.stdout,
+              indent=1, sort_keys=True)
+    sys.stdout.write("\n")

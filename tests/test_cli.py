@@ -183,6 +183,14 @@ def test_corrupt_sidecar_is_rewritten(tmp_path):
     assert json.loads(sidecar.read_text())["count"] == 1
 
 
+def test_non_integer_nmax_env_is_a_usage_error(monkeypatch):
+    monkeypatch.setenv("FULLEX_NMAX", "abc")
+    r = run_cli(["verify-all", "--nmax", "8"])
+    assert r.returncode == 2
+    assert r.stdout == b""
+    assert b"FULLEX_NMAX" in r.stderr and b"Traceback" not in r.stderr
+
+
 def test_internal_error_exits_three(monkeypatch, capsys):
     from fullex import cli
 

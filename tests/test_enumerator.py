@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from fullex import enumerator as EN
@@ -6,7 +8,8 @@ from fullex.families import build_tube
 
 
 # simple sphere triangulations per vertex count (simplicial polyhedra)
-TRIANGULATION_COUNTS = {4: 1, 5: 1, 6: 2, 7: 5, 8: 14, 9: 50, 10: 233}
+TRIANGULATION_COUNTS = {4: 1, 5: 1, 6: 2, 7: 5, 8: 14, 9: 50, 10: 233,
+                        11: 1249}
 
 
 def test_triangulation_counts():
@@ -16,6 +19,50 @@ def test_triangulation_counts():
         for rot in tris:
             assert EN._check_triangulation(v, rot)
             assert all(len(set(r)) == len(r) for r in rot)  # simple
+
+
+def _split_children(v):
+    """Every vertex split of every triangulation on v - 1 vertices."""
+    n = v - 1
+    for rot in EN._triangulations(n):
+        for w in range(n):
+            d = len(rot[w])
+            for a in range(d):
+                for b in range(a + 1, d):
+                    yield EN._split_vertex(n, rot, w, a, b)
+
+
+def _relabel(rot, rng, mirror):
+    perm = rng.sample(range(len(rot)), len(rot))
+    out = [None] * len(rot)
+    for v, nbrs in enumerate(rot):
+        r = tuple(perm[w] for w in nbrs)
+        out[perm[v]] = r[::-1] if mirror else r
+    return tuple(out)
+
+
+def test_tri_key_separates_exactly_as_rotation_code():
+    rng = random.Random(5)
+    for v in range(5, 10):
+        key_of_code, code_of_key = {}, {}
+        for child in _split_children(v):
+            for rot in (child, _relabel(child, rng, False),
+                        _relabel(child, rng, True)):
+                key = EN._tri_key(v, rot)
+                code = G.rotation_code(v, rot)
+                assert key_of_code.setdefault(code, key) == key
+                assert code_of_key.setdefault(key, code) == code
+        assert len(key_of_code) == TRIANGULATION_COUNTS[v]
+
+
+def test_leaf_children_are_the_filtered_level():
+    for v in range(5, 11):
+        leaves = EN._children(v - 1, EN._triangulations(v - 1), leaves=True)
+        full = [rot for rot in EN._triangulations(v)
+                if all(4 <= len(r) <= 6 for r in rot)]
+        assert ({G.rotation_code(v, rot) for rot in leaves.values()}
+                == {G.rotation_code(v, rot) for rot in full})
+        assert len(leaves) == len(full)
 
 
 def test_dualize_octahedron_gives_cube(cube):
@@ -73,6 +120,13 @@ def test_naive_agrees_with_fast_small():
         assert set(fast.canonical_codes()) == set(naive.canonical_codes())
 
 
+def test_fast_and_naive_members_are_identical():
+    for n in (8, 10, 12):
+        fast = EN.enumerate_fullerenes(n)
+        naive = EN.naive_enumerate(n)
+        assert [g.rot for g in fast.graphs] == [g.rot for g in naive.graphs]
+
+
 def test_bounds_and_parity():
     with pytest.raises(EN.OddVertexCount):
         EN.enumerate_fullerenes(9)
@@ -91,6 +145,9 @@ def test_env_override(monkeypatch):
     assert EN.configured_bound() == 12
     with pytest.raises(EN.BoundExceeded):
         EN.enumerate_fullerenes(14)
+    monkeypatch.setenv("FULLEX_NMAX", "abc")
+    with pytest.raises(EN.EnumerationError):
+        EN.configured_bound()
     monkeypatch.delenv("FULLEX_NMAX")
     assert EN.configured_bound() == EN.DEFAULT_BOUND
 

@@ -97,6 +97,23 @@ def test_mirror_images_identified():
     assert not G.is_chiral(G.cube_graph())
 
 
+def test_canonical_form_is_shared_by_relabelled_mirrors():
+    rng = random.Random(11)
+    for g in enumerate_fullerenes(16).graphs:
+        code = G.canonical_code(g)
+        form = G.canonical_form(g)
+        assert G.rotation_code(form.n, form.rot) == code  # recomputed, not cached
+        assert G.from_code(code).rot == form.rot
+        for mirror in (False, True):
+            perm = rng.sample(range(g.n), g.n)
+            rot = [()] * g.n
+            for v in range(g.n):
+                r = tuple(perm[w] for w in g.rot[v])
+                rot[perm[v]] = r[::-1] if mirror else r
+            h = G.from_rotation(g.n, rot)
+            assert G.canonical_form(h).rot == form.rot
+
+
 def test_embedding_map_transports_adjacency(cube):
     rng = random.Random(3)
     perm = list(range(8))

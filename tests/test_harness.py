@@ -23,6 +23,7 @@ def test_analyze_cube_digest(cube):
     assert d["is_tube"] is False
     assert d["certificate"] is None
     json.dumps(d)  # digests must be JSON-serializable as-is
+    assert d.keys() == harness.DIGEST_FIELDS
 
 
 def test_verify_all_smallest_population():
@@ -69,6 +70,19 @@ def test_corrupted_cache_entry_fails_with_counterexample(tmp_path):
     assert fresh["connectivity"] == 3  # the graph is fine; the cache was not
 
 
+def test_malformed_cache_entry_is_reanalysed(tmp_path):
+    harness.verify_all(8, cache_dir=str(tmp_path))
+    sidecar = tmp_path / "fullerenes_n8.json"
+    data = json.loads(sidecar.read_text())
+    key = next(iter(data["digests"]))
+    good = data["digests"][key]
+    data["digests"][key] = {}
+    sidecar.write_text(json.dumps(data))
+    assert harness.DigestCache(str(tmp_path)).load(8) == {}
+    assert harness.verify_all(8, cache_dir=str(tmp_path)).ok
+    assert json.loads(sidecar.read_text())["digests"][key] == good
+
+
 def test_cache_invalidated_by_version(tmp_path):
     harness.verify_all(8, cache_dir=str(tmp_path))
     sidecar = tmp_path / "fullerenes_n8.json"
@@ -80,6 +94,21 @@ def test_cache_invalidated_by_version(tmp_path):
     # stale cache is ignored, so the poisoned digest has no effect
     report = harness.verify_all(8, cache_dir=str(tmp_path))
     assert report.ok
+
+
+def test_sidecar_without_labelling_marker_is_a_miss(tmp_path):
+    # a sidecar of the same version written before members were rebuilt in
+    # canonical labelling: its witnesses may name other vertices
+    harness.verify_all(8, cache_dir=str(tmp_path))
+    sidecar = tmp_path / "fullerenes_n8.json"
+    data = json.loads(sidecar.read_text())
+    assert data.pop("labelling") == "canonical"
+    key = next(iter(data["digests"]))
+    data["digests"][key]["connectivity"] = 2
+    sidecar.write_text(json.dumps(data))
+    assert harness.DigestCache(str(tmp_path)).load(8) == {}
+    assert harness.verify_all(8, cache_dir=str(tmp_path)).ok
+    assert json.loads(sidecar.read_text())["labelling"] == "canonical"
 
 
 def test_parallel_digests_match_serial():
@@ -182,7 +211,8 @@ def test_broken_pool_falls_back_to_serial(monkeypatch):
 def test_unreadable_sidecar_is_a_cache_miss(tmp_path):
     cache = harness.DigestCache(str(tmp_path))
     sidecar = tmp_path / "fullerenes_n8.json"
-    stale_shape = json.dumps({"version": harness.__version__, "digests": 7})
+    stale_shape = json.dumps({"version": harness.__version__,
+                              "labelling": "canonical", "digests": 7})
     for garbage in (b"{not json", b"\xff\xfe\x00", b"[1, 2]", stale_shape.encode()):
         sidecar.write_bytes(garbage)
         assert cache.load(8) == {}
