@@ -550,22 +550,61 @@ def short_cycles_facial(g: PlaneCubicGraph) -> bool:
 
 
 def edge_cuts_up_to(g: PlaneCubicGraph, k: int) -> list[EdgeCut]:
-    """All minimal edge cuts of size <= k (exhaustive subsets, k <= 4)."""
+    """All minimal edge cuts of size <= k (k <= 4), as short cycles of the dual.
+
+    The dual multigraph has one node per face and one edge per edge of g,
+    joining the faces of its two darts: a loop when both darts lie on one
+    face (a bridge), a parallel pair when two faces share two edges.  In a
+    connected plane graph an edge set F is a minimal cut (removing it
+    leaves exactly two components, and every edge of F joins them) iff its
+    dual edges form a cycle (Whitney).  A dual cycle is a closed curve
+    crossing each edge of F once, so by the Jordan curve theorem F is a
+    cut.  If F is a minimal cut with sides X and Y, each facial walk is
+    closed and so crosses between X and Y an even number of times: every
+    face meets the dual of F an even number of times, so that dual contains
+    a cycle, whose edges form a cut inside F, hence all of F.  The cut a
+    dual cycle gives contains a minimal cut, whose dual is a cycle inside
+    the first one, hence equal to it: that cut is minimal.  The dual is
+    edge for edge, so the dual cycles of length <= k are exactly the
+    minimal cuts of size <= k.
+
+    Each cycle is found by a depth-first search from its least face that
+    visits only greater faces and no face or edge twice.
+    """
     if k > 4:
         raise ValueError("edge cut enumeration is capped at k = 4")
+    if k < 1:
+        return []
+    face_of = {dart: i for i, f in enumerate(g._faces)
+               for dart in f.directed_edges()}
+    dual: list[list[tuple[Edge, int]]] = [[] for _ in g._faces]
+    for u, v in g.edge_list:
+        a, b = face_of[(u, v)], face_of[(v, u)]
+        dual[a].append(((u, v), b))
+        if b != a:
+            dual[b].append(((u, v), a))
+    found: set[frozenset[Edge]] = set()
+
+    def extend(s: int, f: int, path: list[Edge], on_path: set[int]) -> None:
+        for e, t in dual[f]:
+            if e in path:
+                continue
+            if t == s:
+                found.add(frozenset(path + [e]))
+            elif t > s and t not in on_path and len(path) + 1 < k:
+                path.append(e)
+                on_path.add(t)
+                extend(s, t, path, on_path)
+                path.pop()
+                on_path.discard(t)
+
+    for s in range(len(dual)):
+        extend(s, s, [], {s})
     adj = g.adj_dict()
     cuts = []
-    for size in range(1, k + 1):
-        for combo in itertools.combinations(g.edge_list, size):
-            blocked = frozenset(combo)
-            comps = components(adj, blocked)
-            if len(comps) != 2:
-                continue
-            # minimal: every removed edge must actually join the two sides
-            s0 = comps[0]
-            if not all((u in s0) != (v in s0) for u, v in combo):
-                continue
-            cuts.append(EdgeCut(blocked, (frozenset(comps[0]), frozenset(comps[1]))))
+    for edges in found:
+        side, other = components(adj, edges)
+        cuts.append(EdgeCut(edges, (frozenset(side), frozenset(other))))
     cuts.sort(key=lambda c: sorted(c.edges))
     return cuts
 

@@ -16,6 +16,7 @@ import json
 import os
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -81,6 +82,21 @@ DIGEST_FIELDS = frozenset({
     "nontrivial_cuts_leq3", "has_cyclic_cut_leq3", "is_tube", "tube_layers",
     "one_extendable", "two_extendable", "three_extendable", "extendability",
     "ak_number", "ak_witness", "certificate"})
+CERTIFICATE_FIELDS = frozenset({
+    "witness", "s_size", "component_count", "all_factor_critical",
+    "matchable", "components", "edges_inside_s", "edges_inside_witness",
+    "edges_witness_to_s", "boundary_sum", "boundary_identity_holds",
+    "min_component_boundary"})
+
+
+def _well_formed(digest) -> bool:
+    """A dict with the digest's fields whose certificate is None or a dict
+    with the certificate's fields."""
+    if not isinstance(digest, dict) or digest.keys() != DIGEST_FIELDS:
+        return False
+    cert = digest["certificate"]
+    return cert is None or (isinstance(cert, dict)
+                            and cert.keys() == CERTIFICATE_FIELDS)
 
 
 def analyze_graph(g: PlaneCubicGraph) -> dict:
@@ -259,7 +275,8 @@ class DigestCache:
 
     def load(self, n: int) -> dict[str, dict]:
         """Cached digests; a missing, undecodable or stale sidecar is a miss,
-        and so is an entry that is not a dict with the digest's fields.
+        and so is an entry that is not a dict with the digest's fields, or
+        whose certificate is neither None nor a dict with its fields.
 
         A sidecar without the `labelling` marker was written before catalogue
         members were rebuilt in canonical labelling, so its witnesses may
@@ -279,8 +296,7 @@ class DigestCache:
         digests = data.get("digests")
         if not isinstance(digests, dict):
             return {}
-        return {key: d for key, d in digests.items()
-                if isinstance(d, dict) and d.keys() == DIGEST_FIELDS}
+        return {key: d for key, d in digests.items() if _well_formed(d)}
 
     def save(self, n: int, catalogue: Catalogue, digests: dict[str, dict]) -> None:
         path = self._path(n)
@@ -309,13 +325,37 @@ class DigestCache:
                 os.remove(tmp)
 
 
+class _LazyPool:
+    """A process pool of `workers` processes shared by the catalogue_digests
+    calls of one run and started by the first call that needs it."""
+
+    def __init__(self, workers: int):
+        self.workers = workers
+        self._executor: Optional[ProcessPoolExecutor] = None
+
+    def map(self, fn, items):
+        if self._executor is None:
+            self._executor = ProcessPoolExecutor(max_workers=self.workers)
+        return self._executor.map(fn, items)
+
+    def __enter__(self) -> "_LazyPool":
+        return self
+
+    def __exit__(self, *exc) -> bool:
+        if self._executor is not None:
+            self._executor.shutdown()
+        return False
+
+
 def catalogue_digests(catalogue: Catalogue, jobs: int = 1,
-                      cache: Optional[DigestCache] = None) -> dict[str, dict]:
+                      cache: Optional[DigestCache] = None,
+                      pool: Optional[_LazyPool] = None) -> dict[str, dict]:
     """Digest per canonical hex for the catalogue, optionally in parallel.
 
     Output is independent of the worker count: graphs are keyed by their
     canonical code and the mapping is rebuilt in catalogue order.  Workers
     are capped by the CPUs and the uncached graphs; one runs in process.
+    More run in `pool` if given, else in a pool of their own.
     """
     cached = cache.load(catalogue.n) if cache else {}
     todo = [g for g in catalogue.graphs
@@ -325,8 +365,10 @@ def catalogue_digests(catalogue: Catalogue, jobs: int = 1,
     if workers > 1:
         packed = [planar_code.encode_graph(g) for g in todo]
         try:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(_analyze_packed, packed))
+            with ExitStack() as stack:
+                runner = pool if pool is not None else stack.enter_context(
+                    ProcessPoolExecutor(max_workers=workers))
+                results = list(runner.map(_analyze_packed, packed))
         except (OSError, BrokenProcessPool):
             pass  # analysed serially below
     if results is None:
@@ -419,8 +461,12 @@ def verify_all(nmax: int, jobs: int = 1,
     cache = DigestCache(cache_dir) if cache_dir else None
     sizes = list(range(8, nmax + 1, 2))
     catalogues = {n: enumerate_fullerenes(n) for n in sizes}
-    digests = {n: catalogue_digests(catalogues[n], jobs=jobs, cache=cache)
-               for n in sizes}
+    # one pool for every size: starting one per size costs more than the
+    # analysis of the small ones
+    with _LazyPool(min(jobs, os.cpu_count() or 1)) as pool:
+        digests = {n: catalogue_digests(catalogues[n], jobs=jobs, cache=cache,
+                                        pool=pool)
+                   for n in sizes}
     claims = [ClaimResult(anchor, text) for anchor, text, _ in GRAPH_CLAIMS]
     for n in sizes:
         for g in catalogues[n].graphs:

@@ -92,6 +92,26 @@ def backtracking_isomorphic(g1: G.PlaneCubicGraph, g2: G.PlaneCubicGraph) -> boo
     return rec(0)
 
 
+def exhaustive_edge_cuts(g: G.PlaneCubicGraph, k: int) -> list[G.EdgeCut]:
+    """All minimal edge cuts of size <= k, one components search per edge
+    subset: removing the subset leaves two components and every removed
+    edge joins them."""
+    adj = g.adj_dict()
+    cuts = []
+    for size in range(1, k + 1):
+        for combo in itertools.combinations(g.edge_list, size):
+            blocked = frozenset(combo)
+            comps = G.components(adj, blocked)
+            if len(comps) != 2:
+                continue
+            s0 = comps[0]
+            if not all((u in s0) != (v in s0) for u, v in combo):
+                continue
+            cuts.append(G.EdgeCut(blocked, (frozenset(comps[0]), frozenset(comps[1]))))
+    cuts.sort(key=lambda c: sorted(c.edges))
+    return cuts
+
+
 @pytest.fixture(scope="session")
 def cube():
     return G.cube_graph()

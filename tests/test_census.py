@@ -1,11 +1,15 @@
 """Pinned census of the (4,5,6)-fullerene catalogues.
 
 `data/census.json` holds, for every even n in 8..22, the catalogue size,
-the face-vector histogram and the sha256 of the sorted canonical codes.
-An enumerator rewrite must reproduce it exactly.  Tier-1 checks n <= 20;
-n = 22 runs only with FULLEX_CENSUS_FULL=1.
+the face-vector histogram and the sha256 of the sorted canonical codes,
+and from the analysis digests the number of tubes, of non-2-extendable
+graphs and of graphs with anti-Kekule number 3, and the total count of
+nontrivial edge cuts of size <= 3.  An enumerator or analysis rewrite must
+reproduce it exactly.  Tier-1 checks n <= 20; n = 22 runs only with
+FULLEX_CENSUS_FULL=1.
 
-Regenerate (only ever from an enumerator already known to be right):
+Regenerate (only ever from an enumerator and analysis already known to be
+right):
 
     PYTHONPATH=src python tests/test_census.py > tests/data/census.json
 """
@@ -20,6 +24,7 @@ import sys
 import pytest
 
 from fullex import enumerator as EN
+from fullex import harness
 
 CENSUS_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                            "data", "census.json")
@@ -30,7 +35,14 @@ FULL = os.environ.get("FULLEX_CENSUS_FULL") == "1"
 def census_row(n: int) -> dict:
     cat = EN.enumerate_fullerenes(n, bound=max(CENSUS_SIZES))
     codes = "\n".join(sorted(c.hex() for c in cat.canonical_codes()))
+    digests = [harness.analyze_graph(g) for g in cat.graphs]
     return {
+        "analysis": {
+            "tubes": sum(d["is_tube"] for d in digests),
+            "non_two_extendable": sum(not d["two_extendable"] for d in digests),
+            "ak3": sum(d["ak_number"] == 3 for d in digests),
+            "nontrivial_cuts_leq3": sum(d["nontrivial_cuts_leq3"] for d in digests),
+        },
         "size": cat.size,
         "faces": {f"{p4},{p5},{p6}": k
                   for (p4, p5, p6), k in sorted(cat.counts.items())},

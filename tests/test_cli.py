@@ -183,6 +183,23 @@ def test_corrupt_sidecar_is_rewritten(tmp_path):
     assert json.loads(sidecar.read_text())["count"] == 1
 
 
+def test_malformed_cached_certificate_is_reanalysed(tmp_path):
+    args = ["verify-all", "--nmax", "14", "--cache-dir", str(tmp_path)]
+    first = run_cli(args)
+    assert first.returncode == 0
+    sidecar = tmp_path / "fullerenes_n10.json"
+    data = json.loads(sidecar.read_text())
+    key, digest = next((k, d) for k, d in data["digests"].items()
+                       if not d["two_extendable"])
+    good = digest["certificate"]
+    digest["certificate"] = {}
+    sidecar.write_text(json.dumps(data))
+    r = run_cli(args)
+    assert r.returncode == 0
+    assert r.stdout == first.stdout
+    assert json.loads(sidecar.read_text())["digests"][key]["certificate"] == good
+
+
 def test_non_integer_nmax_env_is_a_usage_error(monkeypatch):
     monkeypatch.setenv("FULLEX_NMAX", "abc")
     r = run_cli(["verify-all", "--nmax", "8"])

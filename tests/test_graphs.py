@@ -4,8 +4,9 @@ import pytest
 
 from fullex import graphs as G
 from fullex.enumerator import enumerate_fullerenes
+from fullex.families import build_tube
 
-from conftest import backtracking_isomorphic
+from conftest import backtracking_isomorphic, exhaustive_edge_cuts
 
 
 def test_cube_construction(cube):
@@ -158,6 +159,55 @@ def test_edge_cuts_cube(cube):
     for c in cuts:
         small = min(c.sides, key=len)
         assert len(small) == 1
+
+
+def _relabelled_mirror(g, rng):
+    perm = rng.sample(range(g.n), g.n)
+    rot = [()] * g.n
+    for v in range(g.n):
+        rot[perm[v]] = tuple(perm[w] for w in reversed(g.rot[v]))
+    return G.from_rotation(g.n, rot)
+
+
+def _two_blocks_joined_by_two_edges():
+    # two K4s with one edge removed from each, joined by two edges: the
+    # join is a 2-edge cut, a 2-cycle of the dual
+    return G.from_faces([(0, 2, 3), (2, 1, 3), (4, 7, 6), (7, 5, 6),
+                         (0, 3, 1, 5, 7, 4), (0, 2, 1, 5, 6, 4)])
+
+
+def _two_blocks_joined_by_a_bridge():
+    # two K4s with one edge subdivided each, the subdividing vertices joined
+    # by a bridge: both of its darts lie on one face, a loop of the dual
+    return G.from_faces([(0, 4, 1, 2), (0, 2, 3), (1, 3, 2),
+                         (5, 9, 6, 7), (5, 7, 8), (6, 8, 7),
+                         (0, 4, 9, 6, 8, 5, 9, 4, 1, 3)])
+
+
+def test_edge_cuts_are_the_exhaustive_scan():
+    rng = random.Random(5)
+    graphs = [g for n in range(8, 17, 2) for g in enumerate_fullerenes(n).graphs]
+    graphs += [build_tube(layers)[0] for layers in (1, 2, 3)]
+    graphs += [_two_blocks_joined_by_two_edges(), _two_blocks_joined_by_a_bridge()]
+    graphs += [_relabelled_mirror(g, rng) for g in graphs]
+    for g in graphs:
+        assert G.edge_cuts_up_to(g, 3) == exhaustive_edge_cuts(g, 3)
+
+
+def test_edge_cuts_of_size_four_are_the_exhaustive_scan(cube, dodecahedron):
+    for g in (cube, dodecahedron, build_tube(1)[0], _two_blocks_joined_by_two_edges(),
+              _two_blocks_joined_by_a_bridge()):
+        assert G.edge_cuts_up_to(g, 4) == exhaustive_edge_cuts(g, 4)
+
+
+def test_bridge_and_two_edge_cuts_are_found():
+    g = _two_blocks_joined_by_a_bridge()
+    bridge = G.edge_cuts_up_to(g, 1)
+    assert [sorted(c.edges) for c in bridge] == [[(4, 9)]]
+    assert bridge[0].sides == (frozenset(range(5)), frozenset(range(5, 10)))
+    assert G.edge_cuts_up_to(g, 0) == []
+    pair = G.edge_cuts_up_to(_two_blocks_joined_by_two_edges(), 2)
+    assert [sorted(c.edges) for c in pair] == [[(0, 4), (1, 5)]]
 
 
 def test_edge_cut_cap():

@@ -26,6 +26,11 @@ def test_analyze_cube_digest(cube):
     assert d.keys() == harness.DIGEST_FIELDS
 
 
+def test_certificate_fields():
+    cert = harness.analyze_graph(F.build_tube(1)[0])["certificate"]
+    assert cert.keys() == harness.CERTIFICATE_FIELDS
+
+
 def test_verify_all_smallest_population():
     report = harness.verify_all(8)
     assert report.ok
@@ -81,6 +86,22 @@ def test_malformed_cache_entry_is_reanalysed(tmp_path):
     assert harness.DigestCache(str(tmp_path)).load(8) == {}
     assert harness.verify_all(8, cache_dir=str(tmp_path)).ok
     assert json.loads(sidecar.read_text())["digests"][key] == good
+
+
+def test_malformed_certificate_is_a_cache_miss(tmp_path):
+    harness.verify_all(10, cache_dir=str(tmp_path))
+    sidecar = tmp_path / "fullerenes_n10.json"
+    data = json.loads(sidecar.read_text())
+    (key, digest), = data["digests"].items()
+    good = digest["certificate"]
+    assert good is not None
+    for bad in ({}, [], 7, dict(good, extra=1)):
+        digest["certificate"] = bad
+        sidecar.write_text(json.dumps(data))
+        assert harness.DigestCache(str(tmp_path)).load(10) == {}
+    digest["certificate"] = good
+    sidecar.write_text(json.dumps(data))
+    assert harness.DigestCache(str(tmp_path)).load(10) == {key: digest}
 
 
 def test_cache_invalidated_by_version(tmp_path):
@@ -184,6 +205,9 @@ class _RecordingPool:
             raise BrokenProcessPool("a worker died")
         return map(fn, items)
 
+    def shutdown(self):
+        pass
+
 
 def test_jobs_clamped_to_cpus_and_uncached_graphs(monkeypatch):
     monkeypatch.setattr(harness, "ProcessPoolExecutor", _RecordingPool)
@@ -206,6 +230,18 @@ def test_broken_pool_falls_back_to_serial(monkeypatch):
     cat = enumerate_fullerenes(12)
     assert (harness.catalogue_digests(cat, jobs=2)
             == harness.catalogue_digests(cat, jobs=1))
+
+
+def test_verify_all_starts_one_pool(monkeypatch, tmp_path):
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "created", [])
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+    serial = harness.verify_all(16).render()
+    assert _RecordingPool.created == []
+    assert harness.verify_all(16, jobs=2, cache_dir=str(tmp_path)).render() == serial
+    assert _RecordingPool.created == [2]  # sizes 12, 14 and 16 share it
+    harness.verify_all(16, jobs=2, cache_dir=str(tmp_path))
+    assert _RecordingPool.created == [2]  # every digest cached: no pool
 
 
 def test_unreadable_sidecar_is_a_cache_miss(tmp_path):
