@@ -20,9 +20,9 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
-from .graphs import (GraphError, PlaneCubicGraph, _bfs_code, canonical_code,
-                     canonical_form, faces, from_rotation, is_fullerene,
-                     validate_fullerene)
+from .graphs import (GraphError, PlaneCubicGraph, _bfs_code, _trace_faces,
+                     canonical_code, canonical_form, faces, from_rotation,
+                     is_fullerene, validate_fullerene)
 
 DEFAULT_BOUND = 20
 NAIVE_BOUND = 14
@@ -95,24 +95,9 @@ _tri_levels: list[dict[bytes, Rotation]] = []
 
 
 def _check_triangulation(n: int, rot: Rotation) -> bool:
-    succ = [{r[i]: r[(i + 1) % len(r)] for i in range(len(r))} for r in rot]
-    seen: set[tuple[int, int]] = set()
-    nfaces = 0
-    for v in range(n):
-        for w in rot[v]:
-            if (v, w) in seen:
-                continue
-            a, b = v, w
-            steps = 0
-            while (a, b) not in seen:
-                seen.add((a, b))
-                a, b = b, succ[b][a]
-                steps += 1
-            if steps != 3:
-                return False
-            nfaces += 1
+    walks = _trace_faces(n, rot)
     m = sum(len(r) for r in rot) // 2
-    return n - m + nfaces == 2
+    return all(len(w) == 3 for w in walks) and n - m + len(walks) == 2
 
 
 def _split_vertex(n: int, rot: Rotation, w: int, a: int, b: int) -> Rotation:
@@ -238,27 +223,11 @@ def _fullerene_triangulations(v: int) -> list[Rotation]:
 
 def _dualize(n: int, rot: Rotation) -> PlaneCubicGraph:
     """Dual of a sphere triangulation: one cubic vertex per triangle face."""
-    succ = [{r[i]: r[(i + 1) % len(r)] for i in range(len(r))} for r in rot]
-    face_id: dict[tuple[int, int], int] = {}
-    triangles: list[tuple[int, int, int]] = []
-    for v in range(n):
-        for w in rot[v]:
-            if (v, w) in face_id:
-                continue
-            walk = []
-            a, b = v, w
-            while (a, b) not in face_id:
-                face_id[(a, b)] = len(triangles)
-                walk.append(a)
-                a, b = b, succ[b][a]
-            triangles.append((walk[0], walk[1], walk[2]))
-    dual_rot = []
-    for t_idx, tri in enumerate(triangles):
-        nbrs = []
-        for i in range(3):
-            a, b = tri[i], tri[(i + 1) % 3]
-            nbrs.append(face_id[(b, a)])  # face on the other side of edge ab
-        dual_rot.append(tuple(nbrs))
+    triangles = _trace_faces(n, rot)
+    face_id = {(t[i - 1], t[i]): f for f, t in enumerate(triangles) for i in range(3)}
+    # each triangle's neighbours: the faces across its edges, in walk order
+    dual_rot = [tuple(face_id[(t[(i + 1) % 3], t[i])] for i in range(3))
+                for t in triangles]
     return from_rotation(len(triangles), dual_rot)
 
 

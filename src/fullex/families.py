@@ -14,8 +14,7 @@ from typing import Optional
 
 from . import matching as mt
 from .graphs import (Edge, PlaneCubicGraph, canonical_code, embedding_map,
-                     faces, from_faces, is_isomorphic, norm_edge,
-                     validate_fullerene)
+                     faces, from_faces, norm_edge, validate_fullerene)
 
 
 class BadLayerCount(ValueError):
@@ -98,19 +97,19 @@ def _quad_flag_vertices(g: PlaneCubicGraph) -> list[int]:
 def recognize_tube(g: PlaneCubicGraph) -> Optional[TubeDescriptor]:
     """Descriptor of g as a tube, or None when g is not one.
 
-    Membership is decided by explicit isomorphism against the built tube of
-    the matching size; the pentagon-free and vertex-count gates are only
-    shortcuts.  The cap centers are cross-checked as the two vertices whose
-    faces are all quadrilaterals, then the built descriptor is transported
-    onto g through the isomorphism.
+    Membership is decided by an explicit embedding isomorphism (mirror
+    allowed) from the built tube of the matching size, which
+    ``embedding_map`` finds whenever one exists; the pentagon-free and
+    vertex-count gates are only shortcuts.  The cap centers are
+    cross-checked as the two vertices whose faces are all quadrilaterals,
+    then the built descriptor is transported onto g through the
+    isomorphism.
     """
     inv = validate_fullerene(g)
     if inv.p5 != 0 or g.n < 14 or (g.n - 8) % 6 != 0:
         return None
     layers = (g.n - 8) // 6
     built, desc = build_tube(layers)
-    if not is_isomorphic(g, built):
-        return None
     phi = embedding_map(built, g)
     if phi is None:
         return None
@@ -226,6 +225,7 @@ def sporadic_candidates(n: int, catalogue=None) -> list[SporadicCandidate]:
 
     Filter: not a tube, anti-Kekule number 3, and non-2-extendable; the
     witness pair of the extendability check is attached to each candidate.
+    One index of the perfect matchings serves both searches.
     """
     if n not in (12, 14, 18, 20):
         raise ValueError(f"sporadic sizes are 12, 14, 18 and 20, not {n}")
@@ -238,12 +238,14 @@ def sporadic_candidates(n: int, catalogue=None) -> list[SporadicCandidate]:
     for g in catalogue.graphs:
         if recognize_tube(g) is not None:
             continue
-        if ak_mod.anti_kekule_number(g).number != 3:
+        adj = g.adj_dict()
+        ext_mod.check_preconditions(adj, 2)
+        index = mt.PmIndex(adj)
+        if ak_mod.search(index).number != 3:
             continue
-        report = ext_mod.is_k_extendable(g, 2)
-        if report.extendable:
+        witness = next(ext_mod.nonextendable_matchings(index, 2), None)
+        if witness is None:
             continue
-        assert report.witness is not None
-        out.append(SporadicCandidate(g, n, (report.witness[0], report.witness[1]), 3))
+        out.append(SporadicCandidate(g, n, witness, 3))
     out.sort(key=lambda c: canonical_code(c.graph))
     return out

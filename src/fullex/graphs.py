@@ -3,13 +3,14 @@
 A graph is stored as the cyclic neighbor order around every vertex
 (clockwise by convention).  Faces are traced with the successor rule
 ``next(u, v) = (v, neighbor after u in rot[v])``; a rotation system is
-accepted only if the face count satisfies Euler's formula for the sphere,
-which also forces connectivity.
+accepted only if it is connected and its face count satisfies Euler's
+formula for the sphere.  Euler's formula alone does not force
+connectivity: a plane and a toroidal component together also give
+n - m + f = 2.
 """
 
 from __future__ import annotations
 
-import itertools
 from collections import deque
 from dataclasses import dataclass
 from typing import Collection, Iterable, Mapping, Sequence
@@ -34,7 +35,7 @@ class SelfLoopOrMultiEdge(GraphError):
 
 
 class NotSpherical(GraphError):
-    """Euler characteristic of the rotation system is not 2."""
+    """The rotation system is disconnected or its Euler characteristic is not 2."""
 
 
 class BadFaceSize(GraphError):
@@ -162,7 +163,8 @@ def from_rotation(n: int, rot: Sequence[Sequence[int]]) -> PlaneCubicGraph:
         NotCubic: some vertex does not list exactly 3 neighbors.
         SelfLoopOrMultiEdge: a neighbor repeats or equals the vertex.
         NotSymmetric: adjacency is not mutual.
-        NotSpherical: the face count violates Euler's formula n - m + f = 2.
+        NotSpherical: the face count violates Euler's formula n - m + f = 2,
+            or the rotation system is not connected.
     """
     if n < 4 or n % 2 != 0:
         raise NotCubic(f"vertex count {n} must be even and at least 4")
@@ -187,6 +189,8 @@ def from_rotation(n: int, rot: Sequence[Sequence[int]]) -> PlaneCubicGraph:
     if n - m + len(walks) != 2:
         raise NotSpherical(
             f"n - m + f = {n} - {m} + {len(walks)} != 2; not a sphere embedding")
+    if len(components(dict(enumerate(fixed)))) != 1:
+        raise NotSpherical("rotation system is not connected")
     return PlaneCubicGraph(n, tuple(fixed), tuple(Face(w) for w in walks))
 
 
@@ -477,43 +481,6 @@ def components(adj: Mapping[int, Iterable[int]],
     return comps
 
 
-def connectivity(g: PlaneCubicGraph) -> int:
-    """Vertex connectivity by exhaustive small-cut search (cubic, so <= 3)."""
-    verts = set(range(g.n))
-    adj = g.adj_dict()
-    if len(components(adj)) > 1:
-        return 0
-    for k in (1, 2):
-        for cut in itertools.combinations(range(g.n), k):
-            rest = verts.difference(cut)
-            sub = {v: [w for w in adj[v] if w in rest] for v in rest}
-            if rest and len(components(sub)) > 1:
-                return k
-    return 3
-
-
-def girth(g: PlaneCubicGraph) -> int:
-    best = g.n + 1
-    for s in range(g.n):
-        dist = {s: 0}
-        parent = {s: -1}
-        q = deque([s])
-        while q:
-            x = q.popleft()
-            if dist[x] * 2 >= best:
-                continue
-            for y in g.adj[x]:
-                if y not in dist:
-                    dist[y] = dist[x] + 1
-                    parent[y] = x
-                    q.append(y)
-                elif parent[x] != y:
-                    best = min(best, dist[x] + dist[y] + 1)
-        if best == 3:
-            return 3
-    return best
-
-
 def _simple_cycles_of_length(g: PlaneCubicGraph, length: int) -> set[tuple[int, ...]]:
     """All simple cycles of the given length, as canonical cycle keys."""
     found: set[tuple[int, ...]] = set()
@@ -537,6 +504,18 @@ def _simple_cycles_of_length(g: PlaneCubicGraph, length: int) -> set[tuple[int, 
 
         extend()
     return found
+
+
+def girth(g: PlaneCubicGraph) -> int:
+    """Length of a shortest cycle: the least of 3, 4, 5 with a simple cycle.
+
+    Some cycle is that short in every plane cubic graph.  Euler's formula
+    with 2m = 3n gives the sum over faces of (6 - |f|) = 6f - 2m = 12, so
+    some facial walk has length <= 5.  No facial walk turns straight back
+    (that needs a vertex of degree 1), so its first repeated vertex closes
+    a cycle no longer than the walk.
+    """
+    return next(k for k in (3, 4, 5) if _simple_cycles_of_length(g, k))
 
 
 def short_cycles_facial(g: PlaneCubicGraph) -> bool:
@@ -609,6 +588,25 @@ def edge_cuts_up_to(g: PlaneCubicGraph, k: int) -> list[EdgeCut]:
     return cuts
 
 
+def connectivity(g: PlaneCubicGraph) -> int:
+    """Vertex connectivity: the least size of a cut in ``edge_cuts_up_to(g, 3)``.
+
+    The three edges at a vertex form a cut, which contains a minimal cut,
+    so the list is not empty and its least size is the edge connectivity
+    lambda <= 3.  The vertex connectivity kappa (3 = n - 1 for K4) equals
+    lambda in a cubic graph.  Whitney's inequality gives kappa <= lambda.
+    Conversely let kappa <= 2, S a least vertex cut, H1 a component of
+    G - S and H2 the rest.  Each v in S has a neighbour in H1 and one in
+    H2, or S - v would be a cut, so exactly one of its three edges goes to
+    H1 or exactly one goes to H2; both hold when the two vertices of S are
+    adjacent.  Remove that edge for each v in S, the one to H1 when both
+    hold.  A vertex of S that keeps an edge to H1 then keeps none to H2 and
+    has no neighbour in S, so the kappa removed edges separate H1 from H2:
+    lambda <= kappa.
+    """
+    return min(len(c.edges) for c in edge_cuts_up_to(g, 3))
+
+
 def has_cycle(comp: Collection[int], adj: Mapping[int, Iterable[int]],
               blocked_edges: frozenset[Edge] = frozenset()) -> bool:
     """True iff the connected vertex set spans a cycle (edges >= vertices)."""
@@ -618,32 +616,19 @@ def has_cycle(comp: Collection[int], adj: Mapping[int, Iterable[int]],
 
 
 def has_cyclic_cut_leq3(g: PlaneCubicGraph) -> bool:
-    """True iff <= 3 edges can be removed leaving two components with cycles.
-
-    Exhaustive over edge subsets; ``has_cyclic_bond`` gives the same answer
-    from the cuts of ``edge_cuts_up_to(g, 3)``.
-    """
-    adj = g.adj_dict()
-    for size in range(1, 4):
-        for combo in itertools.combinations(g.edge_list, size):
-            blocked = frozenset(combo)
-            comps = components(adj, blocked)
-            if len(comps) < 2:
-                continue
-            cyclic = sum(1 for c in comps if has_cycle(c, adj, blocked))
-            if cyclic >= 2:
-                return True
-    return False
+    """True iff <= 3 edges can be removed leaving two components with cycles."""
+    return has_cyclic_bond(g.adj_dict(), edge_cuts_up_to(g, 3))
 
 
 def has_cyclic_bond(adj: Mapping[int, Iterable[int]], cuts: Iterable[EdgeCut]) -> bool:
     """True iff one of the minimal cuts has a cycle on both sides.
 
-    With g's adjacency and ``edge_cuts_up_to(g, 3)`` this equals
-    ``has_cyclic_cut_leq3(g)`` for connected g.  Let F be a set of <= 3 edges and C1, C2 cyclic
-    components of G - F; then d(C1) lies in F.  The component D of
-    G - d(C1) containing C2 gives a minimal cut d(D) within d(C1), and
-    both of its sides contain a cycle.  The converse is immediate.
+    With g's adjacency and ``edge_cuts_up_to(g, 3)`` this decides whether
+    <= 3 edges of a connected g can be removed leaving two components with
+    cycles.  Let F be a set of <= 3 edges and C1, C2 cyclic components of
+    G - F; then d(C1) lies in F.  The component D of G - d(C1) containing
+    C2 gives a minimal cut d(D) within d(C1), and both of its sides contain
+    a cycle.  The converse is immediate.
     """
     return any(all(has_cycle(side, adj) for side in cut.sides) for cut in cuts)
 

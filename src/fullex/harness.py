@@ -28,8 +28,8 @@ from . import matching as mt
 from . import planar_code
 from .enumerator import Catalogue, enumerate_fullerenes
 from .graphs import (PlaneCubicGraph, canonical_code, components,
-                     connectivity, edge_cuts_up_to, girth, has_cycle,
-                     has_cyclic_bond, short_cycles_facial, validate_fullerene)
+                     edge_cuts_up_to, girth, has_cycle, has_cyclic_bond,
+                     short_cycles_facial, validate_fullerene)
 
 
 def _edge_list(edges) -> list[list[int]]:
@@ -102,7 +102,9 @@ def _well_formed(digest) -> bool:
 def analyze_graph(g: PlaneCubicGraph) -> dict:
     """Full analysis digest of one fullerene; plain JSON-able values only.
 
-    Each fact is computed once: one index of all perfect matchings serves
+    Each fact is computed once: the minimal cuts of size <= 3 give the
+    connectivity (as in ``graphs.connectivity``), the nontrivial cut count
+    and the cyclic-cut flag, and one index of all perfect matchings serves
     the k = 1, 2, 3 scans and the anti-Kekule search.
     """
     inv = validate_fullerene(g)
@@ -120,7 +122,7 @@ def analyze_graph(g: PlaneCubicGraph) -> dict:
         "p4": inv.p4,
         "p5": inv.p5,
         "p6": inv.p6,
-        "connectivity": connectivity(g),
+        "connectivity": min(len(c.edges) for c in cuts3),
         "girth": girth(g),
         "short_cycles_facial": short_cycles_facial(g),
         "nontrivial_cuts_leq3": sum(1 for c in cuts3 if not c.trivial),

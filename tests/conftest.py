@@ -1,14 +1,17 @@
 """Shared fixtures and independent brute-force oracles.
 
 The oracles here deliberately avoid the library's own algorithms: matchings
-are found by exhaustive search over edge subsets and isomorphism by plain
-backtracking, so they can certify the production implementations.
+are found by exhaustive search over edge subsets, isomorphism by plain
+backtracking, and cuts, connectivity and girth by scanning every small
+edge or vertex subset and by breadth-first search, so they can certify the
+production implementations.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+from collections import deque
 
 import pytest
 
@@ -110,6 +113,71 @@ def exhaustive_edge_cuts(g: G.PlaneCubicGraph, k: int) -> list[G.EdgeCut]:
             cuts.append(G.EdgeCut(blocked, (frozenset(comps[0]), frozenset(comps[1]))))
     cuts.sort(key=lambda c: sorted(c.edges))
     return cuts
+
+
+def exhaustive_connectivity(g: G.PlaneCubicGraph) -> int:
+    """Vertex connectivity by one components search per vertex and vertex
+    pair (cubic, so <= 3)."""
+    verts = set(range(g.n))
+    adj = g.adj_dict()
+    if len(G.components(adj)) > 1:
+        return 0
+    for k in (1, 2):
+        for cut in itertools.combinations(range(g.n), k):
+            rest = verts.difference(cut)
+            sub = {v: [w for w in adj[v] if w in rest] for v in rest}
+            if rest and len(G.components(sub)) > 1:
+                return k
+    return 3
+
+
+def bfs_girth(g: G.PlaneCubicGraph) -> int:
+    """Length of a shortest cycle by a breadth-first search from every vertex."""
+    best = g.n + 1
+    for s in range(g.n):
+        dist = {s: 0}
+        parent = {s: -1}
+        q = deque([s])
+        while q:
+            x = q.popleft()
+            if dist[x] * 2 >= best:
+                continue
+            for y in g.adj[x]:
+                if y not in dist:
+                    dist[y] = dist[x] + 1
+                    parent[y] = x
+                    q.append(y)
+                elif parent[x] != y:
+                    best = min(best, dist[x] + dist[y] + 1)
+    return best
+
+
+def exhaustive_cyclic_cut_leq3(g: G.PlaneCubicGraph) -> bool:
+    """True iff removing some set of <= 3 edges leaves two components with
+    cycles, by one components search per edge subset."""
+    adj = g.adj_dict()
+    for size in range(1, 4):
+        for combo in itertools.combinations(g.edge_list, size):
+            blocked = frozenset(combo)
+            comps = G.components(adj, blocked)
+            if sum(1 for c in comps if G.has_cycle(c, adj, blocked)) >= 2:
+                return True
+    return False
+
+
+def pytest_configure(config):
+    """Keep Hypothesis's storage in pytest's cache directory.
+
+    While collecting property tests, Hypothesis caches the constants it
+    reads from local source files in its storage directory, which is
+    ./.hypothesis by default, even when the tests keep no example database.
+    """
+    try:
+        from hypothesis.configuration import set_hypothesis_home_dir
+    except ImportError:
+        return
+    if hasattr(config, "cache"):
+        set_hypothesis_home_dir(config.cache.mkdir("hypothesis"))
 
 
 @pytest.fixture(scope="session")

@@ -6,7 +6,8 @@ from fullex import graphs as G
 from fullex.enumerator import enumerate_fullerenes
 from fullex.families import build_tube
 
-from conftest import backtracking_isomorphic, exhaustive_edge_cuts
+from conftest import (backtracking_isomorphic, bfs_girth, exhaustive_connectivity,
+                      exhaustive_cyclic_cut_leq3, exhaustive_edge_cuts)
 
 
 def test_cube_construction(cube):
@@ -52,6 +53,15 @@ def test_two_spheres_rejected(cube):
     rot = list(cube.rot) + [tuple(w + 8 for w in r) for r in cube.rot]
     with pytest.raises(G.NotSpherical):
         G.from_rotation(16, rot)
+
+
+def test_sphere_and_torus_rejected(cube):
+    # a cube and a K3,3 embedded on the torus with three hexagons: Euler
+    # characteristics 2 + 0 = 2, yet the rotation system is not connected
+    k33 = [(3, 4, 5)] * 3 + [(0, 1, 2)] * 3
+    rot = list(cube.rot) + [tuple(w + 8 for w in r) for r in k33]
+    with pytest.raises(G.NotSpherical):
+        G.from_rotation(14, rot)
 
 
 def test_face_tracing_covers_every_directed_edge(cube, dodecahedron):
@@ -133,6 +143,8 @@ def test_connectivity(cube, dodecahedron, k4):
     assert G.connectivity(cube) == 3
     assert G.connectivity(dodecahedron) == 3
     assert G.connectivity(k4) == 3
+    assert G.connectivity(_two_blocks_joined_by_two_edges()) == 2
+    assert G.connectivity(_two_blocks_joined_by_a_bridge()) == 1
 
 
 def test_girth(cube, dodecahedron, k4):
@@ -184,14 +196,29 @@ def _two_blocks_joined_by_a_bridge():
                          (0, 4, 9, 6, 8, 5, 9, 4, 1, 3)])
 
 
-def test_edge_cuts_are_the_exhaustive_scan():
+def _cut_test_graphs():
+    """Every catalogue graph with n <= 16, tubes of 1-3 layers, two plane
+    cubic graphs that are not 3-connected, K4, and a seeded relabelled
+    mirror copy of each."""
     rng = random.Random(5)
     graphs = [g for n in range(8, 17, 2) for g in enumerate_fullerenes(n).graphs]
     graphs += [build_tube(layers)[0] for layers in (1, 2, 3)]
-    graphs += [_two_blocks_joined_by_two_edges(), _two_blocks_joined_by_a_bridge()]
+    graphs += [_two_blocks_joined_by_two_edges(), _two_blocks_joined_by_a_bridge(),
+               G.k4_graph()]
     graphs += [_relabelled_mirror(g, rng) for g in graphs]
-    for g in graphs:
+    return graphs
+
+
+def test_edge_cuts_are_the_exhaustive_scan():
+    for g in _cut_test_graphs():
         assert G.edge_cuts_up_to(g, 3) == exhaustive_edge_cuts(g, 3)
+
+
+def test_connectivity_girth_and_cyclic_cut_are_the_exhaustive_scans():
+    for g in _cut_test_graphs():
+        assert G.connectivity(g) == exhaustive_connectivity(g)
+        assert G.girth(g) == bfs_girth(g)
+        assert G.has_cyclic_cut_leq3(g) == exhaustive_cyclic_cut_leq3(g)
 
 
 def test_edge_cuts_of_size_four_are_the_exhaustive_scan(cube, dodecahedron):

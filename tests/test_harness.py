@@ -4,12 +4,13 @@ from concurrent.futures.process import BrokenProcessPool
 import pytest
 
 from fullex import families as F
-from fullex import graphs as G
 from fullex import harness
 from fullex import matching as M
 from fullex import planar_code as PC
 from fullex.graphs import canonical_code
 from fullex.enumerator import enumerate_fullerenes
+
+from conftest import exhaustive_cyclic_cut_leq3
 
 
 def test_analyze_cube_digest(cube):
@@ -180,7 +181,7 @@ def test_derived_cyclic_cut_flag_matches_exhaustive_scan():
     flags = []
     for g in graphs:
         d = harness.analyze_graph(g)
-        assert d["has_cyclic_cut_leq3"] == G.has_cyclic_cut_leq3(g)
+        assert d["has_cyclic_cut_leq3"] == exhaustive_cyclic_cut_leq3(g)
         flags.append(d["has_cyclic_cut_leq3"])
     assert any(flags) and not all(flags)
 

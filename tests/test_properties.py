@@ -1,0 +1,61 @@
+"""Property tests: generated inputs, a fixed example sequence.
+
+``derandomize`` draws the same examples on every run and ``database=None``
+keeps no example store, so the suite stays deterministic (``conftest``
+keeps Hypothesis's source-constants cache out of the working tree).
+"""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from fullex import graphs as G
+from fullex import planar_code as PC
+
+PROPERTY = settings(derandomize=True, database=None, max_examples=300, deadline=None)
+
+
+def _records(n: int):
+    """One planar_code record of n vertices with 0..4 neighbour bytes each,
+    drawn from 1..n + 1, so that one value names no vertex."""
+    vertex = st.lists(st.integers(1, n + 1), max_size=4).map(lambda r: bytes(r) + b"\0")
+    return st.lists(vertex, min_size=n, max_size=n).map(
+        lambda vs: bytes([n]) + b"".join(vs))
+
+
+_VALID = [PC.HEADER + PC.encode_graph(g)
+          for g in (G.k4_graph(), G.cube_graph(), G.dodecahedron_graph())]
+
+
+def _mutated(data: bytes, pos: int, value: int) -> bytes:
+    pos %= len(data)
+    return data[:pos] + bytes([value]) + data[pos + 1:]
+
+
+def _swapped(data: bytes, pos: int) -> bytes:
+    """Two neighbouring bytes exchanged: within a vertex's record this
+    reverses its rotation, which changes the face count."""
+    pos %= len(data) - 1
+    out = bytearray(data)
+    out[pos], out[pos + 1] = out[pos + 1], out[pos]
+    return bytes(out)
+
+
+planar_code_inputs = st.one_of(
+    st.binary(max_size=64),
+    st.binary(max_size=64).map(lambda body: PC.HEADER + body),
+    st.lists(st.integers(1, 10).flatmap(_records), max_size=3).map(
+        lambda records: PC.HEADER + b"".join(records)),
+    st.builds(_mutated, st.sampled_from(_VALID), st.integers(len(PC.HEADER), 200),
+              st.integers(0, 255)),
+    st.builds(_swapped, st.sampled_from(_VALID), st.integers(len(PC.HEADER), 200)),
+)
+
+
+@PROPERTY
+@given(planar_code_inputs)
+def test_arbitrary_bytes_raise_only_domain_errors(data):
+    try:
+        for g in PC.read_graphs(data):
+            assert isinstance(g, G.PlaneCubicGraph)
+    except (PC.PlanarCodeError, G.GraphError):
+        pass
