@@ -1,12 +1,12 @@
 """Pinned census of the (4,5,6)-fullerene catalogues.
 
-`data/census.json` holds, for every even n in 8..22, the catalogue size,
+`data/census.json` holds, for every even n in 8..26, the catalogue size,
 the face-vector histogram and the sha256 of the sorted canonical codes,
 and from the analysis digests the number of tubes, of non-2-extendable
 graphs and of graphs with anti-Kekule number 3, and the total count of
 nontrivial edge cuts of size <= 3.  An enumerator or analysis rewrite must
-reproduce it exactly.  Tier-1 checks n <= 20; n = 22 runs only with
-FULLEX_CENSUS_FULL=1.
+reproduce it exactly.  Tier-1 checks n <= 20; n = 22, 24 and 26 run only
+with FULLEX_CENSUS_FULL=1.
 
 Regenerate (only ever from an enumerator and analysis already known to be
 right):
@@ -28,7 +28,7 @@ from fullex import harness
 
 CENSUS_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                            "data", "census.json")
-CENSUS_SIZES = range(8, 23, 2)
+CENSUS_SIZES = range(8, 27, 2)
 FULL = os.environ.get("FULLEX_CENSUS_FULL") == "1"
 
 
@@ -57,7 +57,7 @@ def _pinned() -> dict:
 
 @pytest.mark.parametrize("n", [
     n if n <= 20 else pytest.param(n, marks=pytest.mark.skipif(
-        not FULL, reason="n = 22 runs with FULLEX_CENSUS_FULL=1"))
+        not FULL, reason="n >= 22 runs with FULLEX_CENSUS_FULL=1"))
     for n in CENSUS_SIZES])
 def test_census(n):
     assert census_row(n) == _pinned()[str(n)]
