@@ -2,23 +2,27 @@
 
 Two independent routes:
 
-* ``enumerate_fullerenes`` works on the dual side: simple sphere
-  triangulations are grown from K4 by vertex splitting (every simple
-  triangulation on five or more vertices contracts to a smaller one, so
-  level-by-level splitting with isomorph rejection is complete), those with
-  all degrees in {4, 5, 6} are dualized, and the duals are validated.
-  Isomorph rejection keys each child by a BFS code started only from its
-  darts of least local signature (`_tri_key`), and the requested level
-  keys only the children that pass the degree test.
+* ``enumerate_catalogues`` (and ``enumerate_fullerenes`` for one size)
+  works on the dual side: one walk grows simple sphere triangulations from
+  K4 by vertex splitting, up to v_max = nmax/2 + 2 vertices, and at each
+  level dualizes the classes with all degrees in {4, 5, 6}.  A child on v'
+  vertices is made only when its defect (the summed distance of its
+  degrees from [4, 6]) is at most 4 (v_max - v'), which every ancestor of
+  a leaf meets (`_walk`), so the leaves of every size up to nmax come out
+  of the one walk.  Isomorph rejection keys each child by a BFS code
+  started only from its darts of least local signature (`_tri_key`).
 * ``naive_enumerate`` searches rotation systems directly in a breadth-first
   normal form with face-size pruning; it exists only to certify the fast
   route and assumes nothing about the structure of the result.
+
+Nothing is cached between calls.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from typing import Iterable, Iterator
 
 from .graphs import (GraphError, PlaneCubicGraph, _bfs_code, _trace_faces,
                      canonical_code, canonical_form, faces, from_rotation,
@@ -65,7 +69,7 @@ class Catalogue:
         return [canonical_code(g) for g in self.graphs]
 
 
-def _catalogue_from(graphs) -> tuple[tuple[PlaneCubicGraph, ...], dict]:
+def _catalogue_from(n: int, graphs) -> Catalogue:
     """One member per class, in canonical labelling, sorted by canonical code.
 
     The labels depend only on the code, so every route to a class (and any
@@ -80,7 +84,7 @@ def _catalogue_from(graphs) -> tuple[tuple[PlaneCubicGraph, ...], dict]:
         inv = faces(g)
         key = (inv.p4, inv.p5, inv.p6)
         counts[key] = counts.get(key, 0) + 1
-    return ordered, counts
+    return Catalogue(n, ordered, counts)
 
 
 # ---------------------------------------------------------------------------
@@ -90,14 +94,6 @@ def _catalogue_from(graphs) -> tuple[tuple[PlaneCubicGraph, ...], dict]:
 Rotation = tuple[tuple[int, ...], ...]
 
 _K4_ROT: Rotation = ((1, 2, 3), (0, 3, 2), (0, 1, 3), (0, 2, 1))
-
-_tri_levels: list[dict[bytes, Rotation]] = []
-
-
-def _check_triangulation(n: int, rot: Rotation) -> bool:
-    walks = _trace_faces(n, rot)
-    m = sum(len(r) for r in rot) // 2
-    return all(len(w) == 3 for w in walks) and n - m + len(walks) == 2
 
 
 def _split_vertex(n: int, rot: Rotation, w: int, a: int, b: int) -> Rotation:
@@ -147,11 +143,11 @@ def _tri_key(n: int, rot: Rotation) -> bytes:
     exactly as equal `rotation_code`s do.
     """
     deg = [len(r) for r in rot]
+    k = min(deg)  # a root starts at a vertex of least degree
     least = None
     roots: list[tuple[int, int]] = []
-    for u in range(n):
+    for u in (x for x in range(n) if deg[x] == k):
         r = rot[u]
-        k = len(r)
         for i in range(k):
             x, y = deg[r[i - 1]], deg[r[(i + 1) % k]]
             sig = (deg[u], deg[r[i]], x, y) if x < y else (deg[u], deg[r[i]], y, x)
@@ -170,55 +166,57 @@ def _tri_key(n: int, rot: Rotation) -> bytes:
     return bytes(best)
 
 
-def _children(n: int, parents, leaves: bool = False) -> dict[bytes, Rotation]:
-    """The vertex splits of triangulations on n vertices, one per class.
+def _walk(v_max: int) -> Iterator[tuple[int, list[Rotation]]]:
+    """Yield (v, the classes on v vertices with all degrees in {4, 5, 6})
+    for v = 4..v_max, each level grown from the last by vertex splitting.
 
-    With `leaves`, only the splits whose child has every degree in
-    {4, 5, 6} are made and keyed.  The child's degrees are read off the
-    parent: splitting w (degree d) at rotation positions a < b gives w
-    degree b - a + 2 and the new vertex d - b + a + 2, r[a] and r[b] each
-    gain one, and every other vertex keeps its degree.
+    With the defect delta(T) = sum of dist(deg v, [4, 6]), a child on v'
+    vertices is made and keyed only when delta(child) <= 4 (v_max - v'),
+    which is delta = 0 at v_max.  delta(child) is read off the parent:
+    splitting w (degree d) at rotation positions a < b gives w degree
+    b - a + 2 and the new vertex d - b + a + 2, r[a] and r[b] gain one
+    each, and no other degree changes.
+
+    Lemma: contracting an edge wu raises delta by at most 4, and two
+    vertices of degree 6 whose apexes have degree 4 reach 4.  With
+    f(d) = dist(d, [4, 6]), the merged vertex has degree d_w + d_u - 4;
+    its excess over 6, (d_w - 5) + (d_u - 5), is at most
+    f(d_w) + f(d_u) + 2, and its shortfall below 4, (4 - d_w) + (4 - d_u),
+    at most f(d_w) + f(d_u).  The two apexes lose one degree each, which
+    raises f by at most 1 each, and no other degree changes.
+
+    Completeness: every simple triangulation on five or more vertices
+    contracts to a simple one on one vertex fewer.  By the lemma the
+    contraction path of a target on v <= v_max vertices meets
+    delta <= 4 (v - v') <= 4 (v_max - v') on v' vertices, so by induction
+    the walk makes every class on it: the bound of the largest target
+    serves every smaller one.
     """
-    level: dict[bytes, Rotation] = {}
-    for rot in parents:
-        deg = [len(r) for r in rot]
-        bad = [x for x in range(n) if not 4 <= deg[x] <= 6]
-        if leaves and len(bad) > 3:
-            continue  # a split changes the degrees of three vertices only
-        for w in range(n):
-            r = rot[w]
-            d = deg[w]
-            for a in range(d):
-                for b in range(a + 1, d):
-                    if leaves and not (
-                            2 <= b - a <= 4 and 2 <= d - b + a <= 4
-                            and deg[r[a]] < 6 and deg[r[b]] < 6
-                            and all(x in (w, r[a], r[b]) for x in bad)):
-                        continue
-                    child = _split_vertex(n, rot, w, a, b)
-                    level.setdefault(_tri_key(n + 1, child), child)
-    return level
-
-
-def _triangulations(v: int) -> list[Rotation]:
-    """All simple sphere triangulations on v vertices (cached, key order)."""
-    if v < 4:
-        return []
-    if not _tri_levels:
-        _tri_levels.append({_tri_key(4, _K4_ROT): _K4_ROT})
-    while len(_tri_levels) < v - 3:
-        n = len(_tri_levels) + 3
-        _tri_levels.append(_children(n, _tri_levels[-1].values()))
-    return [rot for _, rot in sorted(_tri_levels[v - 4].items())]
-
-
-def _fullerene_triangulations(v: int) -> list[Rotation]:
-    """The triangulations on v vertices with every degree in {4, 5, 6}.
-
-    One per class, unordered.  Level v is neither built in full nor
-    stored: only its leaves are split off level v - 1.
-    """
-    return list(_children(v - 1, _triangulations(v - 1), leaves=True).values())
+    dist = [max(4 - d, 0, d - 6) for d in range(v_max + 1)]
+    level = [_K4_ROT]
+    for n in range(4, v_max + 1):
+        yield n, [rot for rot in level if all(4 <= len(r) <= 6 for r in rot)]
+        if n == v_max:
+            return
+        slack = 4 * (v_max - n - 1)
+        children: dict[bytes, Rotation] = {}
+        for rot in level:
+            deg = [len(r) for r in rot]
+            delta = sum(dist[d] for d in deg)
+            for w in range(n):
+                r = rot[w]
+                d = deg[w]
+                base = delta - dist[d]
+                # the change in delta as a rotation neighbour gains one
+                gain = [dist[deg[x] + 1] - dist[deg[x]] for x in r]
+                for a in range(d):
+                    for b in range(a + 1, d):
+                        if (base + gain[a] + gain[b] + dist[b - a + 2]
+                                + dist[d - b + a + 2] > slack):
+                            continue
+                        child = _split_vertex(n, rot, w, a, b)
+                        children.setdefault(_tri_key(n + 1, child), child)
+        level = list(children.values())
 
 
 def _dualize(n: int, rot: Rotation) -> PlaneCubicGraph:
@@ -231,25 +229,28 @@ def _dualize(n: int, rot: Rotation) -> PlaneCubicGraph:
     return from_rotation(len(triangles), dual_rot)
 
 
+def enumerate_catalogues(sizes: Iterable[int],
+                         bound: int | None = None) -> dict[int, Catalogue]:
+    """The catalogue of every size in `sizes`, all from one walk."""
+    wanted = sorted(set(sizes))
+    for n in wanted:
+        if n % 2 != 0:
+            raise OddVertexCount(f"cubic graphs have even order, got {n}")
+        limit = configured_bound() if bound is None else bound
+        if not 8 <= n <= limit:
+            raise BoundExceeded(f"n = {n} outside the enumeration range 8..{limit}")
+    out: dict[int, Catalogue] = {}
+    for v, leaves in _walk(wanted[-1] // 2 + 2) if wanted else ():
+        n = 2 * v - 4  # a cubic dual has 2v - 4 vertices
+        if n in wanted:
+            duals = (_dualize(v, rot) for rot in leaves)
+            out[n] = _catalogue_from(n, (g for g in duals if is_fullerene(g)))
+    return out
+
+
 def enumerate_fullerenes(n: int, bound: int | None = None) -> Catalogue:
     """Complete isomorph-free catalogue of (4,5,6)-fullerenes on n vertices."""
-    if n % 2 != 0:
-        raise OddVertexCount(f"cubic graphs have even order, got {n}")
-    limit = configured_bound() if bound is None else bound
-    if not 8 <= n <= limit:
-        raise BoundExceeded(f"n = {n} outside the enumeration range 8..{limit}")
-    cached = _fast_cache.get(n)
-    if cached is not None:
-        return cached
-    v = n // 2 + 2
-    duals = [_dualize(v, rot) for rot in _fullerene_triangulations(v)]
-    graphs, counts = _catalogue_from(g for g in duals if is_fullerene(g))
-    cat = Catalogue(n, graphs, counts)
-    _fast_cache[n] = cat
-    return cat
-
-
-_fast_cache: dict[int, Catalogue] = {}
+    return enumerate_catalogues([n], bound)[n]
 
 
 # ---------------------------------------------------------------------------
@@ -269,10 +270,6 @@ def naive_enumerate(n: int) -> Catalogue:
         raise OddVertexCount(f"cubic graphs have even order, got {n}")
     if not 4 <= n <= NAIVE_BOUND:
         raise BoundExceeded(f"naive search is bounded at {NAIVE_BOUND}")
-    cached = _naive_cache.get(n)
-    if cached is not None:
-        return cached
-
     found: list[PlaneCubicGraph] = []
     rot: list[tuple[int, int, int] | None] = [None] * n
     declared: list[list[int]] = [[] for _ in range(n)]
@@ -379,10 +376,4 @@ def naive_enumerate(n: int) -> Catalogue:
     declared[2].append(0)
     declared[3].append(0)
     process(1, 4)
-    graphs, counts = _catalogue_from(found)
-    cat = Catalogue(n, graphs, counts)
-    _naive_cache[n] = cat
-    return cat
-
-
-_naive_cache: dict[int, Catalogue] = {}
+    return _catalogue_from(n, found)

@@ -111,9 +111,9 @@ def cycle_key(cycle: Sequence[int]) -> tuple[int, ...]:
 
 
 class PlaneCubicGraph:
-    """Immutable cubic plane graph; all derived data computed at construction."""
+    """Immutable cubic plane graph; canonical code and short cycles kept on first use."""
 
-    __slots__ = ("n", "rot", "adj", "edge_list", "_faces", "_canonical")
+    __slots__ = ("n", "rot", "adj", "edge_list", "_faces", "_canonical", "_cycles")
 
     def __init__(self, n: int, rot: tuple[tuple[int, int, int], ...],
                  faces: tuple[Face, ...]):
@@ -124,6 +124,7 @@ class PlaneCubicGraph:
             {norm_edge(v, w) for v in range(n) for w in rot[v]}))
         self._faces = faces
         self._canonical: bytes | None = None
+        self._cycles: dict[int, frozenset[tuple[int, ...]]] = {}
 
     @property
     def m(self) -> int:
@@ -320,8 +321,10 @@ def rotation_code(n: int, rot: Sequence[Sequence[int]],
 def _bfs_code(n: int, rot: Sequence[tuple[int, ...]], root: int, first: int,
               best: list[int] | None) -> list[int] | None:
     """BFS code from one rooted directed edge; None once it exceeds `best`."""
-    label = {root: 0, first: 1}
-    entry = {root: first, first: root}
+    label = [-1] * n
+    entry = [-1] * n
+    label[root], label[first] = 0, 1
+    entry[root], entry[first] = first, root
     order = [root, first]
     code: list[int] = []
     pos = 0
@@ -341,10 +344,9 @@ def _bfs_code(n: int, rot: Sequence[tuple[int, ...]], root: int, first: int,
                 best = None  # strictly better; stop comparing
         code.append(k)
         pos += 1
-        for i in range(k):
-            w = r[(start + i) % k]
-            lw = label.get(w)
-            if lw is None:
+        for w in r[start:] + r[:start]:
+            lw = label[w]
+            if lw < 0:
                 lw = next_label
                 label[w] = lw
                 entry[w] = v
@@ -481,8 +483,11 @@ def components(adj: Mapping[int, Iterable[int]],
     return comps
 
 
-def _simple_cycles_of_length(g: PlaneCubicGraph, length: int) -> set[tuple[int, ...]]:
-    """All simple cycles of the given length, as canonical cycle keys."""
+def _simple_cycles_of_length(g: PlaneCubicGraph, length: int) -> frozenset[tuple[int, ...]]:
+    """All simple cycles of the given length, as canonical cycle keys; each
+    length is searched once per graph."""
+    if length in g._cycles:
+        return g._cycles[length]
     found: set[tuple[int, ...]] = set()
     for a in range(g.n):
         path = [a]
@@ -503,7 +508,8 @@ def _simple_cycles_of_length(g: PlaneCubicGraph, length: int) -> set[tuple[int, 
                     on_path.discard(w)
 
         extend()
-    return found
+    g._cycles[length] = frozenset(found)
+    return g._cycles[length]
 
 
 def girth(g: PlaneCubicGraph) -> int:

@@ -26,7 +26,7 @@ from . import extendability as ext_mod
 from . import families
 from . import matching as mt
 from . import planar_code
-from .enumerator import Catalogue, enumerate_fullerenes
+from .enumerator import Catalogue, enumerate_catalogues
 from .graphs import (PlaneCubicGraph, canonical_code, components,
                      edge_cuts_up_to, girth, has_cycle, has_cyclic_bond,
                      short_cycles_facial, validate_fullerene)
@@ -409,10 +409,11 @@ def _tube_suite(nmax: int) -> list[ClaimResult]:
                         {"layers": layers, "pm_count": report.pm_count,
                          "layer_sizes": list(report.layer_sizes)})
         adj = g.adj_dict()
+        index = mt.PmIndex(adj)
         bad_pair = None
         for layer in desc.traversed_edges:
             for pair in itertools.combinations(sorted(layer), 2):
-                if mt.extends_to_perfect(adj, pair):
+                if index.extends(pair):
                     bad_pair = pair
         witness_claim.record(bad_pair is None,
                              {"layers": layers, "pair": bad_pair and _edge_list(bad_pair)})
@@ -462,7 +463,7 @@ def verify_all(nmax: int, jobs: int = 1,
         nmax -= 1
     cache = DigestCache(cache_dir) if cache_dir else None
     sizes = list(range(8, nmax + 1, 2))
-    catalogues = {n: enumerate_fullerenes(n) for n in sizes}
+    catalogues = enumerate_catalogues(sizes)
     # one pool for every size: starting one per size costs more than the
     # analysis of the small ones
     with _LazyPool(min(jobs, os.cpu_count() or 1)) as pool:

@@ -4,18 +4,58 @@ The oracles here deliberately avoid the library's own algorithms: matchings
 are found by exhaustive search over edge subsets, isomorphism by plain
 backtracking, and cuts, connectivity and girth by scanning every small
 edge or vertex subset and by breadth-first search, so they can certify the
-production implementations.
+production implementations.  The triangulation levels are every vertex
+split of the level below, deduplicated by `_tri_key` (which
+`test_tri_key_separates_exactly_as_rotation_code` checks against
+`rotation_code`) with no pruning.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from collections import deque
 
 import pytest
 
+from fullex import enumerator as EN
 from fullex import graphs as G
+
+
+@functools.cache
+def catalogue(n: int, naive: bool = False) -> EN.Catalogue:
+    """The fast (or naive) catalogue on n vertices, built once per test run;
+    the fast ones up to n = 20 all come from one walk."""
+    return EN.naive_enumerate(n) if naive else catalogues(max(n, 20))[n]
+
+
+@functools.cache
+def catalogues(nmax: int) -> dict[int, EN.Catalogue]:
+    """Every fast catalogue on 8..nmax vertices, from one walk."""
+    return EN.enumerate_catalogues(range(8, nmax + 1, 2), bound=nmax)
+
+
+@functools.cache
+def triangulations(v: int) -> tuple[EN.Rotation, ...]:
+    """All simple sphere triangulations on v >= 4 vertices, one per class."""
+    if v == 4:
+        return (EN._K4_ROT,)
+    level: dict[bytes, EN.Rotation] = {}
+    for child in split_children(v):
+        level.setdefault(EN._tri_key(v, child), child)
+    return tuple(level.values())
+
+
+def split_children(v: int):
+    """Every vertex split of every triangulation on v - 1 vertices."""
+    n = v - 1
+    for rot in triangulations(n):
+        for w in range(n):
+            d = len(rot[w])
+            for a in range(d):
+                for b in range(a + 1, d):
+                    yield EN._split_vertex(n, rot, w, a, b)
 
 
 def random_simple_graph(rng: random.Random, max_n: int = 12):

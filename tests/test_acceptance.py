@@ -19,9 +19,8 @@ from fullex import families as F
 from fullex import graphs as G
 from fullex import harness
 from fullex import matching as M
-from fullex.enumerator import enumerate_fullerenes, naive_enumerate
 
-from conftest import brute_max_matching_size, random_simple_graph
+from conftest import brute_max_matching_size, catalogue, random_simple_graph
 
 
 def verdict(criterion: str, ok: bool, detail: str = "") -> None:
@@ -42,7 +41,7 @@ def population():
     t0 = time.time()
     out = {}
     for n in range(8, 19, 2):
-        cat = enumerate_fullerenes(n)
+        cat = catalogue(n)
         out[n] = [(g, harness.analyze_graph(g)) for g in cat.graphs]
     return out, time.time() - t0
 
@@ -178,7 +177,7 @@ def test_criterion_09_sporadic_sizes():
     details = []
     for n in (12, 14, 18, 20):
         t1 = time.time()
-        cands = F.sporadic_candidates(n)
+        cands = F.sporadic_candidates(n, catalogue(n))
         if not cands:
             ok = False
         for cand in cands:
@@ -199,8 +198,8 @@ def test_criterion_10_generator_completeness():
     t0 = time.time()
     bad = []
     for n in (8, 10, 12, 14):
-        fast = set(enumerate_fullerenes(n).canonical_codes())
-        naive = set(naive_enumerate(n).canonical_codes())
+        fast = set(catalogue(n).canonical_codes())
+        naive = set(catalogue(n, naive=True).canonical_codes())
         if fast != naive:
             bad.append(n)
     verdict("10 generator-completeness", not bad,

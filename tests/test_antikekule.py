@@ -3,7 +3,8 @@ import pytest
 from fullex import antikekule as AK
 from fullex import families as F
 from fullex import matching as M
-from fullex.enumerator import enumerate_fullerenes
+
+from conftest import catalogue
 
 
 def test_is_anti_kekule_set_basics(cube):
@@ -40,13 +41,13 @@ def test_witness_is_lexicographically_first(cube):
 
 
 def test_sporadic_twelve_has_number_three():
-    cat = enumerate_fullerenes(12)
+    cat = catalogue(12)
     numbers = sorted(AK.anti_kekule_number(g).number for g in cat.graphs)
     assert numbers == [3, 4]
 
 
 def test_min_sets_all_verify():
-    cat = enumerate_fullerenes(12)
+    cat = catalogue(12)
     nonempty = 0
     for g in cat.graphs:
         sets3 = AK.min_anti_kekule_sets(g, 3)

@@ -6,30 +6,35 @@ from fullex import enumerator as EN
 from fullex import graphs as G
 from fullex.families import build_tube
 
+from conftest import catalogue, split_children, triangulations
+
 
 # simple sphere triangulations per vertex count (simplicial polyhedra)
 TRIANGULATION_COUNTS = {4: 1, 5: 1, 6: 2, 7: 5, 8: 14, 9: 50, 10: 233,
                         11: 1249}
 
 
+def _defect(rot):
+    return sum(max(4 - len(r), 0, len(r) - 6) for r in rot)
+
+
+def _codes(v, rots):
+    return {G.rotation_code(v, rot) for rot in rots}
+
+
+def _is_triangulation(n, rot):
+    walks = G._trace_faces(n, rot)
+    m = sum(len(r) for r in rot) // 2
+    return all(len(w) == 3 for w in walks) and n - m + len(walks) == 2
+
+
 def test_triangulation_counts():
     for v, want in TRIANGULATION_COUNTS.items():
-        tris = EN._triangulations(v)
+        tris = triangulations(v)
         assert len(tris) == want
         for rot in tris:
-            assert EN._check_triangulation(v, rot)
+            assert _is_triangulation(v, rot)
             assert all(len(set(r)) == len(r) for r in rot)  # simple
-
-
-def _split_children(v):
-    """Every vertex split of every triangulation on v - 1 vertices."""
-    n = v - 1
-    for rot in EN._triangulations(n):
-        for w in range(n):
-            d = len(rot[w])
-            for a in range(d):
-                for b in range(a + 1, d):
-                    yield EN._split_vertex(n, rot, w, a, b)
 
 
 def _relabel(rot, rng, mirror):
@@ -45,7 +50,7 @@ def test_tri_key_separates_exactly_as_rotation_code():
     rng = random.Random(5)
     for v in range(5, 10):
         key_of_code, code_of_key = {}, {}
-        for child in _split_children(v):
+        for child in split_children(v):
             for rot in (child, _relabel(child, rng, False),
                         _relabel(child, rng, True)):
                 key = EN._tri_key(v, rot)
@@ -55,18 +60,38 @@ def test_tri_key_separates_exactly_as_rotation_code():
         assert len(key_of_code) == TRIANGULATION_COUNTS[v]
 
 
-def test_leaf_children_are_the_filtered_level():
-    for v in range(5, 11):
-        leaves = EN._children(v - 1, EN._triangulations(v - 1), leaves=True)
-        full = [rot for rot in EN._triangulations(v)
-                if all(4 <= len(r) <= 6 for r in rot)]
-        assert ({G.rotation_code(v, rot) for rot in leaves.values()}
-                == {G.rotation_code(v, rot) for rot in full})
-        assert len(leaves) == len(full)
+def test_contraction_raises_defect_by_at_most_four():
+    """The walk's lemma on all 29 444 splits of the triangulations on
+    v <= 10 vertices, each parent being the contraction of its child's new
+    edge; the bound is reached."""
+    rises = []
+    for n in range(4, 11):
+        for parent in triangulations(n):
+            d = _defect(parent)
+            for w in range(n):
+                k = len(parent[w])
+                for a in range(k):
+                    for b in range(a + 1, k):
+                        child = EN._split_vertex(n, parent, w, a, b)
+                        rises.append(d - _defect(child))
+    assert len(rises) == 29444
+    assert max(rises) == 4
+
+
+def test_walk_leaves_are_the_filtered_levels():
+    for v_max in range(5, 12):
+        seen = []
+        for v, leaves in EN._walk(v_max):
+            seen.append(v)
+            full = [rot for rot in triangulations(v)
+                    if all(4 <= len(r) <= 6 for r in rot)]
+            assert len(leaves) == len(full)
+            assert _codes(v, leaves) == _codes(v, full)
+        assert seen == list(range(4, v_max + 1))
 
 
 def test_dualize_octahedron_gives_cube(cube):
-    octa = [rot for rot in EN._triangulations(6)
+    octa = [rot for rot in triangulations(6)
             if all(len(r) == 4 for r in rot)]
     assert len(octa) == 1
     dual = EN._dualize(6, octa[0])
@@ -81,7 +106,7 @@ def test_enumerate_eight_is_cube(cube):
 
 def test_catalogue_members_are_valid_and_sorted():
     for n in (10, 12, 14):
-        cat = EN.enumerate_fullerenes(n)
+        cat = catalogue(n)
         codes = cat.canonical_codes()
         assert codes == sorted(codes)
         assert len(set(codes)) == cat.size
@@ -92,7 +117,7 @@ def test_catalogue_members_are_valid_and_sorted():
 
 
 def test_counts_histogram_consistent():
-    cat = EN.enumerate_fullerenes(14)
+    cat = catalogue(14)
     assert sum(cat.counts.values()) == cat.size
     for (p4, p5, p6), _ in cat.counts.items():
         assert 2 * p4 + p5 == 12
@@ -101,30 +126,24 @@ def test_counts_histogram_consistent():
 def test_tubes_appear_in_catalogue():
     for layers in (1, 2):
         g, _ = build_tube(layers)
-        cat = EN.enumerate_fullerenes(g.n)
+        cat = catalogue(g.n)
         assert any(G.is_isomorphic(g, h) for h in cat.graphs)
 
 
 def test_twenty_vertex_members_pairwise_distinct():
     from conftest import backtracking_isomorphic
-    cat = EN.enumerate_fullerenes(20)
+    cat = catalogue(20)
     a, b = cat.graphs[0], cat.graphs[1]
     assert not G.is_isomorphic(a, b)
     assert not backtracking_isomorphic(a, b)
 
 
-def test_naive_agrees_with_fast_small():
-    for n in (8, 10):
-        fast = EN.enumerate_fullerenes(n)
-        naive = EN.naive_enumerate(n)
-        assert set(fast.canonical_codes()) == set(naive.canonical_codes())
-
-
 def test_fast_and_naive_members_are_identical():
     for n in (8, 10, 12):
-        fast = EN.enumerate_fullerenes(n)
-        naive = EN.naive_enumerate(n)
+        fast = catalogue(n)
+        naive = catalogue(n, naive=True)
         assert [g.rot for g in fast.graphs] == [g.rot for g in naive.graphs]
+        assert fast.canonical_codes() == naive.canonical_codes()
 
 
 def test_bounds_and_parity():
@@ -153,9 +172,9 @@ def test_env_override(monkeypatch):
 
 
 def test_determinism():
-    EN._fast_cache.pop(10, None)
     first = EN.enumerate_fullerenes(10)
-    EN._fast_cache.pop(10, None)
     second = EN.enumerate_fullerenes(10)
     assert first.canonical_codes() == second.canonical_codes()
     assert [g.rot for g in first.graphs] == [g.rot for g in second.graphs]
+    # a walk to n = 20 yields the same members on its way
+    assert [g.rot for g in first.graphs] == [g.rot for g in catalogue(10).graphs]

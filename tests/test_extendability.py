@@ -5,7 +5,8 @@ import pytest
 from fullex import extendability as E
 from fullex import families as F
 from fullex import matching as M
-from fullex.enumerator import enumerate_fullerenes
+
+from conftest import catalogue
 
 
 def test_cube_and_dodecahedron_are_two_extendable(cube, dodecahedron):
@@ -95,7 +96,7 @@ def test_path_four_middle_edge_is_witness():
 
 
 def test_enumerated_twelve_vertex_fullerenes():
-    cat = enumerate_fullerenes(12)
+    cat = catalogue(12)
     verdicts = sorted(E.is_k_extendable(g, 2).extendable for g in cat.graphs)
     assert verdicts == [False, True]  # one sporadic exception, one prism
 

@@ -3,7 +3,8 @@ import pytest
 from fullex import families as F
 from fullex import graphs as G
 from fullex import matching as M
-from fullex.enumerator import enumerate_fullerenes
+
+from conftest import catalogue
 
 
 def test_build_tube_validates():
@@ -72,7 +73,7 @@ def test_recognize_round_trip():
 def test_recognize_rejects_non_tubes(cube, dodecahedron):
     assert F.recognize_tube(cube) is None
     assert F.recognize_tube(dodecahedron) is None
-    for g in enumerate_fullerenes(12).graphs:
+    for g in catalogue(12).graphs:
         assert F.recognize_tube(g) is None
 
 

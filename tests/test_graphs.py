@@ -3,10 +3,9 @@ import random
 import pytest
 
 from fullex import graphs as G
-from fullex.enumerator import enumerate_fullerenes
 from fullex.families import build_tube
 
-from conftest import (backtracking_isomorphic, bfs_girth, exhaustive_connectivity,
+from conftest import (backtracking_isomorphic, bfs_girth, catalogue, exhaustive_connectivity,
                       exhaustive_cyclic_cut_leq3, exhaustive_edge_cuts)
 
 
@@ -87,12 +86,12 @@ def test_canonical_code_relabeling_invariance(cube, dodecahedron):
 
 
 def test_canonical_code_distinguishes(cube):
-    t1 = enumerate_fullerenes(12)
+    t1 = catalogue(12)
     assert len({G.canonical_code(g) for g in t1.graphs}) == t1.size
 
 
 def test_is_isomorphic_matches_backtracking_oracle():
-    pool = list(enumerate_fullerenes(12).graphs) + list(enumerate_fullerenes(14).graphs)
+    pool = list(catalogue(12).graphs) + list(catalogue(14).graphs)
     for i, g1 in enumerate(pool):
         for g2 in pool[i:]:
             assert G.is_isomorphic(g1, g2) == backtracking_isomorphic(g1, g2)
@@ -100,7 +99,7 @@ def test_is_isomorphic_matches_backtracking_oracle():
 
 def test_mirror_images_identified():
     # a chiral fullerene and its mirror are distinct embeddings, one graph
-    chirals = [g for g in enumerate_fullerenes(16).graphs if G.is_chiral(g)]
+    chirals = [g for g in catalogue(16).graphs if G.is_chiral(g)]
     assert chirals, "expected a chiral fullerene on 16 vertices"
     g = chirals[0]
     mirror = G.from_rotation(g.n, tuple(tuple(reversed(r)) for r in g.rot))
@@ -110,7 +109,7 @@ def test_mirror_images_identified():
 
 def test_canonical_form_is_shared_by_relabelled_mirrors():
     rng = random.Random(11)
-    for g in enumerate_fullerenes(16).graphs:
+    for g in catalogue(16).graphs:
         code = G.canonical_code(g)
         form = G.canonical_form(g)
         assert G.rotation_code(form.n, form.rot) == code  # recomputed, not cached
@@ -201,7 +200,7 @@ def _cut_test_graphs():
     cubic graphs that are not 3-connected, K4, and a seeded relabelled
     mirror copy of each."""
     rng = random.Random(5)
-    graphs = [g for n in range(8, 17, 2) for g in enumerate_fullerenes(n).graphs]
+    graphs = [g for n in range(8, 17, 2) for g in catalogue(n).graphs]
     graphs += [build_tube(layers)[0] for layers in (1, 2, 3)]
     graphs += [_two_blocks_joined_by_two_edges(), _two_blocks_joined_by_a_bridge(),
                G.k4_graph()]

@@ -4,13 +4,13 @@ from concurrent.futures.process import BrokenProcessPool
 import pytest
 
 from fullex import families as F
+from fullex import graphs as G
 from fullex import harness
 from fullex import matching as M
 from fullex import planar_code as PC
 from fullex.graphs import canonical_code
-from fullex.enumerator import enumerate_fullerenes
 
-from conftest import exhaustive_cyclic_cut_leq3
+from conftest import catalogue, exhaustive_cyclic_cut_leq3
 
 
 def test_analyze_cube_digest(cube):
@@ -25,6 +25,25 @@ def test_analyze_cube_digest(cube):
     assert d["certificate"] is None
     json.dumps(d)  # digests must be JSON-serializable as-is
     assert d.keys() == harness.DIGEST_FIELDS
+
+
+def test_short_cycle_searches_run_once_per_length(monkeypatch):
+    """girth and short_cycles_facial share one search per cycle length,
+    with a quadrilateral (girth stops at 4) or without (girth reaches 5)."""
+    searches = []
+    search = G._simple_cycles_of_length
+
+    def spy(g, length):
+        if length not in g._cycles:
+            searches.append(length)
+        return search(g, length)
+
+    monkeypatch.setattr(G, "_simple_cycles_of_length", spy)
+    for g, girth in ((G.cube_graph(), 4), (G.dodecahedron_graph(), 5)):
+        searches.clear()
+        d = harness.analyze_graph(g)
+        assert (d["girth"], d["short_cycles_facial"]) == (girth, True)
+        assert sorted(searches) == [3, 4, 5]
 
 
 def test_certificate_fields():
@@ -134,7 +153,7 @@ def test_sidecar_without_labelling_marker_is_a_miss(tmp_path):
 
 
 def test_parallel_digests_match_serial():
-    cat = enumerate_fullerenes(12)
+    cat = catalogue(12)
     serial = harness.catalogue_digests(cat, jobs=1)
     parallel = harness.catalogue_digests(cat, jobs=2)
     assert serial == parallel
@@ -163,7 +182,7 @@ def test_analyze_graph_computes_each_fact_once(monkeypatch):
 
     monkeypatch.setattr(M, "perfect_matchings", counted_pms)
     monkeypatch.setattr(M, "deficiency_certificate", counted_cert)
-    graphs = list(enumerate_fullerenes(12).graphs) + [F.build_tube(1)[0]]
+    graphs = list(catalogue(12).graphs) + [F.build_tube(1)[0]]
     certified = 0
     for g in graphs:
         calls.update(pm=0, cert=0)
@@ -176,7 +195,7 @@ def test_analyze_graph_computes_each_fact_once(monkeypatch):
 
 
 def test_derived_cyclic_cut_flag_matches_exhaustive_scan():
-    graphs = [g for n in range(8, 17, 2) for g in enumerate_fullerenes(n).graphs]
+    graphs = [g for n in range(8, 17, 2) for g in catalogue(n).graphs]
     graphs += [F.build_tube(layers)[0] for layers in (1, 2, 3)]
     flags = []
     for g in graphs:
@@ -214,13 +233,13 @@ def test_jobs_clamped_to_cpus_and_uncached_graphs(monkeypatch):
     monkeypatch.setattr(harness, "ProcessPoolExecutor", _RecordingPool)
     monkeypatch.setattr(_RecordingPool, "created", [])
     monkeypatch.setattr(harness.os, "cpu_count", lambda: 4)
-    cat12 = enumerate_fullerenes(12)
+    cat12 = catalogue(12)
     serial = harness.catalogue_digests(cat12, jobs=1)
     assert harness.catalogue_digests(cat12, jobs=10**6) == serial
     assert _RecordingPool.created == [2]  # two graphs at n = 12
-    harness.catalogue_digests(enumerate_fullerenes(16), jobs=10**6)
+    harness.catalogue_digests(catalogue(16), jobs=10**6)
     assert _RecordingPool.created == [2, 4]  # six graphs, four CPUs
-    harness.catalogue_digests(enumerate_fullerenes(8), jobs=10**6)
+    harness.catalogue_digests(catalogue(8), jobs=10**6)
     assert _RecordingPool.created == [2, 4]  # one graph runs serially
 
 
@@ -228,7 +247,7 @@ def test_broken_pool_falls_back_to_serial(monkeypatch):
     monkeypatch.setattr(harness, "ProcessPoolExecutor", _RecordingPool)
     monkeypatch.setattr(_RecordingPool, "broken", True)
     monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
-    cat = enumerate_fullerenes(12)
+    cat = catalogue(12)
     assert (harness.catalogue_digests(cat, jobs=2)
             == harness.catalogue_digests(cat, jobs=1))
 
@@ -256,7 +275,7 @@ def test_unreadable_sidecar_is_a_cache_miss(tmp_path):
 
 
 def test_failed_sidecar_save_keeps_the_previous_file(tmp_path, monkeypatch):
-    cat = enumerate_fullerenes(8)
+    cat = catalogue(8)
     cache = harness.DigestCache(str(tmp_path))
     digests = harness.catalogue_digests(cat, cache=cache)
 

@@ -4,8 +4,9 @@ import pytest
 
 from fullex import planar_code as PC
 from fullex import graphs as G
-from fullex.enumerator import enumerate_fullerenes
 from fullex.families import build_tube
+
+from conftest import catalogue
 
 
 def roundtrip(graphs):
@@ -35,7 +36,7 @@ def test_header_and_layout(cube):
 
 
 def test_catalogue_roundtrip(tmp_path):
-    cat = enumerate_fullerenes(12)
+    cat = catalogue(12)
     path = tmp_path / "fullerenes_n12.plc"
     PC.write_file(path, cat.graphs)
     back = PC.read_file(path)

@@ -10,6 +10,9 @@ from hypothesis import strategies as st
 
 from fullex import graphs as G
 from fullex import planar_code as PC
+from fullex.families import build_tube
+
+from conftest import catalogue
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=300, deadline=None)
 
@@ -59,3 +62,26 @@ def test_arbitrary_bytes_raise_only_domain_errors(data):
             assert isinstance(g, G.PlaneCubicGraph)
     except (PC.PlanarCodeError, G.GraphError):
         pass
+
+
+# graphs with and without symmetry, chiral ones among the n = 16 members
+_GRAPHS = [G.k4_graph(), G.cube_graph(), build_tube(1)[0],
+           *(g for n in (12, 14, 16) for g in catalogue(n).graphs)]
+
+
+@st.composite
+def relabellings(draw):
+    """A graph from _GRAPHS, a permutation of its vertices and a mirror flag."""
+    g = draw(st.sampled_from(_GRAPHS))
+    return g, draw(st.permutations(range(g.n))), draw(st.booleans())
+
+
+@PROPERTY
+@given(relabellings())
+def test_canonical_code_is_invariant_under_relabelling_and_mirroring(case):
+    g, perm, mirror = case
+    rot = [()] * g.n
+    for v, nbrs in enumerate(g.rot):
+        r = tuple(perm[w] for w in nbrs)
+        rot[perm[v]] = r[::-1] if mirror else r
+    assert G.canonical_code(G.from_rotation(g.n, rot)) == G.canonical_code(g)
