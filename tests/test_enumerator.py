@@ -138,6 +138,13 @@ def test_twenty_vertex_members_pairwise_distinct():
     assert not backtracking_isomorphic(a, b)
 
 
+def test_naive_agrees_with_fast_small():
+    for n in (8, 10):
+        fast = EN.enumerate_fullerenes(n)
+        naive = EN.naive_enumerate(n)
+        assert set(fast.canonical_codes()) == set(naive.canonical_codes())
+
+
 def test_fast_and_naive_members_are_identical():
     for n in (8, 10, 12):
         fast = catalogue(n)
