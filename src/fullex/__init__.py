@@ -16,5 +16,5 @@ from .antikekule import (anti_kekule_number, is_anti_kekule_set,
                          min_anti_kekule_sets)
 from .families import (build_tube, recognize_tube, sporadic_candidates,
                        verify_tube_pm_structure)
-from .enumerator import Catalogue, enumerate_fullerenes, naive_enumerate
+from .enumerator import Catalogue, enumerate_fullerenes
 from .harness import analyze_graph, verify_all

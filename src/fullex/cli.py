@@ -24,7 +24,7 @@ from . import harness
 from . import matching as mt
 from . import planar_code
 from .enumerator import (DEFAULT_BOUND, EnumerationError, configured_bound,
-                         enumerate_fullerenes, naive_enumerate)
+                         enumerate_fullerenes)
 from .graphs import (GraphError, canonical_code, is_chiral, norm_edge,
                      validate_fullerene)
 
@@ -97,15 +97,11 @@ def cmd_gen_tube(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    if args.naive:
-        catalogue = naive_enumerate(args.n)
-    else:
-        catalogue = enumerate_fullerenes(args.n)
+    catalogue = enumerate_fullerenes(args.n)
     outdir = args.outdir
     summary = {
         "command": "enumerate",
         "n": args.n,
-        "naive": bool(args.naive),
         "count": catalogue.size,
         "counts_by_faces": {f"{k[0]},{k[1]},{k[2]}": v
                             for k, v in sorted(catalogue.counts.items())},
@@ -236,8 +232,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate", help="catalogue all fullerenes on n vertices")
     p.add_argument("n", type=int)
-    p.add_argument("--naive", action="store_true",
-                   help="use the exhaustive rotation-system search")
     p.add_argument("--outdir", default=".")
     p.add_argument("--stdout", action="store_true",
                    help="stream planar_code instead of writing files")

@@ -1,21 +1,17 @@
 """Isomorph-free generation of all (4,5,6)-fullerenes up to a vertex bound.
 
-Two independent routes:
+``enumerate_catalogues`` (and ``enumerate_fullerenes`` for one size) works
+on the dual side: one walk grows simple sphere triangulations from K4 by
+vertex splitting, up to v_max = nmax/2 + 2 vertices, and at each level
+dualizes the classes with all degrees in {4, 5, 6}.  A child on v' vertices
+is made only when its defect (the summed distance of its degrees from
+[4, 6]) is at most 4 (v_max - v'), which every ancestor of a leaf meets
+(`_walk`), so the leaves of every size up to nmax come out of the one walk.
+Isomorph rejection keys each child by a BFS code started only from its
+darts of least local signature (`_tri_key`).
 
-* ``enumerate_catalogues`` (and ``enumerate_fullerenes`` for one size)
-  works on the dual side: one walk grows simple sphere triangulations from
-  K4 by vertex splitting, up to v_max = nmax/2 + 2 vertices, and at each
-  level dualizes the classes with all degrees in {4, 5, 6}.  A child on v'
-  vertices is made only when its defect (the summed distance of its
-  degrees from [4, 6]) is at most 4 (v_max - v'), which every ancestor of
-  a leaf meets (`_walk`), so the leaves of every size up to nmax come out
-  of the one walk.  Isomorph rejection keys each child by a BFS code
-  started only from its darts of least local signature (`_tri_key`).
-* ``naive_enumerate`` searches rotation systems directly in a breadth-first
-  normal form with face-size pruning; it exists only to certify the fast
-  route and assumes nothing about the structure of the result.
-
-Nothing is cached between calls.
+Nothing is cached between calls.  The test suite certifies the catalogues
+against an independent rotation-system search.
 """
 
 from __future__ import annotations
@@ -24,12 +20,10 @@ import os
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .graphs import (GraphError, PlaneCubicGraph, _bfs_code, _trace_faces,
-                     canonical_code, canonical_form, faces, from_rotation,
-                     is_fullerene, validate_fullerene)
+from .graphs import (PlaneCubicGraph, _bfs_code, _trace_faces, canonical_code,
+                     canonical_form, faces, from_rotation, is_fullerene)
 
 DEFAULT_BOUND = 20
-NAIVE_BOUND = 14
 
 
 class EnumerationError(ValueError):
@@ -88,7 +82,7 @@ def _catalogue_from(n: int, graphs) -> Catalogue:
 
 
 # ---------------------------------------------------------------------------
-# Dual route: triangulations by vertex splitting
+# Triangulations by vertex splitting
 # ---------------------------------------------------------------------------
 
 Rotation = tuple[tuple[int, ...], ...]
@@ -252,128 +246,3 @@ def enumerate_fullerenes(n: int, bound: int | None = None) -> Catalogue:
     """Complete isomorph-free catalogue of (4,5,6)-fullerenes on n vertices."""
     return enumerate_catalogues([n], bound)[n]
 
-
-# ---------------------------------------------------------------------------
-# Naive route: rotation systems in BFS normal form
-# ---------------------------------------------------------------------------
-
-def naive_enumerate(n: int) -> Catalogue:
-    """Exhaustive rotation-system search; the completeness oracle.
-
-    Rotation systems are generated in a breadth-first normal form (labels
-    in discovery order, each vertex's rotation read from its discovery
-    edge), which enumerates every embedding at least once per rooted
-    orientation.  Pruning uses only the face-size definition: a traced
-    facial walk may never exceed six edges and must close at 4, 5 or 6.
-    """
-    if n % 2 != 0:
-        raise OddVertexCount(f"cubic graphs have even order, got {n}")
-    if not 4 <= n <= NAIVE_BOUND:
-        raise BoundExceeded(f"naive search is bounded at {NAIVE_BOUND}")
-    found: list[PlaneCubicGraph] = []
-    rot: list[tuple[int, int, int] | None] = [None] * n
-    declared: list[list[int]] = [[] for _ in range(n)]
-
-    def orbit_ok(dart: tuple[int, int]) -> bool:
-        """Walk the facial orbit through one dart; False when it is already
-        longer than 6 darts or closes at a size outside {4, 5, 6}.
-
-        Only orbits through the freshly finalized vertex can have changed,
-        so each processing step checks just its three incoming darts.
-        """
-        back = 0
-        cur = dart
-        while True:
-            a, b = cur
-            ra = rot[a]
-            if ra is None:
-                break
-            cur = (ra[(ra.index(b) - 1) % 3], a)
-            back += 1
-            if cur == dart:
-                return back in (4, 5, 6)
-            if back > 6:
-                return False
-        darts = 1
-        a, b = cur
-        while True:
-            rb = rot[b]
-            if rb is None:
-                return True
-            a, b = b, rb[(rb.index(a) + 1) % 3]
-            darts += 1
-            if darts > 6:
-                return False
-
-    def process(v: int, num_labels: int) -> None:
-        if v == num_labels:
-            if num_labels == n:
-                try:
-                    g = from_rotation(n, [tuple(r) for r in rot])  # type: ignore[arg-type]
-                    validate_fullerene(g)
-                except GraphError:
-                    return
-                found.append(g)
-            return
-        entry = declared[v][0]
-        forced = declared[v][1:]
-        existing = [w for w in range(num_labels)
-                    if w > v and w != entry and w not in declared[v]
-                    and len(declared[w]) < 3]
-        options: list[tuple[int | None, int | None]] = []
-        cands: list[int | None] = [*existing]
-        if num_labels < n:
-            cands.append(None)  # a brand-new vertex
-        if len(forced) == 2:
-            options = [(forced[0], forced[1]), (forced[1], forced[0])]
-        elif len(forced) == 1:
-            for c in cands:
-                options.append((forced[0], c))
-                options.append((c, forced[0]))
-        else:
-            for c1 in cands:
-                for c2 in cands:
-                    if c1 is None and c2 is None:
-                        if num_labels + 2 <= n:
-                            options.append((None, None))
-                    elif c1 != c2:
-                        options.append((c1, c2))
-        seen_opts = set()
-        for s1, s2 in options:
-            if (s1, s2) in seen_opts:
-                continue
-            seen_opts.add((s1, s2))
-            labels = num_labels
-            slots = []
-            new_vertices = []
-            ok = True
-            for s in (s1, s2):
-                if s is None:
-                    if labels >= n:
-                        ok = False
-                        break
-                    s = labels
-                    labels += 1
-                    new_vertices.append(s)
-                slots.append(s)
-            if not ok or slots[0] == slots[1]:
-                continue
-            rot[v] = (entry, slots[0], slots[1])
-            touched = []
-            for s in slots:
-                # forced neighbors already recorded this edge when they chose v
-                if s not in forced:
-                    declared[s].append(v)
-                    touched.append(s)
-            if all(orbit_ok((x, v)) for x in rot[v]):
-                process(v + 1, labels)
-            for s in touched:
-                declared[s].pop()
-            rot[v] = None
-
-    rot[0] = (1, 2, 3)
-    declared[1].append(0)
-    declared[2].append(0)
-    declared[3].append(0)
-    process(1, 4)
-    return _catalogue_from(n, found)

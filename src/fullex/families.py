@@ -12,9 +12,15 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional
 
+from . import antikekule as ak_mod
+from . import enumerator
+from . import extendability as ext_mod
 from . import matching as mt
 from .graphs import (Edge, PlaneCubicGraph, canonical_code, embedding_map,
                      faces, from_faces, norm_edge, validate_fullerene)
+
+
+SPORADIC_SIZES = (12, 14, 18, 20)
 
 
 class BadLayerCount(ValueError):
@@ -134,7 +140,9 @@ class TubePerfectMatchingReport:
     set of every gap; a perfect matching picks exactly one edge from each.
     ``gap_extension_counts`` records how many perfect matchings extend every
     traversed-edges-only selection (the two caps each contribute a factor 3,
-    so the value is 9 throughout).
+    so the value is 9 throughout).  ``gap_pair_in_common_pm`` is the first
+    pair of traversed edges of one gap that some perfect matching contains,
+    or None.
     """
 
     n_layers: int
@@ -144,6 +152,7 @@ class TubePerfectMatchingReport:
     one_star_edge_per_cap: bool
     every_layer_selection_unique: bool
     gap_extension_counts: tuple[int, ...]
+    gap_pair_in_common_pm: Optional[tuple[Edge, Edge]]
 
     @property
     def layer_product(self) -> int:
@@ -166,57 +175,53 @@ class TubePerfectMatchingReport:
 def verify_tube_pm_structure(n_layers: int) -> TubePerfectMatchingReport:
     """Measure the perfect-matching layer structure of one tube.
 
-    Enumerates every perfect matching and checks: (a) exactly one traversed
-    edge per gap and one star edge per cap; (b) every selection of one edge
-    per matching layer extends to exactly one perfect matching; (c) the
-    count equals the product of the layer sizes.  Everything is measured,
-    nothing assumed.
+    One index of every perfect matching answers each check by bitset
+    arithmetic: (a) a layer holds exactly one edge of every perfect
+    matching when its edges' masks are pairwise disjoint and together
+    cover all of them; (b) a selection of edges extends to as many perfect
+    matchings as the AND of its masks has bits, which must be one for
+    every selection of one edge per matching layer; (c) the count equals
+    the product of the layer sizes.  Everything is measured, nothing
+    assumed.
     """
     if not 1 <= n_layers <= 6:
         raise BadLayerCount("layer count for the exhaustive check must be 1..6")
     g, desc = build_tube(n_layers)
-    pms = list(mt.perfect_matchings(g))
+    index = mt.PmIndex(g.adj_dict())
+    masks, full = index.masks, index.full
+
+    def one_per_pm(layer: frozenset[Edge]) -> bool:
+        seen = 0
+        for e in layer:
+            if seen & masks[e]:
+                return False
+            seen |= masks[e]
+        return seen == full
+
+    def extensions(selection: tuple[Edge, ...]) -> int:
+        acc = full
+        for e in selection:
+            acc &= masks[e]
+        return acc.bit_count()
+
     layers = desc.matching_layers()
     gaps = desc.traversed_edges
-    one_per_gap = True
-    one_per_cap = True
-    ext: dict[tuple[Edge, ...], int] = {}
-    gap_ext: dict[tuple[Edge, ...], int] = {}
-    for combo in itertools.product(*[sorted(layer) for layer in layers]):
-        ext[combo] = 0
-    for combo in itertools.product(*[sorted(layer) for layer in gaps]):
-        gap_ext[combo] = 0
-    for pm in pms:
-        pm_set = set(pm)
-        picks = []
-        for layer in layers:
-            hit = sorted(pm_set & layer)
-            if len(hit) != 1:
-                if layer in desc.cap_stars:
-                    one_per_cap = False
-                else:
-                    one_per_gap = False
-                picks = []
-                break
-            picks.append(hit[0])
-        if picks:
-            ext[tuple(picks)] += 1
-        gap_picks = []
-        for layer in gaps:
-            hit = sorted(pm_set & layer)
-            if len(hit) != 1:
-                break
-            gap_picks.append(hit[0])
-        else:
-            gap_ext[tuple(gap_picks)] += 1
     return TubePerfectMatchingReport(
         n_layers=n_layers,
-        pm_count=len(pms),
+        pm_count=full.bit_length(),
         layer_sizes=tuple(len(layer) for layer in layers),
-        one_traversed_per_gap=one_per_gap,
-        one_star_edge_per_cap=one_per_cap,
-        every_layer_selection_unique=all(c == 1 for c in ext.values()),
-        gap_extension_counts=tuple(sorted(gap_ext.values())),
+        one_traversed_per_gap=all(one_per_pm(layer) for layer in gaps),
+        one_star_edge_per_cap=all(one_per_pm(star) for star in desc.cap_stars),
+        every_layer_selection_unique=all(
+            extensions(sel) == 1
+            for sel in itertools.product(*[sorted(layer) for layer in layers])),
+        gap_extension_counts=tuple(sorted(
+            extensions(sel)
+            for sel in itertools.product(*[sorted(layer) for layer in gaps]))),
+        gap_pair_in_common_pm=next(
+            (pair for layer in gaps
+             for pair in itertools.combinations(sorted(layer), 2)
+             if extensions(pair)), None),
     )
 
 
@@ -227,11 +232,8 @@ def sporadic_candidates(n: int, catalogue=None) -> list[SporadicCandidate]:
     witness pair of the extendability check is attached to each candidate.
     One index of the perfect matchings serves both searches.
     """
-    if n not in (12, 14, 18, 20):
+    if n not in SPORADIC_SIZES:
         raise ValueError(f"sporadic sizes are 12, 14, 18 and 20, not {n}")
-    from . import antikekule as ak_mod
-    from . import enumerator
-    from . import extendability as ext_mod
     if catalogue is None:
         catalogue = enumerator.enumerate_fullerenes(n)
     out = []

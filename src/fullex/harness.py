@@ -11,7 +11,6 @@ canonical code and invalidated by the library version stamp.
 
 from __future__ import annotations
 
-import itertools
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -408,20 +407,14 @@ def _tube_suite(nmax: int) -> list[ClaimResult]:
         pm_claim.record(report.selection_bijection_holds and report.one_traversed_per_gap,
                         {"layers": layers, "pm_count": report.pm_count,
                          "layer_sizes": list(report.layer_sizes)})
+        pair = report.gap_pair_in_common_pm
+        witness_claim.record(pair is None,
+                             {"layers": layers, "pair": pair and _edge_list(pair)})
         adj = g.adj_dict()
-        index = mt.PmIndex(adj)
-        bad_pair = None
-        for layer in desc.traversed_edges:
-            for pair in itertools.combinations(sorted(layer), 2):
-                if index.extends(pair):
-                    bad_pair = pair
-        witness_claim.record(bad_pair is None,
-                             {"layers": layers, "pair": bad_pair and _edge_list(bad_pair)})
         cut_ok = True
         for layer in desc.traversed_edges:
-            left = mt.without_edges(adj, layer)
-            comps = components(left)
-            if len(comps) != 2 or not all(has_cycle(c, left) for c in comps):
+            comps = components(adj, layer)
+            if len(comps) != 2 or not all(has_cycle(c, adj, layer) for c in comps):
                 cut_ok = False
         cut_claim.record(cut_ok, {"layers": layers})
         rec = families.recognize_tube(g)
@@ -440,7 +433,7 @@ def _sporadic_suite(nmax: int, catalogues: dict[int, Catalogue],
         "sporadic-witness-certificates",
         "every sporadic candidate's witness certificate has two more "
         "components than deleted vertices, all factor-critical")
-    for n in (12, 14, 18, 20):
+    for n in families.SPORADIC_SIZES:
         if n > nmax:
             continue
         pairs = [(g, digests[n][canonical_code(g).hex()]) for g in catalogues[n].graphs]

@@ -32,10 +32,6 @@ class TooLarge(MatchingError):
     pass
 
 
-class NoPerfectMatching(MatchingError):
-    pass
-
-
 def adjacency_of(g: PlaneCubicGraph | Adjacency) -> dict[int, frozenset[int]]:
     if isinstance(g, PlaneCubicGraph):
         return g.adj_dict()

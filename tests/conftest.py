@@ -4,8 +4,11 @@ The oracles here deliberately avoid the library's own algorithms: matchings
 are found by exhaustive search over edge subsets, isomorphism by plain
 backtracking, and cuts, connectivity and girth by scanning every small
 edge or vertex subset and by breadth-first search, so they can certify the
-production implementations.  The triangulation levels are every vertex
-split of the level below, deduplicated by `_tri_key` (which
+production implementations.  The naive enumerator searches rotation
+systems directly, pruned only by the face sizes; it shares with the
+enumerator no more than the final sort into canonical labelling.  The
+triangulation levels are every vertex split of the level below,
+deduplicated by `_tri_key` (which
 `test_tri_key_separates_exactly_as_rotation_code` checks against
 `rotation_code`) with no pruning.
 """
@@ -27,7 +30,7 @@ from fullex import graphs as G
 def catalogue(n: int, naive: bool = False) -> EN.Catalogue:
     """The fast (or naive) catalogue on n vertices, built once per test run;
     the fast ones up to n = 20 all come from one walk."""
-    return EN.naive_enumerate(n) if naive else catalogues(max(n, 20))[n]
+    return naive_enumerate(n) if naive else catalogues(max(n, 20))[n]
 
 
 @functools.cache
@@ -203,6 +206,132 @@ def exhaustive_cyclic_cut_leq3(g: G.PlaneCubicGraph) -> bool:
             if sum(1 for c in comps if G.has_cycle(c, adj, blocked)) >= 2:
                 return True
     return False
+
+
+NAIVE_BOUND = 16
+
+
+def naive_enumerate(n: int) -> EN.Catalogue:
+    """Exhaustive rotation-system search; the enumerator's completeness
+    oracle, which assumes nothing about the structure of the result.
+
+    Rotation systems are generated in a breadth-first normal form (labels
+    in discovery order, each vertex's rotation read from its discovery
+    edge), which enumerates every embedding at least once per rooted
+    orientation.  Pruning uses only the face-size definition: a traced
+    facial walk may never exceed six edges and must close at 4, 5 or 6.
+    """
+    if n % 2 != 0:
+        raise EN.OddVertexCount(f"cubic graphs have even order, got {n}")
+    if not 4 <= n <= NAIVE_BOUND:
+        raise EN.BoundExceeded(f"naive search is bounded at {NAIVE_BOUND}")
+    found: list[G.PlaneCubicGraph] = []
+    rot: list[tuple[int, int, int] | None] = [None] * n
+    declared: list[list[int]] = [[] for _ in range(n)]
+
+    def orbit_ok(dart: tuple[int, int]) -> bool:
+        """Walk the facial orbit through one dart; False when it is already
+        longer than 6 darts or closes at a size outside {4, 5, 6}.
+
+        Only orbits through the freshly finalized vertex can have changed,
+        so each processing step checks just its three incoming darts.
+        """
+        back = 0
+        cur = dart
+        while True:
+            a, b = cur
+            ra = rot[a]
+            if ra is None:
+                break
+            cur = (ra[(ra.index(b) - 1) % 3], a)
+            back += 1
+            if cur == dart:
+                return back in (4, 5, 6)
+            if back > 6:
+                return False
+        darts = 1
+        a, b = cur
+        while True:
+            rb = rot[b]
+            if rb is None:
+                return True
+            a, b = b, rb[(rb.index(a) + 1) % 3]
+            darts += 1
+            if darts > 6:
+                return False
+
+    def process(v: int, num_labels: int) -> None:
+        if v == num_labels:
+            if num_labels == n:
+                try:
+                    g = G.from_rotation(n, [tuple(r) for r in rot])  # type: ignore[arg-type]
+                    G.validate_fullerene(g)
+                except G.GraphError:
+                    return
+                found.append(g)
+            return
+        entry = declared[v][0]
+        forced = declared[v][1:]
+        existing = [w for w in range(num_labels)
+                    if w > v and w != entry and w not in declared[v]
+                    and len(declared[w]) < 3]
+        options: list[tuple[int | None, int | None]] = []
+        cands: list[int | None] = [*existing]
+        if num_labels < n:
+            cands.append(None)  # a brand-new vertex
+        if len(forced) == 2:
+            options = [(forced[0], forced[1]), (forced[1], forced[0])]
+        elif len(forced) == 1:
+            for c in cands:
+                options.append((forced[0], c))
+                options.append((c, forced[0]))
+        else:
+            for c1 in cands:
+                for c2 in cands:
+                    if c1 is None and c2 is None:
+                        if num_labels + 2 <= n:
+                            options.append((None, None))
+                    elif c1 != c2:
+                        options.append((c1, c2))
+        seen_opts = set()
+        for s1, s2 in options:
+            if (s1, s2) in seen_opts:
+                continue
+            seen_opts.add((s1, s2))
+            labels = num_labels
+            slots = []
+            new_vertices = []
+            ok = True
+            for s in (s1, s2):
+                if s is None:
+                    if labels >= n:
+                        ok = False
+                        break
+                    s = labels
+                    labels += 1
+                    new_vertices.append(s)
+                slots.append(s)
+            if not ok or slots[0] == slots[1]:
+                continue
+            rot[v] = (entry, slots[0], slots[1])
+            touched = []
+            for s in slots:
+                # forced neighbors already recorded this edge when they chose v
+                if s not in forced:
+                    declared[s].append(v)
+                    touched.append(s)
+            if all(orbit_ok((x, v)) for x in rot[v]):
+                process(v + 1, labels)
+            for s in touched:
+                declared[s].pop()
+            rot[v] = None
+
+    rot[0] = (1, 2, 3)
+    declared[1].append(0)
+    declared[2].append(0)
+    declared[3].append(0)
+    process(1, 4)
+    return EN._catalogue_from(n, found)
 
 
 def pytest_configure(config):

@@ -6,7 +6,8 @@ and from the analysis digests the number of tubes, of non-2-extendable
 graphs and of graphs with anti-Kekule number 3, and the total count of
 nontrivial edge cuts of size <= 3.  An enumerator or analysis rewrite must
 reproduce it exactly.  Tier-1 checks n <= 20; n = 22, 24 and 26 run only
-with FULLEX_CENSUS_FULL=1.
+with FULLEX_CENSUS_FULL=1, and so does the check of the n = 16 catalogue
+against the naive oracle (about a minute).
 
 Regenerate (only ever from an enumerator and analysis already known to be
 right):
@@ -25,7 +26,7 @@ import pytest
 
 from fullex import harness
 
-from conftest import catalogues
+from conftest import catalogue, catalogues
 
 CENSUS_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                            "data", "census.json")
@@ -63,6 +64,14 @@ def _pinned() -> dict:
     for n in CENSUS_SIZES])
 def test_census(n):
     assert census_row(n) == _pinned()[str(n)]
+
+
+@pytest.mark.skipif(not FULL, reason="runs with FULLEX_CENSUS_FULL=1")
+def test_fast_and_naive_members_are_identical_at_sixteen():
+    fast = catalogue(16)
+    naive = catalogue(16, naive=True)
+    assert fast.canonical_codes() == naive.canonical_codes()
+    assert [g.rot for g in fast.graphs] == [g.rot for g in naive.graphs]
 
 
 def test_census_covers_sizes():

@@ -141,7 +141,7 @@ def test_twenty_vertex_members_pairwise_distinct():
 def test_naive_agrees_with_fast_small():
     for n in (8, 10):
         fast = EN.enumerate_fullerenes(n)
-        naive = EN.naive_enumerate(n)
+        naive = catalogue(n, naive=True)
         assert set(fast.canonical_codes()) == set(naive.canonical_codes())
 
 
@@ -160,10 +160,6 @@ def test_bounds_and_parity():
         EN.enumerate_fullerenes(6)
     with pytest.raises(EN.BoundExceeded):
         EN.enumerate_fullerenes(26)
-    with pytest.raises(EN.OddVertexCount):
-        EN.naive_enumerate(7)
-    with pytest.raises(EN.BoundExceeded):
-        EN.naive_enumerate(16)
 
 
 def test_env_override(monkeypatch):

@@ -1,7 +1,10 @@
+import dataclasses
+
 import pytest
 
 from fullex import families as F
 from fullex import graphs as G
+from fullex import harness
 from fullex import matching as M
 
 from conftest import catalogue
@@ -105,6 +108,41 @@ def test_pm_structure_small_tubes():
         # spoke-only selections leave exactly the 3 x 3 cap completions
         assert set(rep.gap_extension_counts) == {9}
         assert rep.selection_bijection_holds
+
+
+@pytest.mark.parametrize("first_gap, has_pair", [
+    ("cycle", True),   # three alternate edges of a concentric cycle
+    ("short", False),  # misses the matchings through a traversed edge
+    ("extra", True),   # a fourth edge, in matchings with a traversed one
+])
+def test_pm_structure_flags_a_wrong_gap_layer(monkeypatch, first_gap, has_pair):
+    build = F.build_tube
+
+    def wrong_first_gap(n_layers):
+        g, desc = build(n_layers)
+        cyc = desc.concentric_cycles[1]
+        traversed = sorted(desc.traversed_edges[0])
+        layer = {
+            "cycle": [G.norm_edge(cyc[i], cyc[i + 1]) for i in (0, 2, 4)],
+            "short": traversed[:2],
+            "extra": traversed + [G.norm_edge(cyc[0], cyc[1])],
+        }[first_gap]
+        return g, dataclasses.replace(
+            desc, traversed_edges=(frozenset(layer), *desc.traversed_edges[1:]))
+
+    monkeypatch.setattr(F, "build_tube", wrong_first_gap)
+    rep = F.verify_tube_pm_structure(2)
+    assert not rep.one_traversed_per_gap
+    assert not rep.selection_bijection_holds
+    pair = rep.gap_pair_in_common_pm
+    assert (pair is not None) == has_pair
+    witness = harness._tube_suite(14)[1]
+    if has_pair:
+        assert M.extends_to_perfect(build(2)[0], pair)
+        assert witness.failures == 2
+        assert witness.counterexamples[-1]["pair"] == [list(e) for e in pair]
+    else:
+        assert witness.failures == 0
 
 
 def test_pm_structure_bounds():

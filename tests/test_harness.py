@@ -194,6 +194,20 @@ def test_analyze_graph_computes_each_fact_once(monkeypatch):
     assert certified == 2  # the sporadic n = 12 graph and the tube
 
 
+def test_tube_suite_enumerates_perfect_matchings_once_per_tube(monkeypatch):
+    calls = []
+    enumerate_pms = M.perfect_matchings
+
+    def counted_pms(g):
+        calls.append(len(M.adjacency_of(g)))
+        return enumerate_pms(g)
+
+    monkeypatch.setattr(M, "perfect_matchings", counted_pms)
+    claims = harness._tube_suite(20)
+    assert calls == [14, 20]  # the tubes with one and two layers
+    assert all(c.failures == 0 and c.population == 2 for c in claims)
+
+
 def test_derived_cyclic_cut_flag_matches_exhaustive_scan():
     graphs = [g for n in range(8, 17, 2) for g in catalogue(n).graphs]
     graphs += [F.build_tube(layers)[0] for layers in (1, 2, 3)]
