@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from . import matching as mt
-from .graphs import Edge, PlaneCubicGraph, norm_edge
+from .graphs import Edge, PlaneCubicGraph, components, norm_edge
 
 SEARCH_CAP = 4
 
@@ -64,8 +64,7 @@ def sets_of_size(index: mt.PmIndex, size: int) -> Iterator[frozenset[Edge]]:
             acc |= index.masks[e]
         if acc != index.full:
             continue
-        left = mt.without_edges(index.adj, combo)
-        if mt.is_connected(left):
+        if len(components(index.adj, frozenset(combo))) == 1:
             yield frozenset(combo)
 
 

@@ -193,7 +193,13 @@ def extends_to_perfect(g: PlaneCubicGraph | Adjacency, m: Iterable[Edge]) -> boo
 def perfect_matchings(g: PlaneCubicGraph | Adjacency) -> Iterator[tuple[Edge, ...]]:
     """All perfect matchings, in lexicographic order of sorted edge lists.
 
-    Backtracks on the smallest uncovered vertex; bounded at 64 vertices.
+    Backtracks on the smallest uncovered vertex over int bitmasks; bounded
+    at 64 vertices.  Bit i stands for the i-th smallest vertex, so the
+    lowest set bit of the free mask is the smallest uncovered vertex and
+    its partners are tried in ascending order.  Covering v and w can only
+    strand a free neighbour of v or w, so a branch is cut when one of
+    those is left without a free neighbour; such a branch holds no
+    perfect matching, and the output is unaffected.
     """
     adj = adjacency_of(g)
     if len(adj) > COUNT_LIMIT:
@@ -201,30 +207,33 @@ def perfect_matchings(g: PlaneCubicGraph | Adjacency) -> Iterator[tuple[Edge, ..
     if len(adj) % 2 != 0:
         return
     verts = sorted(adj)
+    pos = {v: i for i, v in enumerate(verts)}
+    nbrs = [sum(1 << pos[w] for w in adj[v]) for v in verts]
+    partners = [[(pos[w], (v, w)) for w in sorted(adj[v])] for v in verts]
+    chosen: list[Edge] = []
 
-    def recurse(free: set[int], chosen: list[Edge]) -> Iterator[tuple[Edge, ...]]:
+    def recurse(free: int) -> Iterator[tuple[Edge, ...]]:
         if not free:
             yield tuple(chosen)
             return
-        v = min(free)
-        partners = sorted(w for w in adj[v] if w in free)
-        if not partners:
-            return
-        # dead-end pruning: every free vertex must retain a free neighbor
-        for u in free:
-            if u != v and not any(w in free and w != v for w in adj[u]):
-                if v not in adj[u]:
-                    return
-        for w in partners:
-            free.discard(v)
-            free.discard(w)
-            chosen.append(norm_edge(v, w))
-            yield from recurse(free, chosen)
-            chosen.pop()
-            free.add(v)
-            free.add(w)
+        v = (free & -free).bit_length() - 1
+        free ^= 1 << v
+        for w, edge in partners[v]:
+            if not free >> w & 1:
+                continue
+            left = free ^ (1 << w)
+            exposed = (nbrs[v] | nbrs[w]) & left
+            while exposed:
+                low = exposed & -exposed
+                if not nbrs[low.bit_length() - 1] & left:
+                    break
+                exposed ^= low
+            else:
+                chosen.append(edge)
+                yield from recurse(left)
+                chosen.pop()
 
-    yield from recurse(set(verts), [])
+    yield from recurse((1 << len(verts)) - 1)
 
 
 def count_perfect_matchings(g: PlaneCubicGraph | Adjacency) -> int:

@@ -4,11 +4,13 @@ The oracles here deliberately avoid the library's own algorithms: matchings
 are found by exhaustive search over edge subsets, isomorphism by plain
 backtracking, and cuts, connectivity and girth by scanning every small
 edge or vertex subset and by breadth-first search, so they can certify the
-production implementations.  The naive enumerator searches rotation
-systems directly, pruned only by the face sizes; it shares with the
-enumerator no more than the final sort into canonical labelling.  The
-triangulation levels are every vertex split of the level below,
-deduplicated by `_tri_key` (which
+production implementations.  `backtracking_perfect_matchings` is the
+set-based perfect-matching search the library used before its bitmask
+kernel, kept as the oracle for that kernel's output order.  The naive
+enumerator searches rotation systems directly, pruned only by the face
+sizes; it shares with the enumerator no more than the final sort into
+canonical labelling.  The triangulation levels are every vertex split of
+the level below, deduplicated by `_tri_key` (which
 `test_tri_key_separates_exactly_as_rotation_code` checks against
 `rotation_code`) with no pruning.
 """
@@ -24,6 +26,7 @@ import pytest
 
 from fullex import enumerator as EN
 from fullex import graphs as G
+from fullex import matching as M
 
 
 @functools.cache
@@ -106,6 +109,41 @@ def brute_perfect_matchings(adj) -> set[tuple]:
     return out
 
 
+def backtracking_perfect_matchings(g):
+    """All perfect matchings in lexicographic order, by backtracking over
+    Python sets on the smallest uncovered vertex."""
+    adj = M.adjacency_of(g)
+    if len(adj) > M.COUNT_LIMIT:
+        raise M.TooLarge(f"{len(adj)} vertices exceed the enumeration bound")
+    if len(adj) % 2 != 0:
+        return
+    verts = sorted(adj)
+
+    def recurse(free: set[int], chosen: list[G.Edge]):
+        if not free:
+            yield tuple(chosen)
+            return
+        v = min(free)
+        partners = sorted(w for w in adj[v] if w in free)
+        if not partners:
+            return
+        # dead-end pruning: every free vertex must retain a free neighbor
+        for u in free:
+            if u != v and not any(w in free and w != v for w in adj[u]):
+                if v not in adj[u]:
+                    return
+        for w in partners:
+            free.discard(v)
+            free.discard(w)
+            chosen.append(G.norm_edge(v, w))
+            yield from recurse(free, chosen)
+            chosen.pop()
+            free.add(v)
+            free.add(w)
+
+    yield from recurse(set(verts), [])
+
+
 def backtracking_isomorphic(g1: G.PlaneCubicGraph, g2: G.PlaneCubicGraph) -> bool:
     """Abstract-graph isomorphism, ignoring the embeddings entirely."""
     if g1.n != g2.n:
@@ -136,6 +174,31 @@ def backtracking_isomorphic(g1: G.PlaneCubicGraph, g2: G.PlaneCubicGraph) -> boo
         return False
 
     return rec(0)
+
+
+def relabelled_mirror(g: G.PlaneCubicGraph, rng: random.Random) -> G.PlaneCubicGraph:
+    """The mirror image of g under a random relabelling."""
+    perm = rng.sample(range(g.n), g.n)
+    rot = [()] * g.n
+    for v in range(g.n):
+        rot[perm[v]] = tuple(perm[w] for w in reversed(g.rot[v]))
+    return G.from_rotation(g.n, rot)
+
+
+def two_blocks_joined_by_two_edges() -> G.PlaneCubicGraph:
+    """Two K4s with one edge removed from each, joined by two edges: the
+    join is a 2-edge cut, a 2-cycle of the dual."""
+    return G.from_faces([(0, 2, 3), (2, 1, 3), (4, 7, 6), (7, 5, 6),
+                         (0, 3, 1, 5, 7, 4), (0, 2, 1, 5, 6, 4)])
+
+
+def two_blocks_joined_by_a_bridge() -> G.PlaneCubicGraph:
+    """Two K4s with one edge subdivided each, the subdividing vertices
+    joined by a bridge: both of its darts lie on one face, a loop of the
+    dual."""
+    return G.from_faces([(0, 4, 1, 2), (0, 2, 3), (1, 3, 2),
+                         (5, 9, 6, 7), (5, 7, 8), (6, 8, 7),
+                         (0, 4, 9, 6, 8, 5, 9, 4, 1, 3)])
 
 
 def exhaustive_edge_cuts(g: G.PlaneCubicGraph, k: int) -> list[G.EdgeCut]:

@@ -1,10 +1,12 @@
+import itertools
+
 import pytest
 
 from fullex import antikekule as AK
 from fullex import families as F
 from fullex import matching as M
 
-from conftest import catalogue
+from conftest import catalogue, two_blocks_joined_by_a_bridge, two_blocks_joined_by_two_edges
 
 
 def test_is_anti_kekule_set_basics(cube):
@@ -33,7 +35,6 @@ def test_witness_leaves_connected_graph(cube):
 def test_witness_is_lexicographically_first(cube):
     result = AK.anti_kekule_number(cube)
     adj = M.adjacency_of(cube)
-    import itertools
     for combo in itertools.combinations(cube.edge_list, 4):
         if frozenset(combo) == result.witness_set:
             break
@@ -66,12 +67,22 @@ def test_size_cap(cube):
         AK.min_anti_kekule_sets(cube, 5)
 
 
-def test_masks_agree_with_definition():
-    g, _ = F.build_tube(1)
-    adj = M.adjacency_of(g)
-    import itertools
-    direct = []
-    for combo in itertools.combinations(g.edge_list, 3):
-        if AK.is_anti_kekule_set(adj, combo):
-            direct.append(frozenset(combo))
-    assert direct == AK.min_anti_kekule_sets(g, 3)
+def test_masks_agree_with_definition(cube):
+    """Sizes 1-3 against the definition on the cube, every catalogue graph
+    with n <= 12, the one-layer tube and two graphs that are not
+    3-edge-connected, where a set hitting every perfect matching can
+    disconnect the graph."""
+    graphs = [cube, *(g for n in (8, 10, 12) for g in catalogue(n).graphs),
+              F.build_tube(1)[0], two_blocks_joined_by_two_edges(), two_blocks_joined_by_a_bridge()]
+    disconnecting = 0
+    for g in graphs:
+        adj = M.adjacency_of(g)
+        for size in (1, 2, 3):
+            direct = []
+            for combo in itertools.combinations(g.edge_list, size):
+                if AK.is_anti_kekule_set(adj, combo):
+                    direct.append(frozenset(combo))
+                elif not M.has_perfect_matching(M.without_edges(adj, combo)):
+                    disconnecting += 1
+            assert direct == AK.min_anti_kekule_sets(g, size)
+    assert disconnecting > 0

@@ -6,7 +6,8 @@ from fullex import graphs as G
 from fullex.families import build_tube
 
 from conftest import (backtracking_isomorphic, bfs_girth, catalogue, exhaustive_connectivity,
-                      exhaustive_cyclic_cut_leq3, exhaustive_edge_cuts)
+                      exhaustive_cyclic_cut_leq3, exhaustive_edge_cuts, relabelled_mirror,
+                      two_blocks_joined_by_a_bridge, two_blocks_joined_by_two_edges)
 
 
 def test_cube_construction(cube):
@@ -142,8 +143,8 @@ def test_connectivity(cube, dodecahedron, k4):
     assert G.connectivity(cube) == 3
     assert G.connectivity(dodecahedron) == 3
     assert G.connectivity(k4) == 3
-    assert G.connectivity(_two_blocks_joined_by_two_edges()) == 2
-    assert G.connectivity(_two_blocks_joined_by_a_bridge()) == 1
+    assert G.connectivity(two_blocks_joined_by_two_edges()) == 2
+    assert G.connectivity(two_blocks_joined_by_a_bridge()) == 1
 
 
 def test_girth(cube, dodecahedron, k4):
@@ -172,29 +173,6 @@ def test_edge_cuts_cube(cube):
         assert len(small) == 1
 
 
-def _relabelled_mirror(g, rng):
-    perm = rng.sample(range(g.n), g.n)
-    rot = [()] * g.n
-    for v in range(g.n):
-        rot[perm[v]] = tuple(perm[w] for w in reversed(g.rot[v]))
-    return G.from_rotation(g.n, rot)
-
-
-def _two_blocks_joined_by_two_edges():
-    # two K4s with one edge removed from each, joined by two edges: the
-    # join is a 2-edge cut, a 2-cycle of the dual
-    return G.from_faces([(0, 2, 3), (2, 1, 3), (4, 7, 6), (7, 5, 6),
-                         (0, 3, 1, 5, 7, 4), (0, 2, 1, 5, 6, 4)])
-
-
-def _two_blocks_joined_by_a_bridge():
-    # two K4s with one edge subdivided each, the subdividing vertices joined
-    # by a bridge: both of its darts lie on one face, a loop of the dual
-    return G.from_faces([(0, 4, 1, 2), (0, 2, 3), (1, 3, 2),
-                         (5, 9, 6, 7), (5, 7, 8), (6, 8, 7),
-                         (0, 4, 9, 6, 8, 5, 9, 4, 1, 3)])
-
-
 def _cut_test_graphs():
     """Every catalogue graph with n <= 16, tubes of 1-3 layers, two plane
     cubic graphs that are not 3-connected, K4, and a seeded relabelled
@@ -202,9 +180,9 @@ def _cut_test_graphs():
     rng = random.Random(5)
     graphs = [g for n in range(8, 17, 2) for g in catalogue(n).graphs]
     graphs += [build_tube(layers)[0] for layers in (1, 2, 3)]
-    graphs += [_two_blocks_joined_by_two_edges(), _two_blocks_joined_by_a_bridge(),
+    graphs += [two_blocks_joined_by_two_edges(), two_blocks_joined_by_a_bridge(),
                G.k4_graph()]
-    graphs += [_relabelled_mirror(g, rng) for g in graphs]
+    graphs += [relabelled_mirror(g, rng) for g in graphs]
     return graphs
 
 
@@ -221,18 +199,18 @@ def test_connectivity_girth_and_cyclic_cut_are_the_exhaustive_scans():
 
 
 def test_edge_cuts_of_size_four_are_the_exhaustive_scan(cube, dodecahedron):
-    for g in (cube, dodecahedron, build_tube(1)[0], _two_blocks_joined_by_two_edges(),
-              _two_blocks_joined_by_a_bridge()):
+    for g in (cube, dodecahedron, build_tube(1)[0], two_blocks_joined_by_two_edges(),
+              two_blocks_joined_by_a_bridge()):
         assert G.edge_cuts_up_to(g, 4) == exhaustive_edge_cuts(g, 4)
 
 
 def test_bridge_and_two_edge_cuts_are_found():
-    g = _two_blocks_joined_by_a_bridge()
+    g = two_blocks_joined_by_a_bridge()
     bridge = G.edge_cuts_up_to(g, 1)
     assert [sorted(c.edges) for c in bridge] == [[(4, 9)]]
     assert bridge[0].sides == (frozenset(range(5)), frozenset(range(5, 10)))
     assert G.edge_cuts_up_to(g, 0) == []
-    pair = G.edge_cuts_up_to(_two_blocks_joined_by_two_edges(), 2)
+    pair = G.edge_cuts_up_to(two_blocks_joined_by_two_edges(), 2)
     assert [sorted(c.edges) for c in pair] == [[(0, 4), (1, 5)]]
 
 

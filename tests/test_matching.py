@@ -2,10 +2,13 @@ import random
 
 import pytest
 
+from fullex import graphs as G
 from fullex import matching as M
+from fullex.families import build_tube
 
-from conftest import (brute_max_matching_size, brute_perfect_matchings,
-                      random_simple_graph)
+from conftest import (backtracking_perfect_matchings, brute_max_matching_size,
+                      brute_perfect_matchings, catalogue, random_simple_graph,
+                      relabelled_mirror)
 
 
 def path(n):
@@ -85,6 +88,51 @@ def test_enumeration_is_lexicographic(cube):
     pms = list(M.perfect_matchings(cube))
     assert pms == sorted(pms)
     assert len(pms) == len(set(pms))
+
+
+def _spread(g):
+    """The adjacency of g on the non-contiguous labels 3v + 5."""
+    return {3 * v + 5: frozenset(3 * w + 5 for w in ns) for v, ns in M.adjacency_of(g).items()}
+
+
+def _disjoint_union(a, b):
+    shift = max(a) + 1 - min(b)
+    return {**a, **{v + shift: frozenset(w + shift for w in ns) for v, ns in b.items()}}
+
+
+def _oracle_graphs():
+    """Every catalogue graph with n <= 20 and the tubes of 1-5 layers; a
+    seeded relabelled mirror copy of each on labels 3v + 5; induced
+    subgraphs of odd order, of even order and with several components."""
+    rng = random.Random(8)
+    plane = [g for n in range(8, 21, 2) for g in catalogue(n).graphs]
+    tubes = [build_tube(layers) for layers in range(1, 6)]
+    plane += [g for g, _ in tubes]
+    graphs = [M.adjacency_of(g) for g in plane]
+    graphs += [_spread(relabelled_mirror(g, rng)) for g in plane]
+    cube, tube2 = M.adjacency_of(G.cube_graph()), M.adjacency_of(tubes[1][0])
+    rings, (cap_a, cap_b) = tubes[1][1].concentric_cycles, tubes[1][1].cap_centers
+    union = _disjoint_union(cube, _spread(G.dodecahedron_graph()))  # labels 0..7, then 8, 11, ..
+    graphs += [
+        M.induced(cube, [0]),
+        M.induced(cube, [0, 1]),
+        M.induced(tube2, [cap_a, *rings[1]]),
+        M.induced(tube2, rings[1]),
+        M.induced(tube2, [cap_a, cap_b, *rings[1]]),
+        union,
+        M.induced(union, [0, max(union)]),
+        M.induced(union, [0, 1, 8, max(union)]),
+    ]
+    return graphs
+
+
+def test_enumeration_is_the_backtracking_oracle_in_order():
+    total = 0
+    for adj in _oracle_graphs():
+        pms = list(M.perfect_matchings(adj))
+        assert pms == list(backtracking_perfect_matchings(adj))
+        total += len(pms)
+    assert total > 10_000
 
 
 def test_enumeration_bound():

@@ -5,14 +5,17 @@ keeps no example store, so the suite stays deterministic (``conftest``
 keeps Hypothesis's source-constants cache out of the working tree).
 """
 
+import itertools
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fullex import graphs as G
+from fullex import matching as M
 from fullex import planar_code as PC
 from fullex.families import build_tube
 
-from conftest import catalogue
+from conftest import brute_max_matching_size, brute_perfect_matchings, catalogue
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=300, deadline=None)
 
@@ -85,3 +88,25 @@ def test_canonical_code_is_invariant_under_relabelling_and_mirroring(case):
         r = tuple(perm[w] for w in nbrs)
         rot[perm[v]] = r[::-1] if mirror else r
     assert G.canonical_code(G.from_rotation(g.n, rot)) == G.canonical_code(g)
+
+
+@st.composite
+def labelled_graphs(draw):
+    """A simple graph on up to 8 distinct arbitrary int labels, each pair
+    joined or not by a drawn flag, as an adjacency mapping."""
+    labels = draw(st.lists(st.integers(-10**6, 10**6), max_size=8, unique=True))
+    pairs = list(itertools.combinations(labels, 2))
+    joined = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    adj = {v: set() for v in labels}
+    for (u, v), edge in zip(pairs, joined):
+        if edge:
+            adj[u].add(v)
+            adj[v].add(u)
+    return adj
+
+
+@PROPERTY
+@given(labelled_graphs())
+def test_matchings_agree_with_brute_force(adj):
+    assert len(M.maximum_matching(adj)) == brute_max_matching_size(adj)
+    assert list(M.perfect_matchings(adj)) == sorted(brute_perfect_matchings(adj))
