@@ -12,8 +12,7 @@ answer enters the search.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from . import matching as mt
 from .graphs import Edge, PlaneCubicGraph, components, norm_edge
@@ -34,8 +33,7 @@ class SearchExhausted(AntiKekuleError):
     (4,5,6)-fullerene that would falsify the structure theory under test."""
 
 
-@dataclass(frozen=True)
-class AntiKekuleResult:
+class AntiKekuleResult(NamedTuple):
     number: int
     witness_set: frozenset[Edge]
 

@@ -13,7 +13,6 @@ import argparse
 import json
 import os
 import sys
-import traceback
 from typing import Optional
 
 from . import __version__
@@ -281,6 +280,7 @@ def main(argv=None) -> int:
             ak_mod.AntiKekuleError, families.BadLayerCount, OSError) as exc:
         return _fail(str(exc))
     except Exception:
+        import traceback
         traceback.print_exc()
         return EXIT_INTERNAL
 

@@ -17,8 +17,7 @@ against an independent rotation-system search.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .graphs import (PlaneCubicGraph, _bfs_code, _trace_faces, canonical_code,
                      canonical_form, faces, from_rotation, is_fullerene)
@@ -49,8 +48,7 @@ def configured_bound() -> int:
             f"FULLEX_NMAX must be an integer, got {value!r}") from None
 
 
-@dataclass(frozen=True)
-class Catalogue:
+class Catalogue(NamedTuple):
     n: int
     graphs: tuple[PlaneCubicGraph, ...]
     counts: dict[tuple[int, int, int], int]

@@ -11,8 +11,7 @@ integers.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from . import matching as mt
 from .graphs import Edge, PlaneCubicGraph
@@ -36,8 +35,7 @@ class NoPerfectMatching(ExtendabilityError):
     pass
 
 
-@dataclass(frozen=True)
-class ExtendabilityReport:
+class ExtendabilityReport(NamedTuple):
     k: int
     extendable: bool
     witness: Optional[tuple[Edge, ...]]

@@ -9,8 +9,7 @@ of three hexagons.  Vertex count: 6n + 8.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import antikekule as ak_mod
 from . import enumerator
@@ -27,8 +26,7 @@ class BadLayerCount(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class TubeDescriptor:
+class TubeDescriptor(NamedTuple):
     n_layers: int
     cap_centers: tuple[int, int]
     concentric_cycles: tuple[tuple[int, ...], ...]
@@ -44,8 +42,7 @@ class TubeDescriptor:
         return (self.cap_stars[0], *self.traversed_edges, self.cap_stars[1])
 
 
-@dataclass(frozen=True)
-class SporadicCandidate:
+class SporadicCandidate(NamedTuple):
     graph: PlaneCubicGraph
     n: int
     witness_pair: tuple[Edge, Edge]
@@ -132,8 +129,7 @@ def recognize_tube(g: PlaneCubicGraph) -> Optional[TubeDescriptor]:
                           (stars[0], stars[1]))
 
 
-@dataclass(frozen=True)
-class TubePerfectMatchingReport:
+class TubePerfectMatchingReport(NamedTuple):
     """Exhaustive comparison of a tube's perfect matchings with its layers.
 
     The matching layers are the two cap-center stars plus the traversed-edge

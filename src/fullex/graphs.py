@@ -12,8 +12,7 @@ n - m + f = 2.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
-from typing import Collection, Iterable, Mapping, Sequence
+from typing import Collection, Iterable, Mapping, NamedTuple, Sequence
 
 Edge = tuple[int, int]
 
@@ -51,8 +50,7 @@ def norm_edge(u: int, v: int) -> Edge:
     return (u, v) if u < v else (v, u)
 
 
-@dataclass(frozen=True)
-class Face:
+class Face(NamedTuple):
     """Facial walk as the cyclic vertex sequence of its boundary."""
 
     boundary: tuple[int, ...]
@@ -72,8 +70,7 @@ class Face:
         return cycle_key(self.boundary)
 
 
-@dataclass(frozen=True)
-class FaceInventory:
+class FaceInventory(NamedTuple):
     faces: tuple[Face, ...]
     p4: int
     p5: int
@@ -84,8 +81,7 @@ class FaceInventory:
         return len(self.faces)
 
 
-@dataclass(frozen=True)
-class EdgeCut:
+class EdgeCut(NamedTuple):
     """Minimal edge cut with the two vertex sides it separates."""
 
     edges: frozenset[Edge]

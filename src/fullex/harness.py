@@ -13,11 +13,8 @@ from __future__ import annotations
 
 import json
 import os
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from contextlib import ExitStack
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from . import __version__
 from . import antikekule as ak_mod
@@ -147,14 +144,16 @@ def _analyze_packed(packed: bytes) -> dict:
     return analyze_graph(g)
 
 
-@dataclass
 class ClaimResult:
-    anchor: str
-    claim: str
-    population: int = 0
-    passes: int = 0
-    failures: int = 0
-    counterexamples: list = field(default_factory=list)
+    """Tally of one claim: how many cases it held for, and the failures."""
+
+    def __init__(self, anchor: str, claim: str):
+        self.anchor = anchor
+        self.claim = claim
+        self.population = 0
+        self.passes = 0
+        self.failures = 0
+        self.counterexamples: list = []
 
     def record(self, ok: bool, counterexample: Optional[dict] = None) -> None:
         self.population += 1
@@ -242,8 +241,7 @@ def _counterexample(g: PlaneCubicGraph, digest: dict) -> dict:
     }
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     nmax: int
     claims: tuple[ClaimResult, ...]
 
@@ -326,17 +324,25 @@ class DigestCache:
                 os.remove(tmp)
 
 
+def _process_pool(workers: int):
+    """A process pool of `workers` processes.  concurrent.futures, and with
+    it multiprocessing, is imported here and in catalogue_digests' parallel
+    branch only, so a run that starts no pool never loads it."""
+    from concurrent.futures import ProcessPoolExecutor
+    return ProcessPoolExecutor(max_workers=workers)
+
+
 class _LazyPool:
     """A process pool of `workers` processes shared by the catalogue_digests
     calls of one run and started by the first call that needs it."""
 
     def __init__(self, workers: int):
         self.workers = workers
-        self._executor: Optional[ProcessPoolExecutor] = None
+        self._executor = None
 
     def map(self, fn, items):
         if self._executor is None:
-            self._executor = ProcessPoolExecutor(max_workers=self.workers)
+            self._executor = _process_pool(self.workers)
         return self._executor.map(fn, items)
 
     def __enter__(self) -> "_LazyPool":
@@ -364,11 +370,12 @@ def catalogue_digests(catalogue: Catalogue, jobs: int = 1,
     workers = min(jobs, os.cpu_count() or 1, len(todo))
     results = None
     if workers > 1:
+        from concurrent.futures.process import BrokenProcessPool
         packed = [planar_code.encode_graph(g) for g in todo]
         try:
             with ExitStack() as stack:
                 runner = pool if pool is not None else stack.enter_context(
-                    ProcessPoolExecutor(max_workers=workers))
+                    _process_pool(workers))
                 results = list(runner.map(_analyze_packed, packed))
         except (OSError, BrokenProcessPool):
             pass  # analysed serially below
@@ -451,12 +458,17 @@ def _sporadic_suite(nmax: int, catalogues: dict[int, Catalogue],
 
 def verify_all(nmax: int, jobs: int = 1,
                cache_dir: Optional[str] = None) -> VerificationReport:
-    """Run every registered claim over the catalogues up to nmax."""
+    """Run every registered claim over the catalogues up to nmax.
+
+    Raises enumerator.BoundExceeded when nmax is below 8, where no catalogue
+    exists and every claim would hold vacuously.
+    """
     if nmax % 2 != 0:
         nmax -= 1
     cache = DigestCache(cache_dir) if cache_dir else None
     sizes = list(range(8, nmax + 1, 2))
-    catalogues = enumerate_catalogues(sizes)
+    # an empty range is refused as its one out-of-range size
+    catalogues = enumerate_catalogues(sizes or [nmax])
     # one pool for every size: starting one per size costs more than the
     # analysis of the small ones
     with _LazyPool(min(jobs, os.cpu_count() or 1)) as pool:

@@ -10,8 +10,7 @@ is kept to the test suite as the independent oracle.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .graphs import Edge, PlaneCubicGraph, components, norm_edge
 
@@ -292,8 +291,7 @@ def is_factor_critical(g: PlaneCubicGraph | Adjacency) -> bool:
 # Deficiency certificates
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DeficiencyCertificate:
+class DeficiencyCertificate(NamedTuple):
     """Vertex set S with the components of G - S, all factor-critical.
 
     The graph has a perfect matching iff ``len(S) == len(components)``;

@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 from fullex import planar_code as PC
 from fullex.graphs import cube_graph
@@ -206,6 +208,29 @@ def test_non_integer_nmax_env_is_a_usage_error(monkeypatch):
     assert r.returncode == 2
     assert r.stdout == b""
     assert b"FULLEX_NMAX" in r.stderr and b"Traceback" not in r.stderr
+
+
+def test_vacuous_bound_is_a_usage_error(monkeypatch):
+    for args in (["verify-all", "--nmax", "6"], ["verify-all"]):
+        monkeypatch.setenv("FULLEX_NMAX", "6")
+        r = run_cli(args)
+        assert r.returncode == 2
+        assert r.stdout == b""
+        assert b"outside the enumeration range 8" in r.stderr
+
+
+def test_version_loads_no_pool_or_dataclasses():
+    # -S keeps site hooks out, so sys.modules holds only what fullex loads;
+    # the --jobs 2 tests show that the pool still starts when it is needed
+    script = ("import sys\n"
+              "from fullex import cli\n"
+              "assert cli.main(['--version']) == 0\n"
+              "print(sorted(m for m in ('concurrent.futures', 'multiprocessing',"
+              " 'dataclasses') if m in sys.modules))\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    r = subprocess.run([sys.executable, "-S", "-c", script], env=env,
+                       capture_output=True, check=True)
+    assert r.stdout.splitlines()[-1] == b"[]"
 
 
 def test_internal_error_exits_three(monkeypatch, capsys):

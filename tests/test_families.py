@@ -1,5 +1,3 @@
-import dataclasses
-
 import pytest
 
 from fullex import families as F
@@ -127,8 +125,8 @@ def test_pm_structure_flags_a_wrong_gap_layer(monkeypatch, first_gap, has_pair):
             "short": traversed[:2],
             "extra": traversed + [G.norm_edge(cyc[0], cyc[1])],
         }[first_gap]
-        return g, dataclasses.replace(
-            desc, traversed_edges=(frozenset(layer), *desc.traversed_edges[1:]))
+        return g, desc._replace(
+            traversed_edges=(frozenset(layer), *desc.traversed_edges[1:]))
 
     monkeypatch.setattr(F, "build_tube", wrong_first_gap)
     rep = F.verify_tube_pm_structure(2)

@@ -8,6 +8,7 @@ from fullex import graphs as G
 from fullex import harness
 from fullex import matching as M
 from fullex import planar_code as PC
+from fullex.enumerator import BoundExceeded
 from fullex.graphs import canonical_code
 
 from conftest import catalogue, exhaustive_cyclic_cut_leq3
@@ -61,6 +62,13 @@ def test_verify_all_smallest_population():
     assert rendered.endswith("\n")
     parsed = json.loads(rendered)
     assert parsed["ok"] is True and parsed["nmax"] == 8
+
+
+@pytest.mark.parametrize("nmax", [6, 7, 0])
+def test_verify_all_refuses_a_bound_below_eight(nmax):
+    # no catalogue exists below n = 8, so every claim would hold vacuously
+    with pytest.raises(BoundExceeded, match="outside the enumeration range 8"):
+        harness.verify_all(nmax)
 
 
 def test_verify_all_report_fields():
@@ -220,7 +228,7 @@ def test_derived_cyclic_cut_flag_matches_exhaustive_scan():
 
 
 class _RecordingPool:
-    """Stand-in for ProcessPoolExecutor that runs the map in process."""
+    """Stand-in for harness._process_pool that runs the map in process."""
 
     created: list[int] = []
     broken = False
@@ -244,7 +252,7 @@ class _RecordingPool:
 
 
 def test_jobs_clamped_to_cpus_and_uncached_graphs(monkeypatch):
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(harness, "_process_pool", _RecordingPool)
     monkeypatch.setattr(_RecordingPool, "created", [])
     monkeypatch.setattr(harness.os, "cpu_count", lambda: 4)
     cat12 = catalogue(12)
@@ -258,7 +266,7 @@ def test_jobs_clamped_to_cpus_and_uncached_graphs(monkeypatch):
 
 
 def test_broken_pool_falls_back_to_serial(monkeypatch):
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(harness, "_process_pool", _RecordingPool)
     monkeypatch.setattr(_RecordingPool, "broken", True)
     monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
     cat = catalogue(12)
@@ -267,7 +275,7 @@ def test_broken_pool_falls_back_to_serial(monkeypatch):
 
 
 def test_verify_all_starts_one_pool(monkeypatch, tmp_path):
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(harness, "_process_pool", _RecordingPool)
     monkeypatch.setattr(_RecordingPool, "created", [])
     monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
     serial = harness.verify_all(16).render()
