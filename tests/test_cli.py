@@ -211,8 +211,8 @@ def test_non_integer_nmax_env_is_a_usage_error(monkeypatch):
 
 
 def test_vacuous_bound_is_a_usage_error(monkeypatch):
+    monkeypatch.setenv("FULLEX_NMAX", "6")
     for args in (["verify-all", "--nmax", "6"], ["verify-all"]):
-        monkeypatch.setenv("FULLEX_NMAX", "6")
         r = run_cli(args)
         assert r.returncode == 2
         assert r.stdout == b""
