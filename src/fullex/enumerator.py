@@ -1,14 +1,13 @@
 """Isomorph-free generation of all (4,5,6)-fullerenes up to a vertex bound.
 
 ``enumerate_catalogues`` (and ``enumerate_fullerenes`` for one size) works
-on the dual side: one walk grows simple sphere triangulations from K4 by
-vertex splitting, up to v_max = nmax/2 + 2 vertices, and at each level
+on the dual side: one depth-first walk grows simple sphere triangulations
+from K4 by vertex splitting, up to v_max = nmax/2 + 2 vertices, and
 dualizes the classes with all degrees in {4, 5, 6}.  A child on v' vertices
 is made only when its defect (the summed distance of its degrees from
-[4, 6]) is at most 4 (v_max - v'), which every ancestor of a leaf meets
-(`_walk`), so the leaves of every size up to nmax come out of the one walk.
-Isomorph rejection keys each child by a BFS code started only from its
-darts of least local signature (`_tri_key`).
+[4, 6]) is at most 4 (v_max - v') (`_walk`), and kept only when its new
+edge is canonical (McKay's canonical augmentation, `_canonical_key`), so
+the leaves of every size up to nmax come out of the one walk, each once.
 
 Nothing is cached between calls.  The test suite certifies the catalogues
 against an independent rotation-system search.
@@ -22,7 +21,7 @@ from typing import Iterable, Iterator, NamedTuple
 from .graphs import (PlaneCubicGraph, _bfs_code, _trace_faces, canonical_code,
                      canonical_form, faces, from_rotation, is_fullerene)
 
-DEFAULT_BOUND = 20
+DEFAULT_BOUND = 24
 
 
 class EnumerationError(ValueError):
@@ -113,61 +112,127 @@ def _split_vertex(n: int, rot: Rotation, w: int, a: int, b: int) -> Rotation:
     return tuple(new_rot)
 
 
-def _tri_key(n: int, rot: Rotation) -> bytes:
-    """Dedup key of a triangulation: the least BFS code from its least roots.
+def _canonical_key(n: int, rot: Rotation, x: int, y: int) -> bytes | None:
+    """The key of `rot` if its edge xy is canonical, else None.
 
-    The signature of a dart (u, v) is (deg u, deg v, min, max) of the
-    degrees of the two apexes x, y, the third vertices of the triangles on
-    either side of uv.  The roots are the darts of least signature, and the
-    key is the least `_bfs_code` over the roots in both orientations.
+    An edge uv is contractible when u and v have exactly two common
+    neighbours, the apexes of its triangles; contracting it gives a simple
+    triangulation, and every one but K4 has such an edge.  The candidates
+    are the contractible edges of least `invariant`: (degree sum, least
+    degree, the apex degrees sorted).  A root is a dart s -> t read in one
+    orientation; `roots` keeps those of least signature (deg s, the apex
+    degrees before and after t at s).  The key is the least `_bfs_code`
+    from the roots on candidates; xy is canonical when a root on it emits it.
 
-    Proof that the key is canonical.  Let phi map T1 onto T2, preserving
-    the orientation or reversing it.  phi preserves degrees and maps the
-    two triangles on uv onto the two on phi(u)phi(v), so it maps the
-    apexes {x, y} onto the apexes of the image dart; a reversal only swaps
-    the two sides, which min and max ignore.  So every dart keeps its
-    signature, and phi maps the root set of T1 onto that of T2.  The BFS
-    from a root in one orientation of T1 and the BFS from its image in the
-    matching orientation of T2 label corresponding vertices alike and emit
-    the same code.  Both keys are thus the least of the same set of codes.
-    Conversely a BFS code lists the whole rotation system in its own
-    labelling, so equal keys mean isomorphic embeddings up to mirroring,
-    exactly as equal `rotation_code`s do.
+    Proof.  An isomorphism phi, orientation-reversing or not, preserves
+    degrees and common neighbours and maps the triangles on uv onto those
+    on phi(u)phi(v), so it maps candidates onto candidates (a reversal
+    swaps the apexes, which the sort ignores) and roots onto roots read in
+    the matching orientation.  A root and its image emit the same code, so
+    the keys are the least of the same codes; a code lists the whole
+    rotation system, so equal keys mean isomorphic embeddings up to
+    mirroring, as equal `rotation_code`s do.  Two roots emitting one code
+    are related by the map matching equal labels, an automorphism or a
+    reflection: the roots emitting the key form one orbit, and so do the
+    canonical edges.
     """
-    deg = [len(r) for r in rot]
-    k = min(deg)  # a root starts at a vertex of least degree
-    least = None
-    roots: list[tuple[int, int]] = []
-    for u in (x for x in range(n) if deg[x] == k):
+    deg = [len(q) for q in rot]
+
+    def invariant(u: int, i: int) -> tuple[int, int, int, int]:
         r = rot[u]
-        for i in range(k):
-            x, y = deg[r[i - 1]], deg[r[(i + 1) % k]]
-            sig = (deg[u], deg[r[i]], x, y) if x < y else (deg[u], deg[r[i]], y, x)
-            if least is None or sig < least:
-                least = sig
-                roots = [(u, r[i])]
-            elif sig == least:
-                roots.append((u, r[i]))
-    best: list[int] | None = None
-    for rr in (rot, tuple(r[::-1] for r in rot)):
-        for u, v in roots:
-            cand = _bfs_code(n, rr, u, v, best)
-            if cand is not None:
-                best = cand
-    assert best is not None
+        du, dv, a, b = deg[u], deg[r[i]], deg[r[i - 1]], deg[r[(i + 1) % deg[u]]]
+        return (du + dv, min(du, dv), min(a, b), max(a, b))
+
+    def roots(u: int, v: int) -> list[tuple[int, int, int]]:
+        """(mirrored, tail, head) of least signature on the candidate uv."""
+        return [(m, s, t) for s, t in ((u, v), (v, u)) if deg[s] == least[1]
+                for m, j in ((0, -1), (1, 1))
+                if deg[rot[s][(rot[s].index(t) + j) % deg[s]]] == least[2]]
+
+    if len(set(rot[x]).intersection(rot[y])) != 2:
+        return None
+    least = invariant(x, rot[x].index(y))
+    rivals = []  # the other candidates
+    for u in range(n):
+        for i, v in enumerate(rot[u]):
+            if v < u or deg[u] + deg[v] > least[0] or {u, v} == {x, y}:
+                continue
+            sig = invariant(u, i)
+            if sig <= least and len(set(rot[u]).intersection(rot[v])) == 2:
+                if sig < least:
+                    return None
+                rivals.append((u, v))
+    orientations = (rot, tuple(r[::-1] for r in rot))
+    best = None
+    for m, s, t in roots(x, y):
+        cand = _bfs_code(n, orientations[m], s, t, best)
+        if cand is not None:
+            best = cand
+    for u, v in rivals:
+        for m, s, t in roots(u, v):
+            cand = _bfs_code(n, orientations[m], s, t, best)
+            if cand is not None and cand != best:
+                return None  # a rival root emits a smaller code
     return bytes(best)
+
+
+def _children(n: int, rot: Rotation, slack: int) -> Iterator[Rotation]:
+    """The vertex splits of `rot` with defect at most `slack` and a
+    canonical new edge, one per class (a set of keys drops the splits that
+    an automorphism of `rot` makes equivalent).
+
+    With the defect delta(T) = sum of dist(deg v, [4, 6]), delta(child) is
+    read off the parent: splitting w (degree d) at rotation positions
+    a < b gives w degree b - a + 2 and the new vertex d - b + a + 2, r[a]
+    and r[b] gain one each, and no other degree changes.
+
+    The new edge has degree sum d + 4.  An edge yz with y, z != w and z not
+    adjacent to w keeps the rotation at z and its common neighbours with y,
+    so it stays contractible exactly when it was, and its degree sum grows
+    by one only when y is r[a] or r[b].  If such an edge would have sum
+    below d + 4 in the child, the split is refused before it is made.
+    """
+    dist = [max(4 - d, 0, d - 6) for d in range(n + 2)]
+    deg = [len(r) for r in rot]
+    delta = sum(dist[d] for d in deg)
+    nbrs = [set(r) for r in rot]
+    sums = sorted((deg[y] + deg[z], y, z) for y in range(n) for z in rot[y]
+                  if y < z and len(nbrs[y] & nbrs[z]) == 2)
+    seen: set[bytes] = set()
+    for w in range(n):
+        r, d, near = rot[w], deg[w], nbrs[w]
+        must: set[int] | None = set()  # what r[a], r[b] must include
+        for s, y, z in sums:
+            if s >= d + 4:
+                break
+            if w in (y, z) or (y in near and z in near):
+                continue
+            if s < d + 3 or (y not in near and z not in near):
+                must = None
+                break
+            must.add(y if y in near else z)
+        if must is None or len(must) > 2:
+            continue
+        base = delta - dist[d]
+        # the change in delta as a rotation neighbour gains one
+        gain = [dist[deg[x] + 1] - dist[deg[x]] for x in r]
+        for a in range(d):
+            for b in range(a + 1, d):
+                if (base + gain[a] + gain[b] + dist[b - a + 2]
+                        + dist[d - b + a + 2] > slack
+                        or not must.issubset((r[a], r[b]))):
+                    continue
+                child = _split_vertex(n, rot, w, a, b)
+                key = _canonical_key(n + 1, child, w, n)
+                if key is not None and key not in seen:
+                    seen.add(key)
+                    yield child
 
 
 def _walk(v_max: int) -> Iterator[tuple[int, list[Rotation]]]:
     """Yield (v, the classes on v vertices with all degrees in {4, 5, 6})
-    for v = 4..v_max, each level grown from the last by vertex splitting.
-
-    With the defect delta(T) = sum of dist(deg v, [4, 6]), a child on v'
-    vertices is made and keyed only when delta(child) <= 4 (v_max - v'),
-    which is delta = 0 at v_max.  delta(child) is read off the parent:
-    splitting w (degree d) at rotation positions a < b gives w degree
-    b - a + 2 and the new vertex d - b + a + 2, r[a] and r[b] gain one
-    each, and no other degree changes.
+    for v = 4..v_max, grown depth-first from K4 by `_children`, which
+    makes a child on v' vertices only when delta(child) <= 4 (v_max - v').
 
     Lemma: contracting an edge wu raises delta by at most 4, and two
     vertices of degree 6 whose apexes have degree 4 reach 4.  With
@@ -177,38 +242,26 @@ def _walk(v_max: int) -> Iterator[tuple[int, list[Rotation]]]:
     at most f(d_w) + f(d_u).  The two apexes lose one degree each, which
     raises f by at most 1 each, and no other degree changes.
 
-    Completeness: every simple triangulation on five or more vertices
-    contracts to a simple one on one vertex fewer.  By the lemma the
-    contraction path of a target on v <= v_max vertices meets
+    Each class T on v <= v_max vertices comes once.  Its canonical edges
+    form one orbit, so T is accepted only from one parent class, T with a
+    canonical edge contracted, where the key set keeps one split to it.
+    That split is made: by the lemma the contraction path of T meets
     delta <= 4 (v - v') <= 4 (v_max - v') on v' vertices, so by induction
-    the walk makes every class on it: the bound of the largest target
-    serves every smaller one.
+    each parent on it is in the walk and its split to the next passes the
+    defect filter; the bound of the largest target serves every smaller one.
     """
-    dist = [max(4 - d, 0, d - 6) for d in range(v_max + 1)]
-    level = [_K4_ROT]
-    for n in range(4, v_max + 1):
-        yield n, [rot for rot in level if all(4 <= len(r) <= 6 for r in rot)]
-        if n == v_max:
-            return
-        slack = 4 * (v_max - n - 1)
-        children: dict[bytes, Rotation] = {}
-        for rot in level:
-            deg = [len(r) for r in rot]
-            delta = sum(dist[d] for d in deg)
-            for w in range(n):
-                r = rot[w]
-                d = deg[w]
-                base = delta - dist[d]
-                # the change in delta as a rotation neighbour gains one
-                gain = [dist[deg[x] + 1] - dist[deg[x]] for x in r]
-                for a in range(d):
-                    for b in range(a + 1, d):
-                        if (base + gain[a] + gain[b] + dist[b - a + 2]
-                                + dist[d - b + a + 2] > slack):
-                            continue
-                        child = _split_vertex(n, rot, w, a, b)
-                        children.setdefault(_tri_key(n + 1, child), child)
-        level = list(children.values())
+    levels: list[list[Rotation]] = [[] for _ in range(v_max + 1)]
+
+    def grow(n: int, rot: Rotation) -> None:
+        if all(4 <= len(r) <= 6 for r in rot):
+            levels[n].append(rot)
+        if n < v_max:
+            for child in _children(n, rot, 4 * (v_max - n - 1)):
+                grow(n + 1, child)
+
+    grow(4, _K4_ROT)
+    for v in range(4, v_max + 1):
+        yield v, levels[v]
 
 
 def _dualize(n: int, rot: Rotation) -> PlaneCubicGraph:

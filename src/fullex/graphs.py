@@ -109,7 +109,8 @@ def cycle_key(cycle: Sequence[int]) -> tuple[int, ...]:
 class PlaneCubicGraph:
     """Immutable cubic plane graph; canonical code and short cycles kept on first use."""
 
-    __slots__ = ("n", "rot", "adj", "edge_list", "_faces", "_canonical", "_cycles")
+    __slots__ = ("n", "rot", "adj", "edge_list", "_faces", "_canonical", "_chiral",
+                 "_cycles")
 
     def __init__(self, n: int, rot: tuple[tuple[int, int, int], ...],
                  faces: tuple[Face, ...]):
@@ -120,6 +121,7 @@ class PlaneCubicGraph:
             {norm_edge(v, w) for v in range(n) for w in rot[v]}))
         self._faces = faces
         self._canonical: bytes | None = None
+        self._chiral: bool | None = None
         self._cycles: dict[int, frozenset[tuple[int, ...]]] = {}
 
     @property
@@ -289,29 +291,38 @@ def is_fullerene(g: PlaneCubicGraph) -> bool:
 # Canonical codes
 # ---------------------------------------------------------------------------
 
-def rotation_code(n: int, rot: Sequence[Sequence[int]],
-                  include_mirror: bool = True) -> bytes:
-    """Canonical byte code of an embedded graph given by a rotation system.
+def rotation_code(n: int, rot: Sequence[Sequence[int]]) -> bytes:
+    """Canonical byte code of an embedded graph (`_code_sweep`)."""
+    return _code_sweep(n, rot)[0]
+
+
+def _code_sweep(n: int, rot: Sequence[Sequence[int]]) -> tuple[bytes, bool]:
+    """(canonical code, whether the embedding is chiral) from one sweep.
 
     A breadth-first relabeling is generated from every rooted directed edge
-    in both orientations (mirror included by default) and the
-    lexicographically smallest neighbor listing wins.  Codes of two
-    rotation systems agree iff the embeddings are isomorphic up to
-    orientation; for 3-connected planar graphs that coincides with abstract
-    graph isomorphism.
+    in both orientations and the lexicographically smallest neighbor
+    listing wins.  Codes agree iff the embeddings are isomorphic up to
+    orientation, which for 3-connected planar graphs is graph isomorphism.
+    The plain orientation goes first, with least code P; a mirrored root
+    yields a code only when it is at most the current best, so the mirrored
+    least code equals P (an orientation-reversing automorphism exists) iff
+    some mirrored root ties P and none beats it.
     """
-    rots = [tuple(tuple(r) for r in rot)]
-    if include_mirror:
-        rots.append(tuple(tuple(reversed(r)) for r in rot))
+    plain = tuple(tuple(r) for r in rot)
     best: list[int] | None = None
-    for rr in rots:
+    tie = beaten = False
+    for mirrored, rr in enumerate((plain, tuple(r[::-1] for r in plain))):
         for u in range(n):
             for v in rr[u]:
                 cand = _bfs_code(n, rr, u, v, best)
-                if cand is not None:
-                    best = cand
+                if cand is None:
+                    continue
+                if mirrored and cand == best:
+                    tie = True
+                else:
+                    beaten, best = bool(mirrored), cand
     assert best is not None
-    return bytes(best)
+    return bytes(best), beaten or not tie
 
 
 def _bfs_code(n: int, rot: Sequence[tuple[int, ...]], root: int, first: int,
@@ -362,7 +373,7 @@ def _bfs_code(n: int, rot: Sequence[tuple[int, ...]], root: int, first: int,
 def canonical_code(g: PlaneCubicGraph) -> bytes:
     """Canonical code identifying mirror images (cached per graph)."""
     if g._canonical is None:
-        g._canonical = rotation_code(g.n, g.rot, include_mirror=True)
+        g._canonical, g._chiral = _code_sweep(g.n, g.rot)
     return g._canonical
 
 
@@ -387,6 +398,7 @@ def canonical_form(g: PlaneCubicGraph) -> PlaneCubicGraph:
     code = canonical_code(g)
     h = from_code(code)
     h._canonical = code
+    h._chiral = g._chiral
     return h
 
 
@@ -444,11 +456,10 @@ def _try_align(rot1, rot2, r1: int, f1: int, r2: int, f2: int) -> dict[int, int]
 
 
 def is_chiral(g: PlaneCubicGraph) -> bool:
-    """True if the embedding admits no orientation-reversing automorphism."""
-    plain = rotation_code(g.n, g.rot, include_mirror=False)
-    mirror = rotation_code(
-        g.n, tuple(tuple(reversed(r)) for r in g.rot), include_mirror=False)
-    return plain != mirror
+    """True if the embedding admits no orientation-reversing automorphism;
+    read off the sweep that `canonical_code` makes (and caches)."""
+    canonical_code(g)
+    return g._chiral
 
 
 # ---------------------------------------------------------------------------

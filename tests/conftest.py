@@ -10,9 +10,11 @@ kernel, kept as the oracle for that kernel's output order.  The naive
 enumerator searches rotation systems directly, pruned only by the face
 sizes; it shares with the enumerator no more than the final sort into
 canonical labelling.  The triangulation levels are every vertex split of
-the level below, deduplicated by `_tri_key` (which
+the level below, deduplicated by `tri_key` (which
 `test_tri_key_separates_exactly_as_rotation_code` checks against
-`rotation_code`) with no pruning.
+`rotation_code`) with no pruning, and so share with the enumerator's
+canonical augmentation only the split itself.  `is_chiral` compares the
+least codes of the two orientations, each from its own sweep.
 """
 
 from __future__ import annotations
@@ -49,8 +51,53 @@ def triangulations(v: int) -> tuple[EN.Rotation, ...]:
         return (EN._K4_ROT,)
     level: dict[bytes, EN.Rotation] = {}
     for child in split_children(v):
-        level.setdefault(EN._tri_key(v, child), child)
+        level.setdefault(tri_key(v, child), child)
     return tuple(level.values())
+
+
+def tri_key(n: int, rot: EN.Rotation) -> bytes:
+    """Dedup key of a triangulation: the least BFS code from its least roots.
+
+    The signature of a dart (u, v) is (deg u, deg v, min, max) of the
+    degrees of the two apexes x, y, the third vertices of the triangles on
+    either side of uv.  The roots are the darts of least signature, and the
+    key is the least `_bfs_code` over the roots in both orientations.
+
+    Proof that the key is canonical.  Let phi map T1 onto T2, preserving
+    the orientation or reversing it.  phi preserves degrees and maps the
+    two triangles on uv onto the two on phi(u)phi(v), so it maps the
+    apexes {x, y} onto the apexes of the image dart; a reversal only swaps
+    the two sides, which min and max ignore.  So every dart keeps its
+    signature, and phi maps the root set of T1 onto that of T2.  The BFS
+    from a root in one orientation of T1 and the BFS from its image in the
+    matching orientation of T2 label corresponding vertices alike and emit
+    the same code.  Both keys are thus the least of the same set of codes.
+    Conversely a BFS code lists the whole rotation system in its own
+    labelling, so equal keys mean isomorphic embeddings up to mirroring,
+    exactly as equal `rotation_code`s do.
+    """
+    deg = [len(r) for r in rot]
+    k = min(deg)  # a root starts at a vertex of least degree
+    least = None
+    roots: list[tuple[int, int]] = []
+    for u in (x for x in range(n) if deg[x] == k):
+        r = rot[u]
+        for i in range(k):
+            x, y = deg[r[i - 1]], deg[r[(i + 1) % k]]
+            sig = (deg[u], deg[r[i]], x, y) if x < y else (deg[u], deg[r[i]], y, x)
+            if least is None or sig < least:
+                least = sig
+                roots = [(u, r[i])]
+            elif sig == least:
+                roots.append((u, r[i]))
+    best: list[int] | None = None
+    for rr in (rot, tuple(r[::-1] for r in rot)):
+        for u, v in roots:
+            cand = G._bfs_code(n, rr, u, v, best)
+            if cand is not None:
+                best = cand
+    assert best is not None
+    return bytes(best)
 
 
 def split_children(v: int):
@@ -183,6 +230,24 @@ def relabelled_mirror(g: G.PlaneCubicGraph, rng: random.Random) -> G.PlaneCubicG
     for v in range(g.n):
         rot[perm[v]] = tuple(perm[w] for w in reversed(g.rot[v]))
     return G.from_rotation(g.n, rot)
+
+
+def relabelled(g: G.PlaneCubicGraph, rng: random.Random) -> G.PlaneCubicGraph:
+    """g under a random relabelling, orientation kept."""
+    perm = rng.sample(range(g.n), g.n)
+    rot = [()] * g.n
+    for v in range(g.n):
+        rot[perm[v]] = tuple(perm[w] for w in g.rot[v])
+    return G.from_rotation(g.n, rot)
+
+
+def is_chiral(g: G.PlaneCubicGraph) -> bool:
+    """Chirality by definition: the least BFS codes of the plain and the
+    mirrored orientation, each swept on its own, differ."""
+    def least(rot):
+        return min(G._bfs_code(g.n, rot, u, v, None)
+                   for u in range(g.n) for v in rot[u])
+    return least(g.rot) != least(tuple(r[::-1] for r in g.rot))
 
 
 def two_blocks_joined_by_two_edges() -> G.PlaneCubicGraph:

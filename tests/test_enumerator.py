@@ -6,7 +6,7 @@ from fullex import enumerator as EN
 from fullex import graphs as G
 from fullex.families import build_tube
 
-from conftest import catalogue, split_children, triangulations
+from conftest import catalogue, split_children, tri_key, triangulations
 
 
 # simple sphere triangulations per vertex count (simplicial polyhedra)
@@ -53,11 +53,55 @@ def test_tri_key_separates_exactly_as_rotation_code():
         for child in split_children(v):
             for rot in (child, _relabel(child, rng, False),
                         _relabel(child, rng, True)):
-                key = EN._tri_key(v, rot)
+                key = tri_key(v, rot)
                 code = G.rotation_code(v, rot)
                 assert key_of_code.setdefault(code, key) == key
                 assert code_of_key.setdefault(key, code) == code
         assert len(key_of_code) == TRIANGULATION_COUNTS[v]
+
+
+def _edges(rot):
+    return [(u, w) for u, r in enumerate(rot) for w in r if u < w]
+
+
+def test_canonical_key_separates_exactly_as_rotation_code():
+    """Every triangulation has a canonical edge, all its canonical edges
+    give one key, and the key separates exactly as `rotation_code` does,
+    mirror images and relabellings included."""
+    rng = random.Random(7)
+    for v in range(5, 10):
+        key_of_code, code_of_key = {}, {}
+        for child in split_children(v):
+            for rot in (child, _relabel(child, rng, False),
+                        _relabel(child, rng, True)):
+                keys = {EN._canonical_key(v, rot, x, y) for x, y in _edges(rot)}
+                keys.discard(None)
+                assert len(keys) == 1
+                key = keys.pop()
+                code = G.rotation_code(v, rot)
+                assert key_of_code.setdefault(code, key) == key
+                assert code_of_key.setdefault(key, code) == code
+        assert len(key_of_code) == TRIANGULATION_COUNTS[v]
+
+
+def test_each_class_is_accepted_once_from_one_parent():
+    """The per-parent key set is the only dedup: level by level, for walks
+    to v_max <= 11, `_children` yields every class on v vertices with
+    defect <= 4 (v_max - v) exactly once, and from one parent."""
+    for v_max in range(5, 12):
+        level = [EN._K4_ROT]
+        for n in range(4, v_max):
+            slack = 4 * (v_max - n - 1)
+            parents: dict[bytes, list[int]] = {}
+            children = []
+            for i, rot in enumerate(level):
+                for child in EN._children(n, rot, slack):
+                    parents.setdefault(G.rotation_code(n + 1, child), []).append(i)
+                    children.append(child)
+            assert all(len(p) == 1 for p in parents.values())
+            want = [rot for rot in triangulations(n + 1) if _defect(rot) <= slack]
+            assert set(parents) == _codes(n + 1, want)
+            level = children
 
 
 def test_contraction_raises_defect_by_at_most_four():

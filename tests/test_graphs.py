@@ -6,8 +6,10 @@ from fullex import graphs as G
 from fullex.families import build_tube
 
 from conftest import (backtracking_isomorphic, bfs_girth, catalogue, exhaustive_connectivity,
-                      exhaustive_cyclic_cut_leq3, exhaustive_edge_cuts, relabelled_mirror,
-                      two_blocks_joined_by_a_bridge, two_blocks_joined_by_two_edges)
+                      exhaustive_cyclic_cut_leq3, exhaustive_edge_cuts, relabelled,
+                      relabelled_mirror, two_blocks_joined_by_a_bridge,
+                      two_blocks_joined_by_two_edges)
+from conftest import is_chiral as oracle_is_chiral
 
 
 def test_cube_construction(cube):
@@ -106,6 +108,20 @@ def test_mirror_images_identified():
     mirror = G.from_rotation(g.n, tuple(tuple(reversed(r)) for r in g.rot))
     assert G.is_isomorphic(g, mirror)
     assert not G.is_chiral(G.cube_graph())
+
+
+def test_chirality_from_the_canonical_sweep_is_the_two_sweep_definition():
+    rng = random.Random(13)
+    pool = [g for n in range(8, 21, 2) for g in catalogue(n).graphs]
+    pool += [build_tube(layers)[0] for layers in range(1, 6)]
+    chiral = 0
+    for g in pool:
+        want = oracle_is_chiral(g)
+        chiral += want
+        for h in (g, relabelled(g, rng), relabelled_mirror(g, rng)):
+            assert G.is_chiral(h) == want
+            assert G.is_chiral(G.canonical_form(h)) == want
+    assert 0 < chiral < len(pool)
 
 
 def test_canonical_form_is_shared_by_relabelled_mirrors():
