@@ -232,13 +232,14 @@ def relabelled_mirror(g: G.PlaneCubicGraph, rng: random.Random) -> G.PlaneCubicG
     return G.from_rotation(g.n, rot)
 
 
-def relabelled(g: G.PlaneCubicGraph, rng: random.Random) -> G.PlaneCubicGraph:
-    """g under a random relabelling, orientation kept."""
-    perm = rng.sample(range(g.n), g.n)
-    rot = [()] * g.n
-    for v in range(g.n):
-        rot[perm[v]] = tuple(perm[w] for w in g.rot[v])
-    return G.from_rotation(g.n, rot)
+def relabel_rotation(rot, rng: random.Random, mirror: bool):
+    """A rotation system under a random relabelling, mirrored if asked."""
+    perm = rng.sample(range(len(rot)), len(rot))
+    out = [None] * len(rot)
+    for v, nbrs in enumerate(rot):
+        r = tuple(perm[w] for w in nbrs)
+        out[perm[v]] = r[::-1] if mirror else r
+    return tuple(out)
 
 
 def is_chiral(g: G.PlaneCubicGraph) -> bool:

@@ -6,7 +6,8 @@ from fullex import enumerator as EN
 from fullex import graphs as G
 from fullex.families import build_tube
 
-from conftest import catalogue, split_children, tri_key, triangulations
+from conftest import (catalogue, relabel_rotation, split_children, tri_key,
+                      triangulations)
 
 
 # simple sphere triangulations per vertex count (simplicial polyhedra)
@@ -37,51 +38,37 @@ def test_triangulation_counts():
             assert all(len(set(r)) == len(r) for r in rot)  # simple
 
 
-def _relabel(rot, rng, mirror):
-    perm = rng.sample(range(len(rot)), len(rot))
-    out = [None] * len(rot)
-    for v, nbrs in enumerate(rot):
-        r = tuple(perm[w] for w in nbrs)
-        out[perm[v]] = r[::-1] if mirror else r
-    return tuple(out)
+def _separates_as_rotation_code(key_of, seed):
+    """key_of(v, rot) separates the split children on v <= 9 vertices, and
+    a relabelled and a mirrored copy of each, exactly as `rotation_code`."""
+    rng = random.Random(seed)
+    for v in range(5, 10):
+        key_of_code, code_of_key = {}, {}
+        for child in split_children(v):
+            for rot in (child, relabel_rotation(child, rng, False),
+                        relabel_rotation(child, rng, True)):
+                key = key_of(v, rot)
+                code = G.rotation_code(v, rot)
+                assert key_of_code.setdefault(code, key) == key
+                assert code_of_key.setdefault(key, code) == code
+        assert len(key_of_code) == TRIANGULATION_COUNTS[v]
 
 
 def test_tri_key_separates_exactly_as_rotation_code():
-    rng = random.Random(5)
-    for v in range(5, 10):
-        key_of_code, code_of_key = {}, {}
-        for child in split_children(v):
-            for rot in (child, _relabel(child, rng, False),
-                        _relabel(child, rng, True)):
-                key = tri_key(v, rot)
-                code = G.rotation_code(v, rot)
-                assert key_of_code.setdefault(code, key) == key
-                assert code_of_key.setdefault(key, code) == code
-        assert len(key_of_code) == TRIANGULATION_COUNTS[v]
+    _separates_as_rotation_code(tri_key, 5)
 
 
-def _edges(rot):
-    return [(u, w) for u, r in enumerate(rot) for w in r if u < w]
+def _augmentation_key(v, rot):
+    """The one key that the canonical edges of rot give; there are some."""
+    keys = {EN._canonical_key(v, rot, x, y)
+            for x, r in enumerate(rot) for y in r if x < y}
+    keys.discard(None)
+    assert len(keys) == 1
+    return keys.pop()
 
 
 def test_canonical_key_separates_exactly_as_rotation_code():
-    """Every triangulation has a canonical edge, all its canonical edges
-    give one key, and the key separates exactly as `rotation_code` does,
-    mirror images and relabellings included."""
-    rng = random.Random(7)
-    for v in range(5, 10):
-        key_of_code, code_of_key = {}, {}
-        for child in split_children(v):
-            for rot in (child, _relabel(child, rng, False),
-                        _relabel(child, rng, True)):
-                keys = {EN._canonical_key(v, rot, x, y) for x, y in _edges(rot)}
-                keys.discard(None)
-                assert len(keys) == 1
-                key = keys.pop()
-                code = G.rotation_code(v, rot)
-                assert key_of_code.setdefault(code, key) == key
-                assert code_of_key.setdefault(key, code) == code
-        assert len(key_of_code) == TRIANGULATION_COUNTS[v]
+    _separates_as_rotation_code(_augmentation_key, 7)
 
 
 def test_each_class_is_accepted_once_from_one_parent():
