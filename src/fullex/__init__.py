@@ -14,7 +14,6 @@ from .extendability import (extendability_number, is_k_extendable,
                             nonextendable_pairs)
 from .antikekule import (anti_kekule_number, is_anti_kekule_set,
                          min_anti_kekule_sets)
-from .families import (build_tube, recognize_tube, sporadic_candidates,
-                       verify_tube_pm_structure)
+from .families import build_tube, recognize_tube, verify_tube_pm_structure
 from .enumerator import Catalogue, enumerate_fullerenes
-from .harness import analyze_graph, verify_all
+from .harness import analyze_graph, sporadic_candidates, verify_all

@@ -59,23 +59,29 @@ def _write_output(graphs, path: Optional[str]) -> None:
         planar_code.write_file(path, graphs)
 
 
-def cmd_validate(args) -> int:
-    graphs = _read_input(args.file)
+def _each_graph(graphs, command: str, record) -> int:
+    """Emit one `{index, n, **fields}` record per graph, where
+    `record(g) -> (fields, ok)`; exit 1 unless every graph is ok."""
     records = []
     all_ok = True
     for i, g in enumerate(graphs):
+        fields, ok = record(g)
+        records.append({"index": i, "n": g.n, **fields})
+        all_ok = all_ok and ok
+    _emit({"command": command, "graphs": records, "ok": all_ok})
+    return EXIT_OK if all_ok else EXIT_COUNTEREXAMPLE
+
+
+def cmd_validate(args) -> int:
+    def record(g):
         try:
             inv = validate_fullerene(g)
-            records.append({"index": i, "n": g.n, "ok": True,
-                            "p4": inv.p4, "p5": inv.p5, "p6": inv.p6,
-                            "chiral": is_chiral(g),
-                            "canonical": canonical_code(g).hex()})
+            return {"ok": True, "p4": inv.p4, "p5": inv.p5, "p6": inv.p6,
+                    "chiral": is_chiral(g),
+                    "canonical": canonical_code(g).hex()}, True
         except GraphError as exc:
-            all_ok = False
-            records.append({"index": i, "n": g.n, "ok": False,
-                            "reason": str(exc)})
-    _emit({"command": "validate", "graphs": records, "ok": all_ok})
-    return EXIT_OK if all_ok else EXIT_COUNTEREXAMPLE
+            return {"ok": False, "reason": str(exc)}, False
+    return _each_graph(_read_input(args.file), "validate", record)
 
 
 def cmd_gen_tube(args) -> int:
@@ -119,17 +125,12 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_extend_check(args) -> int:
-    graphs = _read_input(args.file)
-    records = []
-    all_extendable = True
-    for i, g in enumerate(graphs):
+    def record(g):
         validate_fullerene(g)
         report = ext_mod.is_k_extendable(g, args.k)
-        rec = {"index": i, "n": g.n, "k": args.k,
-               "extendable": report.extendable,
+        rec = {"k": args.k, "extendable": report.extendable,
                "canonical": canonical_code(g).hex()}
         if not report.extendable:
-            all_extendable = False
             rec["witness"] = [list(e) for e in report.witness]
             cert = report.certificate
             rec["certificate"] = {
@@ -138,22 +139,18 @@ def cmd_extend_check(args) -> int:
                 "all_factor_critical": all(cert.factor_critical_flags),
                 "matchable": cert.matchable,
             }
-        records.append(rec)
-    _emit({"command": "extend-check", "graphs": records, "ok": all_extendable})
-    return EXIT_OK if all_extendable else EXIT_COUNTEREXAMPLE
+        return rec, report.extendable
+    return _each_graph(_read_input(args.file), "extend-check", record)
 
 
 def cmd_antikekule(args) -> int:
-    graphs = _read_input(args.file)
-    records = []
-    for i, g in enumerate(graphs):
+    def record(g):
         validate_fullerene(g)
         result = ak_mod.anti_kekule_number(g)
-        records.append({"index": i, "n": g.n, "number": result.number,
-                        "witness": [list(e) for e in sorted(result.witness_set)],
-                        "canonical": canonical_code(g).hex()})
-    _emit({"command": "antikekule", "graphs": records, "ok": True})
-    return EXIT_OK
+        return {"number": result.number,
+                "witness": [list(e) for e in sorted(result.witness_set)],
+                "canonical": canonical_code(g).hex()}, True
+    return _each_graph(_read_input(args.file), "antikekule", record)
 
 
 def _parse_edges(spec: str):
@@ -173,15 +170,12 @@ def cmd_certify(args) -> int:
     pair = _parse_edges(args.edges)
     if pair is None or len(pair) != 2:
         return _fail("--edges expects exactly two edges, e.g. 0-1,4-9")
-    records = []
-    all_extend = True
-    for i, g in enumerate(graphs):
+
+    def record(g):
         validate_fullerene(g)
         extends = mt.extends_to_perfect(g, pair)
-        rec = {"index": i, "n": g.n, "edges": [list(e) for e in pair],
-               "extends": extends}
+        rec = {"edges": [list(e) for e in pair], "extends": extends}
         if not extends:
-            all_extend = False
             covered = {v for e in pair for v in e}
             cert = mt.deficiency_certificate(mt.induced(g.adj_dict(), covered))
             rec["certificate"] = {
@@ -191,9 +185,8 @@ def cmd_certify(args) -> int:
                 "matchable": cert.matchable,
                 "deficiency": cert.deficiency,
             }
-        records.append(rec)
-    _emit({"command": "certify", "graphs": records, "ok": all_extend})
-    return EXIT_OK if all_extend else EXIT_COUNTEREXAMPLE
+        return rec, extends
+    return _each_graph(graphs, "certify", record)
 
 
 def cmd_canonical(args) -> int:

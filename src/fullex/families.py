@@ -1,4 +1,4 @@
-"""The tube family and the sporadic non-2-extendable fullerenes.
+"""The tube family of non-2-extendable fullerenes.
 
 A tube with n hexagon layers is built from two caps of three quadrilaterals
 sharing a center vertex, joined through n + 1 concentric 6-cycles; each gap
@@ -9,17 +9,12 @@ of three hexagons.  Vertex count: 6n + 8.
 from __future__ import annotations
 
 import itertools
+import math
 from typing import NamedTuple, Optional
 
-from . import antikekule as ak_mod
-from . import enumerator
-from . import extendability as ext_mod
 from . import matching as mt
-from .graphs import (Edge, PlaneCubicGraph, canonical_code, embedding_map,
-                     faces, from_faces, norm_edge, validate_fullerene)
-
-
-SPORADIC_SIZES = (12, 14, 18, 20)
+from .graphs import (Edge, PlaneCubicGraph, embedding_map, faces, from_faces,
+                     norm_edge, validate_fullerene)
 
 
 class BadLayerCount(ValueError):
@@ -42,26 +37,12 @@ class TubeDescriptor(NamedTuple):
         return (self.cap_stars[0], *self.traversed_edges, self.cap_stars[1])
 
 
-class SporadicCandidate(NamedTuple):
-    graph: PlaneCubicGraph
-    n: int
-    witness_pair: tuple[Edge, Edge]
-    ak: int
-
-
-def _tube_vertex(n_layers: int, cycle: int, pos: int) -> int:
-    pos %= 6
-    if cycle == 0:
-        return 1 + pos
-    return 7 + 6 * (cycle - 1) + pos
-
-
 def build_tube(n_layers: int) -> tuple[PlaneCubicGraph, TubeDescriptor]:
     """Tube with the given number of hexagon layers (>= 1)."""
     if n_layers < 1:
         raise BadLayerCount(f"need at least 1 layer, got {n_layers}")
     n = n_layers
-    v = lambda i, j: _tube_vertex(n, i, j)
+    v = lambda i, j: 1 + 6 * i + j % 6  # position j of concentric cycle i
     center_a = 0
     center_b = 6 * n + 7
 
@@ -152,10 +133,7 @@ class TubePerfectMatchingReport(NamedTuple):
 
     @property
     def layer_product(self) -> int:
-        out = 1
-        for s in self.layer_sizes:
-            out *= s
-        return out
+        return math.prod(self.layer_sizes)
 
     @property
     def count_matches_layer_product(self) -> bool:
@@ -220,30 +198,3 @@ def verify_tube_pm_structure(n_layers: int) -> TubePerfectMatchingReport:
              if extensions(pair)), None),
     )
 
-
-def sporadic_candidates(n: int, catalogue=None) -> list[SporadicCandidate]:
-    """All fullerenes on n vertices that look like the sporadic exceptions.
-
-    Filter: not a tube, anti-Kekule number 3, and non-2-extendable; the
-    witness pair of the extendability check is attached to each candidate.
-    One index of the perfect matchings serves both searches.
-    """
-    if n not in SPORADIC_SIZES:
-        raise ValueError(f"sporadic sizes are 12, 14, 18 and 20, not {n}")
-    if catalogue is None:
-        catalogue = enumerator.enumerate_fullerenes(n)
-    out = []
-    for g in catalogue.graphs:
-        if recognize_tube(g) is not None:
-            continue
-        adj = g.adj_dict()
-        ext_mod.check_preconditions(adj, 2)
-        index = mt.PmIndex(adj)
-        if ak_mod.search(index).number != 3:
-            continue
-        witness = next(ext_mod.nonextendable_matchings(index, 2), None)
-        if witness is None:
-            continue
-        out.append(SporadicCandidate(g, n, witness, 3))
-    out.sort(key=lambda c: canonical_code(c.graph))
-    return out

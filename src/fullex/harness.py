@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import os
-from contextlib import ExitStack
+from contextlib import nullcontext
 from typing import Callable, NamedTuple, Optional
 
 from . import __version__
@@ -22,8 +22,8 @@ from . import extendability as ext_mod
 from . import families
 from . import matching as mt
 from . import planar_code
-from .enumerator import Catalogue, enumerate_catalogues
-from .graphs import (PlaneCubicGraph, canonical_code, components,
+from .enumerator import Catalogue, enumerate_catalogues, enumerate_fullerenes
+from .graphs import (Edge, PlaneCubicGraph, canonical_code, components,
                      edge_cuts_up_to, girth, has_cycle, has_cyclic_bond,
                      short_cycles_facial, validate_fullerene)
 
@@ -264,12 +264,10 @@ class VerificationReport(NamedTuple):
 class DigestCache:
     """Sidecar-backed digest store keyed by canonical code hex."""
 
-    def __init__(self, directory: Optional[str]):
+    def __init__(self, directory: str):
         self.directory = directory
 
-    def _path(self, n: int) -> Optional[str]:
-        if self.directory is None:
-            return None
+    def _path(self, n: int) -> str:
         return os.path.join(self.directory, f"fullerenes_n{n}.json")
 
     def load(self, n: int) -> dict[str, dict]:
@@ -282,7 +280,7 @@ class DigestCache:
         name other vertices than the graph keyed by the same code: a miss.
         """
         path = self._path(n)
-        if path is None or not os.path.exists(path):
+        if not os.path.exists(path):
             return {}
         try:
             with open(path, "r", encoding="utf-8") as fh:
@@ -299,8 +297,6 @@ class DigestCache:
 
     def save(self, n: int, catalogue: Catalogue, digests: dict[str, dict]) -> None:
         path = self._path(n)
-        if path is None:
-            return
         os.makedirs(self.directory, exist_ok=True)
         payload = {
             "version": __version__,
@@ -373,9 +369,8 @@ def catalogue_digests(catalogue: Catalogue, jobs: int = 1,
         from concurrent.futures.process import BrokenProcessPool
         packed = [planar_code.encode_graph(g) for g in todo]
         try:
-            with ExitStack() as stack:
-                runner = pool if pool is not None else stack.enter_context(
-                    _process_pool(workers))
+            with (_LazyPool(workers) if pool is None
+                  else nullcontext(pool)) as runner:
                 results = list(runner.map(_analyze_packed, packed))
         except (OSError, BrokenProcessPool):
             pass  # analysed serially below
@@ -430,6 +425,39 @@ def _tube_suite(nmax: int) -> list[ClaimResult]:
     return [pm_claim, witness_claim, cut_claim, trip_claim]
 
 
+SPORADIC_SIZES = (12, 14, 18, 20)
+
+
+class SporadicCandidate(NamedTuple):
+    graph: PlaneCubicGraph
+    n: int
+    witness_pair: tuple[Edge, Edge]
+    ak: int
+
+
+def _is_sporadic(d: dict) -> bool:
+    """The sporadic filter: not a tube, anti-Kekule number 3, and not
+    2-extendable."""
+    return not d["is_tube"] and d["ak_number"] == 3 and not d["two_extendable"]
+
+
+def sporadic_candidates(n: int, catalogue=None) -> list[SporadicCandidate]:
+    """The fullerenes on n vertices that pass the sporadic filter, by
+    canonical code, each with its digest's witness: the lexicographically
+    first pair of edges in no perfect matching."""
+    if n not in SPORADIC_SIZES:
+        raise ValueError(f"sporadic sizes are 12, 14, 18 and 20, not {n}")
+    if catalogue is None:
+        catalogue = enumerate_fullerenes(n)
+    out = []
+    for g in sorted(catalogue.graphs, key=canonical_code):
+        d = analyze_graph(g)
+        if _is_sporadic(d):
+            pair = tuple(tuple(e) for e in d["certificate"]["witness"])
+            out.append(SporadicCandidate(g, n, pair, 3))
+    return out
+
+
 def _sporadic_suite(nmax: int, catalogues: dict[int, Catalogue],
                     digests: dict[int, dict[str, dict]]) -> list[ClaimResult]:
     present = ClaimResult(
@@ -440,12 +468,11 @@ def _sporadic_suite(nmax: int, catalogues: dict[int, Catalogue],
         "sporadic-witness-certificates",
         "every sporadic candidate's witness certificate has two more "
         "components than deleted vertices, all factor-critical")
-    for n in families.SPORADIC_SIZES:
+    for n in SPORADIC_SIZES:
         if n > nmax:
             continue
         pairs = [(g, digests[n][canonical_code(g).hex()]) for g in catalogues[n].graphs]
-        cands = [(g, d) for g, d in pairs if not d["is_tube"]
-                 and d["ak_number"] == 3 and not d["two_extendable"]]
+        cands = [(g, d) for g, d in pairs if _is_sporadic(d)]
         present.record(bool(cands), {"n": n, "candidates": len(cands)})
         for g, d in cands:
             cert = d["certificate"]

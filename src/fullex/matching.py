@@ -370,8 +370,7 @@ def deficiency_certificate(g: PlaneCubicGraph | Adjacency) -> DeficiencyCertific
     """
     adj = adjacency_of(g)
     s = frozenset(_structure_set(adj))
-    comps = tuple(frozenset(c) for c in sorted(
-        components(induced(adj, s)), key=min))
+    comps = tuple(frozenset(c) for c in components(induced(adj, s)))
     flags = tuple(is_factor_critical(subgraph(adj, c)) for c in comps)
     matchable = _matchable_to_components(adj, s, comps)
     return DeficiencyCertificate(s, comps, flags, matchable)

@@ -177,7 +177,7 @@ def test_criterion_09_sporadic_sizes():
     details = []
     for n in (12, 14, 18, 20):
         t1 = time.time()
-        cands = F.sporadic_candidates(n, catalogue(n))
+        cands = harness.sporadic_candidates(n, catalogue(n))
         if not cands:
             ok = False
         for cand in cands:

@@ -151,7 +151,7 @@ def test_pm_structure_bounds():
 
 
 def test_sporadic_candidates_twelve():
-    cands = F.sporadic_candidates(12)
+    cands = harness.sporadic_candidates(12)
     assert len(cands) == 1
     cand = cands[0]
     assert cand.ak == 3
@@ -160,7 +160,7 @@ def test_sporadic_candidates_twelve():
 
 
 def test_sporadic_candidates_fourteen_excludes_tube():
-    cands = F.sporadic_candidates(14)
+    cands = harness.sporadic_candidates(14)
     assert cands
     tube_code = G.canonical_code(F.build_tube(1)[0])
     assert all(G.canonical_code(c.graph) != tube_code for c in cands)
@@ -168,4 +168,4 @@ def test_sporadic_candidates_fourteen_excludes_tube():
 
 def test_sporadic_size_precondition():
     with pytest.raises(ValueError):
-        F.sporadic_candidates(8)
+        harness.sporadic_candidates(8)

@@ -3,6 +3,8 @@ from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
+from fullex import antikekule as A
+from fullex import extendability as E
 from fullex import families as F
 from fullex import graphs as G
 from fullex import harness
@@ -311,3 +313,18 @@ def test_failed_sidecar_save_keeps_the_previous_file(tmp_path, monkeypatch):
     monkeypatch.undo()
     assert cache.load(8) == digests
     assert sorted(p.name for p in tmp_path.iterdir()) == ["fullerenes_n8.json"]
+
+
+@pytest.mark.parametrize("n", [12, 14, 18])
+def test_sporadic_candidates_match_the_public_per_graph_functions(n):
+    cat = catalogue(n)
+    expected = []
+    for g in sorted(cat.graphs, key=canonical_code):
+        if F.recognize_tube(g) is None and A.anti_kekule_number(g).number == 3:
+            witness = E.is_k_extendable(g, 2).witness
+            if witness is not None:
+                expected.append((g, witness))
+    got = harness.sporadic_candidates(n, cat)
+    assert expected
+    assert [(c.graph, c.witness_pair) for c in got] == expected
+    assert all(c.n == n and c.ak == 3 for c in got)
