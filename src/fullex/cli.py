@@ -176,8 +176,7 @@ def cmd_certify(args) -> int:
         extends = mt.extends_to_perfect(g, pair)
         rec = {"edges": [list(e) for e in pair], "extends": extends}
         if not extends:
-            covered = {v for e in pair for v in e}
-            cert = mt.deficiency_certificate(mt.induced(g.adj_dict(), covered))
+            cert = mt.matching_certificate(g.adj_dict(), pair)
             rec["certificate"] = {
                 "s": sorted(cert.S),
                 "components": [sorted(c) for c in cert.components],

@@ -19,7 +19,7 @@ import os
 from typing import Iterable, Iterator, NamedTuple
 
 from .graphs import (PlaneCubicGraph, _bfs_code, _trace_faces, canonical_code,
-                     canonical_form, faces, from_rotation, is_fullerene)
+                     canonical_form, faces, from_rotation)
 
 DEFAULT_BOUND = 24
 
@@ -165,13 +165,13 @@ def _canonical_key(n: int, rot: Rotation, x: int, y: int) -> bytes | None:
     orientations = (rot, tuple(r[::-1] for r in rot))
     best = None
     for m, s, t in roots(x, y):
-        cand = _bfs_code(n, orientations[m], s, t, best)
-        if cand is not None:
-            best = cand
+        found = _bfs_code(n, orientations[m], s, t, best)
+        if found is not None:
+            best = found[0]
     for u, v in rivals:
         for m, s, t in roots(u, v):
-            cand = _bfs_code(n, orientations[m], s, t, best)
-            if cand is not None and cand != best:
+            found = _bfs_code(n, orientations[m], s, t, best)
+            if found is not None and found[0] != best:
                 return None  # a rival root emits a smaller code
     return bytes(best)
 
@@ -276,7 +276,8 @@ def _dualize(n: int, rot: Rotation) -> PlaneCubicGraph:
 
 def enumerate_catalogues(sizes: Iterable[int],
                          bound: int | None = None) -> dict[int, Catalogue]:
-    """The catalogue of every size in `sizes`, all from one walk."""
+    """The catalogue of every size in `sizes`, all from one walk.  Each dual
+    is a fullerene: 3-connected, its faces simple and sized as the leaf's degrees."""
     wanted = sorted(set(sizes))
     for n in wanted:
         if n % 2 != 0:
@@ -288,8 +289,7 @@ def enumerate_catalogues(sizes: Iterable[int],
     for v, leaves in _walk(wanted[-1] // 2 + 2) if wanted else ():
         n = 2 * v - 4  # a cubic dual has 2v - 4 vertices
         if n in wanted:
-            duals = (_dualize(v, rot) for rot in leaves)
-            out[n] = _catalogue_from(n, (g for g in duals if is_fullerene(g)))
+            out[n] = _catalogue_from(n, (_dualize(v, rot) for rot in leaves))
     return out
 
 

@@ -76,9 +76,7 @@ def _report(adj: dict[int, frozenset[int]], k: int,
     deficiency certificate of the graph minus its endpoints."""
     if witness is None:
         return ExtendabilityReport(k, True, None, None)
-    covered = {v for e in witness for v in e}
-    cert = mt.deficiency_certificate(mt.induced(adj, covered))
-    return ExtendabilityReport(k, False, witness, cert)
+    return ExtendabilityReport(k, False, witness, mt.matching_certificate(adj, witness))
 
 
 def is_k_extendable(g: PlaneCubicGraph | mt.Adjacency, k: int) -> ExtendabilityReport:
@@ -91,14 +89,14 @@ def is_k_extendable(g: PlaneCubicGraph | mt.Adjacency, k: int) -> ExtendabilityR
     return _report(adj, k, next(nonextendable_matchings(index, k), None))
 
 
-def extendability_number(g: PlaneCubicGraph | mt.Adjacency, cap: int = K_CAP) -> int:
-    """Largest k <= cap for which the graph is k-extendable (0 if none)."""
+def extendability_number(g: PlaneCubicGraph | mt.Adjacency) -> int:
+    """Largest k <= K_CAP for which the graph is k-extendable (0 if none)."""
     adj = mt.adjacency_of(g)
     if not mt.has_perfect_matching(adj):
         raise NoPerfectMatching("graph has no perfect matching")
     index = mt.PmIndex(adj, ENUMERATION_CAP)
     best = 0
-    for k in range(1, min(cap, K_CAP) + 1):
+    for k in range(1, K_CAP + 1):
         if len(adj) < 2 * k + 2:
             break
         check_preconditions(adj, k)

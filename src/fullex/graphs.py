@@ -244,9 +244,12 @@ def from_faces(face_cycles: Sequence[Sequence[int]]) -> PlaneCubicGraph:
                 raise GraphError(f"directed edge {(a, b)} traced twice")
             succ[(a, b)] = c
     n = max(v for f in faces for v in f) + 1
+    preds: dict[int, list[int]] = {}
+    for u, w in succ:
+        preds.setdefault(w, []).append(u)
     rot = []
     for v in range(n):
-        nbrs = sorted(u for (u, w) in succ if w == v)
+        nbrs = sorted(preds.get(v, ()))
         if not nbrs:
             raise GraphError(f"vertex {v} appears on no face")
         a = nbrs[0]
@@ -279,14 +282,6 @@ def validate_fullerene(g: PlaneCubicGraph) -> FaceInventory:
     return faces(g)
 
 
-def is_fullerene(g: PlaneCubicGraph) -> bool:
-    try:
-        validate_fullerene(g)
-    except BadFaceSize:
-        return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # Canonical codes
 # ---------------------------------------------------------------------------
@@ -314,20 +309,21 @@ def _code_sweep(n: int, rot: Sequence[Sequence[int]]) -> tuple[bytes, bool]:
     for mirrored, rr in enumerate((plain, tuple(r[::-1] for r in plain))):
         for u in range(n):
             for v in rr[u]:
-                cand = _bfs_code(n, rr, u, v, best)
-                if cand is None:
+                found = _bfs_code(n, rr, u, v, best)
+                if found is None:
                     continue
-                if mirrored and cand == best:
+                if mirrored and found[0] == best:
                     tie = True
                 else:
-                    beaten, best = bool(mirrored), cand
+                    beaten, best = bool(mirrored), found[0]
     assert best is not None
     return bytes(best), beaten or not tie
 
 
 def _bfs_code(n: int, rot: Sequence[tuple[int, ...]], root: int, first: int,
-              best: list[int] | None) -> list[int] | None:
-    """BFS code from one rooted directed edge; None once it exceeds `best`."""
+              best: list[int] | None) -> tuple[list[int], list[int]] | None:
+    """(BFS code from one rooted directed edge, the vertices in label
+    order); None once the code exceeds `best`."""
     label = [-1] * n
     entry = [-1] * n
     label[root], label[first] = 0, 1
@@ -367,7 +363,7 @@ def _bfs_code(n: int, rot: Sequence[tuple[int, ...]], root: int, first: int,
                     best = None
             code.append(lw)
             pos += 1
-    return code
+    return code, order
 
 
 def canonical_code(g: PlaneCubicGraph) -> bytes:
@@ -411,48 +407,23 @@ def is_isomorphic(g1: PlaneCubicGraph, g2: PlaneCubicGraph) -> bool:
 def embedding_map(g1: PlaneCubicGraph, g2: PlaneCubicGraph) -> dict[int, int] | None:
     """A vertex map carrying the embedding of g1 onto g2 (mirror allowed).
 
-    Deterministic: candidate rooted edges of g2 are tried in sorted order,
-    plain orientation before mirrored.
+    The darts of g2 are tried in sorted order, plain orientation before
+    mirrored; the first whose `_bfs_code` equals that of g1 from the dart
+    0 -> rot[0][0] gives the map, label for label.  Equal codes list the
+    same rotation at every label, and an isomorphism carries the root of
+    g1 onto a dart that emits the same code, so a map is found whenever
+    one exists.
     """
     if g1.n != g2.n:
         return None
-    root, first = 0, g1.rot[0][0]
-    for mirror in (False, True):
-        rot2 = g2.rot if not mirror else tuple(tuple(reversed(r)) for r in g2.rot)
+    code, order = _bfs_code(g1.n, g1.rot, 0, g1.rot[0][0], None)
+    for rot2 in (g2.rot, tuple(r[::-1] for r in g2.rot)):
         for a in range(g2.n):
             for b in rot2[a]:
-                mapping = _try_align(g1.rot, rot2, root, first, a, b)
-                if mapping is not None:
-                    return mapping
+                found = _bfs_code(g2.n, rot2, a, b, code)
+                if found is not None and found[0] == code:
+                    return dict(zip(order, found[1]))
     return None
-
-
-def _try_align(rot1, rot2, r1: int, f1: int, r2: int, f2: int) -> dict[int, int] | None:
-    mapping = {r1: r2, f1: f2}
-    entry1 = {r1: f1, f1: r1}
-    entry2 = {r2: f2, f2: r2}
-    order = [r1, f1]
-    idx = 0
-    while idx < len(order):
-        v = order[idx]
-        w = mapping[v]
-        idx += 1
-        s1 = rot1[v].index(entry1[v])
-        s2 = rot2[w].index(entry2[w])
-        for i in range(3):
-            a = rot1[v][(s1 + i) % 3]
-            b = rot2[w][(s2 + i) % 3]
-            if a in mapping:
-                if mapping[a] != b:
-                    return None
-            else:
-                if b in mapping.values():
-                    return None
-                mapping[a] = b
-                entry1[a] = v
-                entry2[b] = w
-                order.append(a)
-    return mapping
 
 
 def is_chiral(g: PlaneCubicGraph) -> bool:

@@ -41,7 +41,7 @@ def _certificate_digest(adj: dict[int, frozenset[int]], witness) -> dict:
     checks the degree-sum identity they must satisfy in a cubic graph.
     """
     e0_verts = sorted({v for e in witness for v in e})
-    cert = mt.deficiency_certificate(mt.induced(adj, e0_verts))
+    cert = mt.matching_certificate(adj, witness)
     s = cert.S
     comp_stats = []
     for comp in cert.components:
@@ -137,11 +137,6 @@ def analyze_graph(g: PlaneCubicGraph) -> dict:
     if witnesses[1] is not None:
         digest["certificate"] = _certificate_digest(adj, witnesses[1])
     return digest
-
-
-def _analyze_packed(packed: bytes) -> dict:
-    g = next(planar_code.read_graphs(planar_code.HEADER + packed))
-    return analyze_graph(g)
 
 
 class ClaimResult:
@@ -367,11 +362,10 @@ def catalogue_digests(catalogue: Catalogue, jobs: int = 1,
     results = None
     if workers > 1:
         from concurrent.futures.process import BrokenProcessPool
-        packed = [planar_code.encode_graph(g) for g in todo]
         try:
             with (_LazyPool(workers) if pool is None
                   else nullcontext(pool)) as runner:
-                results = list(runner.map(_analyze_packed, packed))
+                results = list(runner.map(analyze_graph, todo))
         except (OSError, BrokenProcessPool):
             pass  # analysed serially below
     if results is None:

@@ -185,6 +185,11 @@ def extends_to_perfect(g: PlaneCubicGraph | Adjacency, m: Iterable[Edge]) -> boo
     return has_perfect_matching(induced(adj, covered))
 
 
+def matching_certificate(adj: Adjacency, m: Iterable[Edge]) -> DeficiencyCertificate:
+    """The deficiency certificate of the graph minus the matching's ends."""
+    return deficiency_certificate(induced(adj, {v for e in m for v in e}))
+
+
 # ---------------------------------------------------------------------------
 # Perfect-matching enumeration
 # ---------------------------------------------------------------------------

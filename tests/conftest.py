@@ -15,6 +15,8 @@ the level below, deduplicated by `tri_key` (which
 `rotation_code`) with no pruning, and so share with the enumerator's
 canonical augmentation only the split itself.  `is_chiral` compares the
 least codes of the two orientations, each from its own sweep.
+`aligned_embedding_map` finds an embedding isomorphism by walking two
+rotation systems in step, without BFS codes.
 """
 
 from __future__ import annotations
@@ -95,7 +97,7 @@ def tri_key(n: int, rot: EN.Rotation) -> bytes:
         for u, v in roots:
             cand = G._bfs_code(n, rr, u, v, best)
             if cand is not None:
-                best = cand
+                best = cand[0]
     assert best is not None
     return bytes(best)
 
@@ -246,9 +248,55 @@ def is_chiral(g: G.PlaneCubicGraph) -> bool:
     """Chirality by definition: the least BFS codes of the plain and the
     mirrored orientation, each swept on its own, differ."""
     def least(rot):
-        return min(G._bfs_code(g.n, rot, u, v, None)
+        return min(G._bfs_code(g.n, rot, u, v, None)[0]
                    for u in range(g.n) for v in rot[u])
     return least(g.rot) != least(tuple(r[::-1] for r in g.rot))
+
+
+def aligned_embedding_map(g1: G.PlaneCubicGraph,
+                          g2: G.PlaneCubicGraph) -> dict[int, int] | None:
+    """A vertex map carrying the embedding of g1 onto g2 (mirror allowed),
+    by walking the two rotation systems in step from the dart 0 -> rot[0][0]
+    of g1 and each dart of g2 in sorted order, plain before mirrored; the
+    first walk that never contradicts its map gives it."""
+    if g1.n != g2.n:
+        return None
+    for mirror in (False, True):
+        rot2 = g2.rot if not mirror else tuple(tuple(reversed(r)) for r in g2.rot)
+        for a in range(g2.n):
+            for b in rot2[a]:
+                mapping = _try_align(g1.rot, rot2, 0, g1.rot[0][0], a, b)
+                if mapping is not None:
+                    return mapping
+    return None
+
+
+def _try_align(rot1, rot2, r1: int, f1: int, r2: int, f2: int) -> dict[int, int] | None:
+    mapping = {r1: r2, f1: f2}
+    entry1 = {r1: f1, f1: r1}
+    entry2 = {r2: f2, f2: r2}
+    order = [r1, f1]
+    idx = 0
+    while idx < len(order):
+        v = order[idx]
+        w = mapping[v]
+        idx += 1
+        s1 = rot1[v].index(entry1[v])
+        s2 = rot2[w].index(entry2[w])
+        for i in range(3):
+            a = rot1[v][(s1 + i) % 3]
+            b = rot2[w][(s2 + i) % 3]
+            if a in mapping:
+                if mapping[a] != b:
+                    return None
+            else:
+                if b in mapping.values():
+                    return None
+                mapping[a] = b
+                entry1[a] = v
+                entry2[b] = w
+                order.append(a)
+    return mapping
 
 
 def two_blocks_joined_by_two_edges() -> G.PlaneCubicGraph:

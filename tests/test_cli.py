@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 from fullex import planar_code as PC
@@ -39,6 +40,16 @@ def test_gen_tube_descriptor():
     assert desc["layers"] == 2
     assert desc["vertices"] == 20
     assert len(desc["traversed_edges"]) == 2
+
+
+def test_gen_tube_descriptor_of_a_long_tube_is_fast():
+    """Building a tube is linear in its faces: the 2000-layer tube, 12 008
+    vertices, is described within 5 s."""
+    t0 = time.perf_counter()
+    r = run_cli(["gen-tube", "2000", "--descriptor"])
+    assert r.returncode == 0
+    assert time.perf_counter() - t0 < 5
+    assert json.loads(r.stdout)["vertices"] == 12008
 
 
 def test_validate_cube():

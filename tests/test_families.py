@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from fullex import families as F
@@ -5,7 +7,7 @@ from fullex import graphs as G
 from fullex import harness
 from fullex import matching as M
 
-from conftest import catalogue
+from conftest import aligned_embedding_map, catalogue, relabel_rotation
 
 
 def test_build_tube_validates():
@@ -93,6 +95,23 @@ def test_recognize_relabeled_tube():
     assert desc.n_layers == 2
     assert sorted(desc.cap_centers) == sorted(
         perm[c] for c in F.build_tube(2)[1].cap_centers)
+
+
+def test_recognize_tube_same_under_aligned_walk(monkeypatch):
+    """The descriptors found through `embedding_map` are those found through
+    the step-by-step alignment oracle, on every catalogue graph with
+    n <= 20 and on the tubes of 1-6 layers relabelled, plain and mirrored."""
+    rng = random.Random(5)
+    graphs = [g for n in range(8, 21, 2) for g in catalogue(n).graphs]
+    for layers in range(1, 7):
+        g = F.build_tube(layers)[0]
+        graphs += [G.from_rotation(g.n, relabel_rotation(g.rot, rng, mirror))
+                   for mirror in (False, True)]
+    found = [F.recognize_tube(g) for g in graphs]
+    monkeypatch.setattr(F, "embedding_map", aligned_embedding_map)
+    assert [F.recognize_tube(g) for g in graphs] == found
+    # the catalogue's tubes at n = 14 and 20, and the twelve copies
+    assert sum(d is not None for d in found) == 14
 
 
 def test_pm_structure_small_tubes():

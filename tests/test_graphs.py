@@ -5,7 +5,8 @@ import pytest
 from fullex import graphs as G
 from fullex.families import build_tube
 
-from conftest import (backtracking_isomorphic, bfs_girth, catalogue, exhaustive_connectivity,
+from conftest import (aligned_embedding_map, backtracking_isomorphic, bfs_girth, catalogue,
+                      exhaustive_connectivity,
                       exhaustive_cyclic_cut_leq3, exhaustive_edge_cuts, relabel_rotation,
                       relabelled_mirror, two_blocks_joined_by_a_bridge,
                       two_blocks_joined_by_two_edges)
@@ -154,6 +155,28 @@ def test_embedding_map_transports_adjacency(cube):
     assert phi is not None
     for v in range(8):
         assert {phi[w] for w in cube.adj[v]} == h.adj[phi[v]]
+
+
+def test_embedding_map_is_the_aligned_walk_map():
+    """The map read off equal BFS codes is the one the step-by-step
+    alignment finds: every catalogue graph with n <= 20 and the tubes of
+    1-6 layers, each onto itself and onto a relabelled copy, plain and
+    mirrored."""
+    rng = random.Random(12)
+    graphs = [g for n in range(8, 21, 2) for g in catalogue(n).graphs]
+    graphs += [build_tube(layers)[0] for layers in range(1, 7)]
+    for g in graphs:
+        for h in [g] + [G.from_rotation(g.n, relabel_rotation(g.rot, rng, mirror))
+                        for mirror in (False, True)]:
+            phi = G.embedding_map(g, h)
+            assert phi is not None
+            assert phi == aligned_embedding_map(g, h)
+
+
+def test_embedding_map_of_non_isomorphic_pair_is_none():
+    g, h = catalogue(12).graphs
+    assert G.embedding_map(g, h) is None
+    assert aligned_embedding_map(g, h) is None
 
 
 def test_connectivity(cube, dodecahedron, k4):
