@@ -6,9 +6,9 @@ and from the analysis digests the number of tubes, of non-2-extendable
 graphs and of graphs with anti-Kekule number 3, and the total count of
 nontrivial edge cuts of size <= 3.  An enumerator or analysis rewrite must
 reproduce it exactly.  Tier-1 checks n <= 20; n = 22..30 run only with
-FULLEX_CENSUS_FULL=1 (one walk to n = 30, about two minutes), and so does
-the check of the n = 16 catalogue against the naive oracle (about a
-minute).  The classical slice of the pinned rows (no quadrilaterals) is
+FULLEX_CENSUS_FULL=1, and so does the check of the n = 16 catalogue
+against the naive oracle (about four and a half minutes in all on a 2-CPU
+host).  The classical slice of the pinned rows (no quadrilaterals) is
 checked against the published counts in tier-1.
 
 Regenerate (only ever from an enumerator and analysis already known to be
