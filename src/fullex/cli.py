@@ -168,13 +168,16 @@ def _parse_edges(spec: str):
 def cmd_certify(args) -> int:
     graphs = _read_input(args.file)
     pair = _parse_edges(args.edges)
-    if pair is None or len(pair) != 2:
-        return _fail("--edges expects exactly two edges, e.g. 0-1,4-9")
+    if pair is None or len(pair) != 2 or len({*pair[0], *pair[1]}) != 4:
+        return _fail("--edges expects two edges with four distinct ends, e.g. 0-1,4-9")
 
     def record(g):
         validate_fullerene(g)
-        extends = mt.extends_to_perfect(g, pair)
-        rec = {"edges": [list(e) for e in pair], "extends": extends}
+        rec = {"edges": [list(e) for e in pair]}
+        try:
+            rec["extends"] = extends = mt.extends_to_perfect(g, pair)
+        except mt.NotAMatching as exc:  # an edge this graph lacks
+            return {**rec, "reason": str(exc)}, False
         if not extends:
             cert = mt.matching_certificate(g.adj_dict(), pair)
             rec["certificate"] = {

@@ -5,7 +5,7 @@ on the dual side: one depth-first walk grows simple sphere triangulations
 from K4 by vertex splitting, up to v_max = nmax/2 + 2 vertices, and
 dualizes the classes with all degrees in {4, 5, 6}.  A child on v' vertices
 is made only when its defect (the summed distance of its degrees from
-[4, 6]) is at most 4 (v_max - v') (`_walk`), and kept only when its new
+[4, 6]) is at most 2 (v_max - v') (`_walk`), and kept only when its new
 edge is canonical (McKay's canonical augmentation, `_canonical_key`), so
 the leaves of every size up to nmax come out of the one walk, each once.
 
@@ -190,7 +190,8 @@ def _children(n: int, rot: Rotation, slack: int) -> Iterator[Rotation]:
     adjacent to w keeps the rotation at z and its common neighbours with y,
     so it stays contractible exactly when it was, and its degree sum grows
     by one only when y is r[a] or r[b].  If such an edge would have sum
-    below d + 4 in the child, the split is refused before it is made.
+    below d + 4 in the child, the split is refused before it is made,
+    whatever the slack (`_walk` proves the bound it passes).
     """
     dist = [max(4 - d, 0, d - 6) for d in range(n + 2)]
     deg = [len(r) for r in rot]
@@ -232,23 +233,31 @@ def _children(n: int, rot: Rotation, slack: int) -> Iterator[Rotation]:
 def _walk(v_max: int) -> Iterator[tuple[int, list[Rotation]]]:
     """Yield (v, the classes on v vertices with all degrees in {4, 5, 6})
     for v = 4..v_max, grown depth-first from K4 by `_children`, which
-    makes a child on v' vertices only when delta(child) <= 4 (v_max - v').
+    makes a child on v' vertices only when delta(child) <= 2 (v_max - v').
 
-    Lemma: contracting an edge wu raises delta by at most 4, and two
-    vertices of degree 6 whose apexes have degree 4 reach 4.  With
-    f(d) = dist(d, [4, 6]), the merged vertex has degree d_w + d_u - 4;
-    its excess over 6, (d_w - 5) + (d_u - 5), is at most
-    f(d_w) + f(d_u) + 2, and its shortfall below 4, (4 - d_w) + (4 - d_u),
-    at most f(d_w) + f(d_u).  The two apexes lose one degree each, which
-    raises f by at most 1 each, and no other degree changes.
+    Lemma: in a simple triangulation on v >= 5 vertices, contracting a
+    contractible edge xy of least degree sum s = d_x + d_y raises delta by
+    at most 2.  With f(d) = dist(d, [4, 6]), the merged vertex has degree
+    s - 4 and the two apexes lose one each, so the rise is M + A, with
+    M = f(s - 4) - f(d_x) - f(d_y) and A adding f(d - 1) - f(d) over the
+    apexes, each term at most 1 and positive only for degree <= 4.  If
+    s <= 10, f(s - 4) <= (4 - d_x)+ + (4 - d_y)+; if min(d_x, d_y) is 3 or
+    4, s - 4 is the other degree or one less: either way M <= 0, so the
+    rise is at most A <= 2.  Otherwise d_x, d_y >= 5 and
+    M = s - 10 - (d_x - 6)+ - (d_y - 6)+ <= 2, while an apex a of degree
+    <= 4 would make ax or ay contractible, of degree sum < s: a degree-3
+    apex has a triangle as link, and with link x y p q, ax stays
+    contractible unless xp is an edge, ay unless yq is, and both chords
+    with a would form K5.  So A <= 0.
 
     Each class T on v <= v_max vertices comes once.  Its canonical edges
     form one orbit, so T is accepted only from one parent class, T with a
     canonical edge contracted, where the key set keeps one split to it.
-    That split is made: by the lemma the contraction path of T meets
-    delta <= 4 (v - v') <= 4 (v_max - v') on v' vertices, so by induction
-    each parent on it is in the walk and its split to the next passes the
-    defect filter; the bound of the largest target serves every smaller one.
+    That split is made: a canonical edge has the least degree sum (the
+    invariant of `_canonical_key` leads with it), so by the lemma the
+    contraction path of T meets delta <= 2 (v - v') <= 2 (v_max - v') on
+    v' vertices; by induction each parent on it is in the walk and its
+    split to the next passes the defect filter.
     """
     levels: list[list[Rotation]] = [[] for _ in range(v_max + 1)]
 
@@ -256,7 +265,7 @@ def _walk(v_max: int) -> Iterator[tuple[int, list[Rotation]]]:
         if all(4 <= len(r) <= 6 for r in rot):
             levels[n].append(rot)
         if n < v_max:
-            for child in _children(n, rot, 4 * (v_max - n - 1)):
+            for child in _children(n, rot, 2 * (v_max - n - 1)):
                 grow(n + 1, child)
 
     grow(4, _K4_ROT)

@@ -66,8 +66,10 @@ def is_connected(adj: Adjacency) -> bool:
 # Blossom maximum matching
 # ---------------------------------------------------------------------------
 
-def _blossom_matching(n: int, adj: Sequence[Sequence[int]]) -> list[int]:
-    """Maximum matching on vertices 0..n-1; returns the mate array (-1 free)."""
+def _blossom_matching(n: int, adj: Sequence[Sequence[int]],
+                      even: list[bool] | None = None) -> list[int]:
+    """Maximum matching on vertices 0..n-1; returns the mate array (-1 free).
+    With `even`, a search from each exposed vertex marks there its outer ones."""
     match = [-1] * n
     for v in range(n):  # greedy seed
         if match[v] == -1:
@@ -79,6 +81,7 @@ def _blossom_matching(n: int, adj: Sequence[Sequence[int]]) -> list[int]:
 
     p = [-1] * n
     base = list(range(n))
+    used = [False] * n
 
     def lca(a: int, b: int) -> int:
         used = set()
@@ -108,7 +111,7 @@ def _blossom_matching(n: int, adj: Sequence[Sequence[int]]) -> list[int]:
         for i in range(n):
             p[i] = -1
             base[i] = i
-        used = [False] * n
+            used[i] = False
         used[root] = True
         q = deque([root])
         while q:
@@ -144,15 +147,24 @@ def _blossom_matching(n: int, adj: Sequence[Sequence[int]]) -> list[int]:
                 match[end] = pv
                 match[pv] = end
                 end = ppv
+    if even is not None:
+        for v in range(n):
+            if match[v] == -1:
+                find_augmenting(v)  # finds no path: the matching is maximum
+                even[:] = map(max, even, used)
     return match
+
+
+def _compact(adj: Adjacency) -> tuple[list[int], list[list[int]]]:
+    """The sorted vertices, and the adjacency on their positions."""
+    verts = sorted(adj)
+    idx = {v: i for i, v in enumerate(verts)}
+    return verts, [[idx[w] for w in sorted(adj[v])] for v in verts]
 
 
 def maximum_matching(g: PlaneCubicGraph | Adjacency) -> tuple[Edge, ...]:
     """A maximum-cardinality matching, as a sorted tuple of normalized edges."""
-    adj = adjacency_of(g)
-    verts = sorted(adj)
-    idx = {v: i for i, v in enumerate(verts)}
-    compact = [[idx[w] for w in sorted(adj[v])] for v in verts]
+    verts, compact = _compact(adjacency_of(g))
     mate = _blossom_matching(len(verts), compact)
     out = {norm_edge(verts[i], verts[j])
            for i, j in enumerate(mate) if j != -1}
@@ -197,28 +209,35 @@ def matching_certificate(adj: Adjacency, m: Iterable[Edge]) -> DeficiencyCertifi
 def perfect_matchings(g: PlaneCubicGraph | Adjacency) -> Iterator[tuple[Edge, ...]]:
     """All perfect matchings, in lexicographic order of sorted edge lists.
 
-    Backtracks on the smallest uncovered vertex over int bitmasks; bounded
-    at 64 vertices.  Bit i stands for the i-th smallest vertex, so the
-    lowest set bit of the free mask is the smallest uncovered vertex and
-    its partners are tried in ascending order.  Covering v and w can only
-    strand a free neighbour of v or w, so a branch is cut when one of
-    those is left without a free neighbour; such a branch holds no
-    perfect matching, and the output is unaffected.
+    Backtracks over int bitmasks (at most 64 vertices) on the first free
+    vertex of a breadth-first order from each component's least vertex, so
+    the free part stays compact however the graph is labelled; covering v
+    and w can only strand a free neighbour of v or w, and such a branch is
+    cut.  A matching is a mask over the sorted edges, the highest bit for
+    the least edge; two sorted edge lists first differ at the least edge of
+    their symmetric difference, so one descending sort orders them.
     """
     adj = adjacency_of(g)
     if len(adj) > COUNT_LIMIT:
         raise TooLarge(f"{len(adj)} vertices exceed the enumeration bound")
     if len(adj) % 2 != 0:
         return
-    verts = sorted(adj)
-    pos = {v: i for i, v in enumerate(verts)}
-    nbrs = [sum(1 << pos[w] for w in adj[v]) for v in verts]
-    partners = [[(pos[w], (v, w)) for w in sorted(adj[v])] for v in verts]
-    chosen: list[Edge] = []
+    edges = edges_of(adj)
+    bit = {e: 1 << (len(edges) - 1 - i) for i, e in enumerate(edges)}
+    order: list[int] = []
+    for s in sorted(adj):
+        if s not in order:
+            order.append(s)
+            for v in order:  # grows while it is read; done components add nothing
+                order += (w for w in sorted(adj[v]) if w not in order)
+    pos = {v: i for i, v in enumerate(order)}
+    nbrs = [sum(1 << pos[w] for w in adj[v]) for v in order]
+    partners = [sorted((pos[w], bit[norm_edge(v, w)]) for w in adj[v]) for v in order]
+    found: list[int] = []
 
-    def recurse(free: int) -> Iterator[tuple[Edge, ...]]:
+    def recurse(free: int, chosen: int) -> None:
         if not free:
-            yield tuple(chosen)
+            found.append(chosen)
             return
         v = (free & -free).bit_length() - 1
         free ^= 1 << v
@@ -233,11 +252,17 @@ def perfect_matchings(g: PlaneCubicGraph | Adjacency) -> Iterator[tuple[Edge, ..
                     break
                 exposed ^= low
             else:
-                chosen.append(edge)
-                yield from recurse(left)
-                chosen.pop()
+                recurse(left, chosen | edge)
 
-    yield from recurse((1 << len(verts)) - 1)
+    recurse((1 << len(order)) - 1, 0)
+    found.sort(reverse=True)
+    for mask in found:
+        pm = []
+        while mask:
+            b = mask.bit_length() - 1
+            pm.append(edges[-1 - b])
+            mask ^= 1 << b
+        yield tuple(pm)
 
 
 def count_perfect_matchings(g: PlaneCubicGraph | Adjacency) -> int:
@@ -261,16 +286,15 @@ class PmIndex:
         if cap is not None and len(adj) > COUNT_LIMIT:
             return
         masks = {e: 0 for e in self.edges}
-        count = 0
+        bit = 1
         for pm in perfect_matchings(adj):
-            if count == cap:
+            if cap is not None and bit >> cap:  # a match past the cap
                 return
-            bit = 1 << count
             for e in pm:
                 masks[e] |= bit
-            count += 1
+            bit <<= 1
         self.masks = masks
-        self.full = (1 << count) - 1
+        self.full = bit - 1
 
     def extends(self, edges: Iterable[Edge]) -> bool:
         """True iff the matching is contained in some perfect matching."""
@@ -320,10 +344,18 @@ class DeficiencyCertificate(NamedTuple):
 
 
 def _gallai_edmonds_d(adj: Adjacency) -> set[int]:
-    """Vertices missed by at least one maximum matching."""
-    size = len(maximum_matching(adj))
-    return {v for v in adj
-            if len(maximum_matching(induced(adj, [v]))) == size}
+    """Vertices missed by at least one maximum matching, from one of them.
+
+    For a maximum matching M, some maximum matching misses v iff an even
+    M-alternating path reaches v from a vertex M leaves exposed (swap M along
+    it; conversely, take the component at v of M xor a maximum matching
+    missing v).  Edmonds' search from an exposed root that finds no
+    augmenting path labels outer exactly the ends of such paths (Edmonds
+    1965; Lovasz and Plummer, Matching Theory, 1986)."""
+    verts, compact = _compact(adj)
+    even = [False] * len(verts)
+    _blossom_matching(len(verts), compact, even)
+    return {v for v, outer in zip(verts, even) if outer}
 
 
 def _structure_set(adj: dict[int, frozenset[int]]) -> set[int]:
@@ -351,10 +383,7 @@ def _matchable_to_components(adj: Adjacency, s: frozenset[int],
     """Bipartite test: can S be matched to distinct components of G - S?"""
     if not s:
         return True
-    comp_id = {}
-    for i, comp in enumerate(comps):
-        for v in comp:
-            comp_id[v] = i
+    comp_id = {v: i for i, comp in enumerate(comps) for v in comp}
     bip: dict[int, set[int]] = {v: set() for v in s}
     base = max(adj) + 1
     for v in s:
@@ -362,8 +391,7 @@ def _matchable_to_components(adj: Adjacency, s: frozenset[int],
             if w in comp_id:
                 bip[v].add(base + comp_id[w])
                 bip.setdefault(base + comp_id[w], set()).add(v)
-    mm = maximum_matching(bip)
-    return len(mm) == len(s)
+    return len(maximum_matching(bip)) == len(s)
 
 
 def deficiency_certificate(g: PlaneCubicGraph | Adjacency) -> DeficiencyCertificate:

@@ -6,7 +6,11 @@ backtracking, and cuts, connectivity and girth by scanning every small
 edge or vertex subset and by breadth-first search, so they can certify the
 production implementations.  `backtracking_perfect_matchings` is the
 set-based perfect-matching search the library used before its bitmask
-kernel, kept as the oracle for that kernel's output order.  The naive
+kernel, kept as the oracle for that kernel's output order.
+`per_vertex_gallai_edmonds_d` finds the vertices some maximum matching
+misses by one maximum matching of G - v per vertex v, and
+`combination_anti_kekule_sets` scans every edge combination of one size,
+the library's routes before it read both off one search.  The naive
 enumerator searches rotation systems directly, pruned only by the face
 sizes; it shares with the enumerator no more than the final sort into
 canonical labelling.  The triangulation levels are every vertex split of
@@ -191,6 +195,26 @@ def backtracking_perfect_matchings(g):
             free.add(w)
 
     yield from recurse(set(verts), [])
+
+
+def per_vertex_gallai_edmonds_d(adj) -> set[int]:
+    """Vertices missed by at least one maximum matching, by definition: v is
+    one when G - v has a matching as large as a maximum matching of G."""
+    size = len(M.maximum_matching(adj))
+    return {v for v in adj
+            if len(M.maximum_matching(M.induced(adj, [v]))) == size}
+
+
+def combination_anti_kekule_sets(index: M.PmIndex, size: int):
+    """Anti-Kekule sets of one size in lexicographic order, one edge
+    combination at a time: the OR of its masks holds every perfect matching
+    and the graph minus it is one component."""
+    for combo in itertools.combinations(index.edges, size):
+        acc = 0
+        for e in combo:
+            acc |= index.masks[e]
+        if acc == index.full and len(G.components(index.adj, frozenset(combo))) == 1:
+            yield frozenset(combo)
 
 
 def backtracking_isomorphic(g1: G.PlaneCubicGraph, g2: G.PlaneCubicGraph) -> bool:

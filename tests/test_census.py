@@ -6,9 +6,9 @@ and from the analysis digests the number of tubes, of non-2-extendable
 graphs and of graphs with anti-Kekule number 3, and the total count of
 nontrivial edge cuts of size <= 3.  An enumerator or analysis rewrite must
 reproduce it exactly.  Tier-1 checks n <= 20; n = 22..30 run only with
-FULLEX_CENSUS_FULL=1, and so does the check of the n = 16 catalogue
-against the naive oracle (about four and a half minutes in all on a 2-CPU
-host).  The classical slice of the pinned rows (no quadrilaterals) is
+FULLEX_CENSUS_FULL=1, and so do the check of the n = 16 catalogue against
+the naive oracle and the check that the walk's defect bound 2 (v_max - v')
+loses no leaf that the bound 4 (v_max - v') finds, for v_max <= 15.  The classical slice of the pinned rows (no quadrilaterals) is
 checked against the published counts in tier-1.
 
 Regenerate (only ever from an enumerator and analysis already known to be
@@ -26,6 +26,7 @@ import sys
 
 import pytest
 
+from fullex import enumerator as EN
 from fullex import harness
 
 from conftest import catalogue, catalogues
@@ -79,6 +80,29 @@ def test_fast_and_naive_members_are_identical_at_sixteen():
     naive = catalogue(16, naive=True)
     assert fast.canonical_codes() == naive.canonical_codes()
     assert [g.rot for g in fast.graphs] == [g.rot for g in naive.graphs]
+
+
+def _walk_at_four_per_level(v_max: int) -> list[list[EN.Rotation]]:
+    """The leaves of `EN._walk(v_max)` with the defect bound
+    4 (v_max - v'), which contracting any edge keeps."""
+    levels: list[list[EN.Rotation]] = [[] for _ in range(v_max + 1)]
+
+    def grow(n: int, rot: EN.Rotation) -> None:
+        if all(4 <= len(r) <= 6 for r in rot):
+            levels[n].append(rot)
+        if n < v_max:
+            for child in EN._children(n, rot, 4 * (v_max - n - 1)):
+                grow(n + 1, child)
+
+    grow(4, EN._K4_ROT)
+    return levels[4:]
+
+
+@pytest.mark.skipif(not FULL, reason="runs with FULLEX_CENSUS_FULL=1")
+def test_walk_keeps_the_leaves_of_the_four_per_level_walk():
+    for v_max in range(5, 16):
+        leaves = [rots for _, rots in EN._walk(v_max)]
+        assert leaves == _walk_at_four_per_level(v_max), v_max
 
 
 def test_classical_slice_matches_published_counts():

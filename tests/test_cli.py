@@ -112,6 +112,26 @@ def test_certify_nonextendable_pair_on_tube():
     assert cert["all_factor_critical"]
 
 
+def test_certify_records_a_graph_that_lacks_an_edge_and_goes_on():
+    tube = run_cli(["gen-tube", "1"]).stdout  # has the edge 0-1, not 6-7
+    r = run_cli(["certify", "--edges", "0-1,6-7"],
+                input=cube_bytes() + tube[len(PC.HEADER):])
+    assert r.returncode == 1
+    report = json.loads(r.stdout)
+    assert report["ok"] is False
+    cube, lacking = report["graphs"]
+    assert cube["extends"] is True
+    assert lacking == {"index": 1, "n": 14, "edges": [[0, 1], [6, 7]],
+                       "reason": "edge (6, 7) is not in the graph"}
+
+
+def test_certify_edges_with_a_shared_end_are_a_usage_error():
+    r = run_cli(["certify", "--edges", "0-1,1-2"], input=cube_bytes())
+    assert r.returncode == 2
+    assert r.stdout == b""
+    assert b"four distinct ends" in r.stderr
+
+
 def test_canonical_output():
     r = run_cli(["canonical"], input=cube_bytes())
     assert r.returncode == 0

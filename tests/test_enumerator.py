@@ -109,6 +109,33 @@ def test_contraction_raises_defect_by_at_most_four():
     assert max(rises) == 4
 
 
+def _least_contractible_sum(v, rot):
+    nbrs = [set(r) for r in rot]
+    return min(len(rot[y]) + len(rot[z]) for y in range(v) for z in rot[y]
+               if y < z and len(nbrs[y] & nbrs[z]) == 2)
+
+
+def test_canonical_contraction_raises_defect_by_at_most_two():
+    """`_walk`'s lemma on the 4 144 of those splits whose new edge has the
+    least degree sum among the child's contractible edges: the rise is at
+    most 2, reached only for children on 5 and 6 vertices."""
+    rises: dict[int, list[int]] = {}
+    for n in range(4, 11):
+        for parent in triangulations(n):
+            d = _defect(parent)
+            for w in range(n):
+                k = len(parent[w])
+                for a in range(k):
+                    for b in range(a + 1, k):
+                        child = EN._split_vertex(n, parent, w, a, b)
+                        if (len(child[w]) + len(child[n])
+                                == _least_contractible_sum(n + 1, child)):
+                            rises.setdefault(n + 1, []).append(d - _defect(child))
+    assert sum(map(len, rises.values())) == 4144
+    assert {v: max(r) for v, r in rises.items()} == {
+        5: 2, 6: 2, 7: 1, 8: 0, 9: 1, 10: 1, 11: 1}
+
+
 def test_walk_leaves_are_the_filtered_levels():
     for v_max in range(5, 12):
         seen = []

@@ -6,16 +6,20 @@ keeps Hypothesis's source-constants cache out of the working tree).
 """
 
 import itertools
+import random
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fullex import antikekule as AK
 from fullex import graphs as G
 from fullex import matching as M
 from fullex import planar_code as PC
 from fullex.families import build_tube
 
-from conftest import brute_max_matching_size, brute_perfect_matchings, catalogue
+from conftest import (brute_max_matching_size, brute_perfect_matchings, catalogue,
+                      combination_anti_kekule_sets, per_vertex_gallai_edmonds_d,
+                      relabelled_mirror)
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=300, deadline=None)
 
@@ -79,22 +83,38 @@ def relabellings(draw):
     return g, draw(st.permutations(range(g.n))), draw(st.booleans())
 
 
-@PROPERTY
-@given(relabellings())
-def test_canonical_code_is_invariant_under_relabelling_and_mirroring(case):
-    g, perm, mirror = case
+def _relabelled(g, perm, mirror):
     rot = [()] * g.n
     for v, nbrs in enumerate(g.rot):
         r = tuple(perm[w] for w in nbrs)
         rot[perm[v]] = r[::-1] if mirror else r
-    assert G.canonical_code(G.from_rotation(g.n, rot)) == G.canonical_code(g)
+    return G.from_rotation(g.n, rot)
+
+
+@PROPERTY
+@given(relabellings())
+def test_canonical_code_is_invariant_under_relabelling_and_mirroring(case):
+    g, perm, mirror = case
+    assert G.canonical_code(_relabelled(g, perm, mirror)) == G.canonical_code(g)
+
+
+@PROPERTY
+@given(relabellings())
+def test_perfect_matchings_of_a_relabelled_copy_map_onto_the_originals(case):
+    g, perm, mirror = case
+    pms = list(M.perfect_matchings(_relabelled(g, perm, mirror)))
+    assert pms == sorted(pms)
+    back = {perm[v]: v for v in range(g.n)}
+    mapped = [tuple(sorted(G.norm_edge(back[u], back[w]) for u, w in pm)) for pm in pms]
+    assert sorted(mapped) == list(M.perfect_matchings(g))
 
 
 @st.composite
-def labelled_graphs(draw):
-    """A simple graph on up to 8 distinct arbitrary int labels, each pair
-    joined or not by a drawn flag, as an adjacency mapping."""
-    labels = draw(st.lists(st.integers(-10**6, 10**6), max_size=8, unique=True))
+def labelled_graphs(draw, max_vertices=8):
+    """A simple graph on up to `max_vertices` distinct arbitrary int labels,
+    each pair joined or not by a drawn flag, as an adjacency mapping."""
+    labels = draw(st.lists(st.integers(-10**6, 10**6), max_size=max_vertices,
+                           unique=True))
     pairs = list(itertools.combinations(labels, 2))
     joined = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
     adj = {v: set() for v in labels}
@@ -110,6 +130,14 @@ def labelled_graphs(draw):
 def test_matchings_agree_with_brute_force(adj):
     assert len(M.maximum_matching(adj)) == brute_max_matching_size(adj)
     assert list(M.perfect_matchings(adj)) == sorted(brute_perfect_matchings(adj))
+
+
+@PROPERTY
+@given(labelled_graphs(12))
+def test_gallai_edmonds_d_is_the_per_vertex_definition(adj):
+    """Odd orders, isolated vertices and several components included."""
+    adj = M.adjacency_of(adj)
+    assert M._gallai_edmonds_d(adj) == per_vertex_gallai_edmonds_d(adj)
 
 
 # every catalogue member with n <= 16 and the tubes of 1..3 layers
@@ -135,3 +163,14 @@ def shuffled_faces(draw):
 def test_from_faces_round_trips(case):
     g, cycles = case
     assert G.canonical_code(G.from_faces(cycles)) == G.canonical_code(g)
+
+
+@PROPERTY
+@given(st.sampled_from(_FACE_GRAPHS), st.integers(1, 4), st.none() | st.integers(0, 2**32))
+def test_anti_kekule_sets_agree_with_every_combination(g, size, seed):
+    """Sizes 1 to 4 on a graph of _FACE_GRAPHS or on a relabelled mirror
+    image of it, seeded by a drawn number."""
+    if seed is not None:
+        g = relabelled_mirror(g, random.Random(seed))
+    index = M.PmIndex(g.adj_dict())
+    assert list(AK.sets_of_size(index, size)) == list(combination_anti_kekule_sets(index, size))
