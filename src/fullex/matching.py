@@ -1,10 +1,10 @@
 """Maximum matching, perfect-matching machinery and deficiency certificates.
 
-Graphs here are arbitrary simple graphs given as adjacency mappings
-``{vertex: iterable of neighbors}``; vertices are ints but need not be
-contiguous, so deleted subgraphs stay cheap to form.  The matching engine
-is the blossom-contraction algorithm; exhaustive search over all matchings
-is kept to the test suite as the independent oracle.
+Graphs are simple graphs given as adjacency mappings ``{vertex: iterable of
+neighbors}`` on ints, not necessarily contiguous.  The matching engine is
+the blossom-contraction algorithm; its alternating search also gives the
+Gallai-Edmonds set D.  Perfect matchings are enumerated in an order read off
+the graph, not its labels, then sorted; exhaustive searches stay in the tests.
 """
 
 from __future__ import annotations
