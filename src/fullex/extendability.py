@@ -16,8 +16,8 @@ from typing import Iterator, NamedTuple, Optional
 from . import matching as mt
 from .graphs import Edge, PlaneCubicGraph
 
-# past this many perfect matchings each candidate gets a matching computation
-# instead of an index lookup (the enumeration still runs, as it sorts first)
+# beyond this many perfect matchings the scan falls back to per-candidate
+# matching computations instead of enumerating them all
 ENUMERATION_CAP = 50_000
 
 K_CAP = 3

@@ -160,8 +160,14 @@ class ClaimResult:
                 self.counterexamples.append(counterexample)
 
     def to_json(self) -> dict:
-        return {key: getattr(self, key) for key in (
-            "anchor", "claim", "population", "passes", "failures", "counterexamples")}
+        return {
+            "anchor": self.anchor,
+            "claim": self.claim,
+            "population": self.population,
+            "passes": self.passes,
+            "failures": self.failures,
+            "counterexamples": self.counterexamples,
+        }
 
 
 # per-graph claims: anchor, description, predicate(digest) -> bool

@@ -1,10 +1,11 @@
 """Maximum matching, perfect-matching machinery and deficiency certificates.
 
-Graphs are simple graphs given as adjacency mappings ``{vertex: iterable of
-neighbors}`` on ints, not necessarily contiguous.  The matching engine is
-the blossom-contraction algorithm; its alternating search also gives the
-Gallai-Edmonds set D.  Perfect matchings are enumerated in an order read off
-the graph, not its labels, then sorted; exhaustive searches stay in the tests.
+Graphs here are arbitrary simple graphs given as adjacency mappings
+``{vertex: iterable of neighbors}``; vertices are ints but need not be
+contiguous, so deleted subgraphs stay cheap to form.  The matching engine
+is the blossom-contraction algorithm, whose alternating search also gives
+the Gallai-Edmonds set D; exhaustive search over all matchings is kept to
+the test suite as the independent oracle.
 """
 
 from __future__ import annotations
@@ -209,35 +210,28 @@ def matching_certificate(adj: Adjacency, m: Iterable[Edge]) -> DeficiencyCertifi
 def perfect_matchings(g: PlaneCubicGraph | Adjacency) -> Iterator[tuple[Edge, ...]]:
     """All perfect matchings, in lexicographic order of sorted edge lists.
 
-    Backtracks over int bitmasks (at most 64 vertices) on the first free
-    vertex of a breadth-first order from each component's least vertex, so
-    the free part stays compact however the graph is labelled; covering v
-    and w can only strand a free neighbour of v or w, and such a branch is
-    cut.  A matching is a mask over the sorted edges, the highest bit for
-    the least edge; two sorted edge lists first differ at the least edge of
-    their symmetric difference, so one descending sort orders them.
+    Backtracks on the smallest uncovered vertex over int bitmasks; bounded
+    at 64 vertices.  Bit i stands for the i-th smallest vertex, so the
+    lowest set bit of the free mask is the smallest uncovered vertex and
+    its partners are tried in ascending order.  Covering v and w can only
+    strand a free neighbour of v or w, so a branch is cut when one of
+    those is left without a free neighbour; such a branch holds no
+    perfect matching, and the output is unaffected.
     """
     adj = adjacency_of(g)
     if len(adj) > COUNT_LIMIT:
         raise TooLarge(f"{len(adj)} vertices exceed the enumeration bound")
     if len(adj) % 2 != 0:
         return
-    edges = edges_of(adj)
-    bit = {e: 1 << (len(edges) - 1 - i) for i, e in enumerate(edges)}
-    order: list[int] = []
-    for s in sorted(adj):
-        if s not in order:
-            order.append(s)
-            for v in order:  # grows while it is read; done components add nothing
-                order += (w for w in sorted(adj[v]) if w not in order)
-    pos = {v: i for i, v in enumerate(order)}
-    nbrs = [sum(1 << pos[w] for w in adj[v]) for v in order]
-    partners = [sorted((pos[w], bit[norm_edge(v, w)]) for w in adj[v]) for v in order]
-    found: list[int] = []
+    verts = sorted(adj)
+    pos = {v: i for i, v in enumerate(verts)}
+    nbrs = [sum(1 << pos[w] for w in adj[v]) for v in verts]
+    partners = [[(pos[w], (v, w)) for w in sorted(adj[v])] for v in verts]
+    chosen: list[Edge] = []
 
-    def recurse(free: int, chosen: int) -> None:
+    def recurse(free: int) -> Iterator[tuple[Edge, ...]]:
         if not free:
-            found.append(chosen)
+            yield tuple(chosen)
             return
         v = (free & -free).bit_length() - 1
         free ^= 1 << v
@@ -252,17 +246,11 @@ def perfect_matchings(g: PlaneCubicGraph | Adjacency) -> Iterator[tuple[Edge, ..
                     break
                 exposed ^= low
             else:
-                recurse(left, chosen | edge)
+                chosen.append(edge)
+                yield from recurse(left)
+                chosen.pop()
 
-    recurse((1 << len(order)) - 1, 0)
-    found.sort(reverse=True)
-    for mask in found:
-        pm = []
-        while mask:
-            b = mask.bit_length() - 1
-            pm.append(edges[-1 - b])
-            mask ^= 1 << b
-        yield tuple(pm)
+    yield from recurse((1 << len(verts)) - 1)
 
 
 def count_perfect_matchings(g: PlaneCubicGraph | Adjacency) -> int:
@@ -286,15 +274,16 @@ class PmIndex:
         if cap is not None and len(adj) > COUNT_LIMIT:
             return
         masks = {e: 0 for e in self.edges}
-        bit = 1
+        count = 0
         for pm in perfect_matchings(adj):
-            if cap is not None and bit >> cap:  # a match past the cap
+            if count == cap:
                 return
+            bit = 1 << count
             for e in pm:
                 masks[e] |= bit
-            bit <<= 1
+            count += 1
         self.masks = masks
-        self.full = bit - 1
+        self.full = (1 << count) - 1
 
     def extends(self, edges: Iterable[Edge]) -> bool:
         """True iff the matching is contained in some perfect matching."""
@@ -383,7 +372,10 @@ def _matchable_to_components(adj: Adjacency, s: frozenset[int],
     """Bipartite test: can S be matched to distinct components of G - S?"""
     if not s:
         return True
-    comp_id = {v: i for i, comp in enumerate(comps) for v in comp}
+    comp_id = {}
+    for i, comp in enumerate(comps):
+        for v in comp:
+            comp_id[v] = i
     bip: dict[int, set[int]] = {v: set() for v in s}
     base = max(adj) + 1
     for v in s:
@@ -391,7 +383,8 @@ def _matchable_to_components(adj: Adjacency, s: frozenset[int],
             if w in comp_id:
                 bip[v].add(base + comp_id[w])
                 bip.setdefault(base + comp_id[w], set()).add(v)
-    return len(maximum_matching(bip)) == len(s)
+    mm = maximum_matching(bip)
+    return len(mm) == len(s)
 
 
 def deficiency_certificate(g: PlaneCubicGraph | Adjacency) -> DeficiencyCertificate:

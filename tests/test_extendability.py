@@ -109,3 +109,29 @@ def test_capped_index_falls_back_to_matching_computations(cube):
     assert full.full == (1 << 9) - 1
     for cand in E._candidate_matchings(adj, 3):
         assert capped.extends(cand) == full.extends(cand)
+
+
+def _prism(k: int) -> dict[int, frozenset[int]]:
+    """C_k x K_2: outer cycle 0..k-1, inner cycle k..2k-1, spokes i -- k + i."""
+    adj: dict[int, set[int]] = {v: set() for v in range(2 * k)}
+    for i in range(k):
+        for u, w in ((i, (i + 1) % k), (k + i, k + (i + 1) % k), (i, k + i)):
+            adj[u].add(w)
+            adj[w].add(u)
+    return {v: frozenset(ns) for v, ns in adj.items()}
+
+
+def test_capped_index_stops_the_enumeration_at_the_cap(monkeypatch):
+    adj = _prism(32)  # 64 vertices, L_32 + 2 = 4 870 849 perfect matchings
+    drawn = 0
+    enumerate_all = M.perfect_matchings
+
+    def counted(g):
+        nonlocal drawn
+        for pm in enumerate_all(g):
+            drawn += 1
+            yield pm
+
+    monkeypatch.setattr(M, "perfect_matchings", counted)
+    assert M.PmIndex(adj, E.ENUMERATION_CAP).masks is None
+    assert drawn == E.ENUMERATION_CAP + 1
