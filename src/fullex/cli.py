@@ -103,24 +103,16 @@ def cmd_gen_tube(args) -> int:
 
 def cmd_enumerate(args) -> int:
     catalogue = enumerate_fullerenes(args.n)
-    outdir = args.outdir
-    summary = {
-        "command": "enumerate",
-        "n": args.n,
-        "count": catalogue.size,
-        "counts_by_faces": {f"{k[0]},{k[1]},{k[2]}": v
-                            for k, v in sorted(catalogue.counts.items())},
-    }
     if args.stdout:
         _write_output(catalogue.graphs, "-")
         return EXIT_OK
-    os.makedirs(outdir, exist_ok=True)
-    path = os.path.join(outdir, f"fullerenes_n{args.n}.plc")
+    os.makedirs(args.outdir, exist_ok=True)
+    path = os.path.join(args.outdir, f"fullerenes_n{args.n}.plc")
     planar_code.write_file(path, catalogue.graphs)
-    sidecar = harness.DigestCache(outdir)
-    sidecar.save(args.n, catalogue, sidecar.load(args.n))
-    summary["file"] = path
-    _emit(summary)
+    sidecar = harness.DigestCache(args.outdir)
+    payload = sidecar.save(args.n, catalogue, sidecar.load(args.n))
+    _emit({"command": "enumerate", "n": args.n, "file": path, "count": payload["count"],
+           "counts_by_faces": payload["counts_by_faces"]})
     return EXIT_OK
 
 
@@ -252,8 +244,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-all", help="run the complete claim suite")
     p.add_argument("--nmax", type=int, default=None,
-                   help="largest vertex count (default: FULLEX_NMAX, else "
-                        f"{DEFAULT_BOUND})")
+                   help="largest vertex count, up to and by default "
+                        f"FULLEX_NMAX (else {DEFAULT_BOUND})")
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--cache-dir", default=None)
     p.set_defaults(func=cmd_verify_all)

@@ -293,7 +293,8 @@ def enumerate_catalogues(sizes: Iterable[int],
             raise OddVertexCount(f"cubic graphs have even order, got {n}")
         limit = configured_bound() if bound is None else bound
         if not 8 <= n <= limit:
-            raise BoundExceeded(f"n = {n} outside the enumeration range 8..{limit}")
+            raise BoundExceeded(f"n = {n} outside the enumeration range 8..{limit}"
+                                " (FULLEX_NMAX sets the upper end)")
     out: dict[int, Catalogue] = {}
     for v, leaves in _walk(wanted[-1] // 2 + 2) if wanted else ():
         n = 2 * v - 4  # a cubic dual has 2v - 4 vertices

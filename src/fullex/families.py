@@ -13,8 +13,8 @@ import math
 from typing import NamedTuple, Optional
 
 from . import matching as mt
-from .graphs import (Edge, PlaneCubicGraph, embedding_map, faces, from_faces,
-                     norm_edge, validate_fullerene)
+from .graphs import (Edge, PlaneCubicGraph, embedding_map, from_faces, norm_edge,
+                     validate_fullerene)
 
 
 class BadLayerCount(ValueError):
@@ -68,26 +68,16 @@ def build_tube(n_layers: int) -> tuple[PlaneCubicGraph, TubeDescriptor]:
     return g, desc
 
 
-def _quad_flag_vertices(g: PlaneCubicGraph) -> list[int]:
-    """Vertices whose three incident faces are all quadrilaterals."""
-    quad_count = {v: 0 for v in range(g.n)}
-    for f in faces(g).faces:
-        if f.size == 4:
-            for w in set(f.boundary):
-                quad_count[w] += 1
-    return [v for v, c in quad_count.items() if c == 3]
-
-
 def recognize_tube(g: PlaneCubicGraph) -> Optional[TubeDescriptor]:
     """Descriptor of g as a tube, or None when g is not one.
 
     Membership is decided by an explicit embedding isomorphism (mirror
     allowed) from the built tube of the matching size, which
     ``embedding_map`` finds whenever one exists; the pentagon-free and
-    vertex-count gates are only shortcuts.  The cap centers are
-    cross-checked as the two vertices whose faces are all quadrilaterals,
-    then the built descriptor is transported onto g through the
-    isomorphism.
+    vertex-count gates are only shortcuts.  The built descriptor is
+    transported onto g through the isomorphism; an embedding isomorphism
+    maps faces onto faces of the same size, so the built tube's only two
+    all-quadrilateral vertices, its cap centers, land on g's.
     """
     inv = validate_fullerene(g)
     if inv.p5 != 0 or g.n < 14 or (g.n - 8) % 6 != 0:
@@ -98,8 +88,6 @@ def recognize_tube(g: PlaneCubicGraph) -> Optional[TubeDescriptor]:
     if phi is None:
         return None
     centers = tuple(phi[c] for c in desc.cap_centers)
-    if sorted(centers) != sorted(_quad_flag_vertices(g)):
-        return None
     cycles = tuple(tuple(phi[v] for v in cyc) for cyc in desc.concentric_cycles)
     traversed = tuple(
         frozenset(norm_edge(phi[u], phi[v]) for u, v in layer)

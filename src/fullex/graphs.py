@@ -200,6 +200,8 @@ def from_faces(face_cycles: Sequence[Sequence[int]]) -> PlaneCubicGraph:
     that every edge is traversed once in each direction.
     """
     faces = [tuple(f) for f in face_cycles]
+    if not any(faces):
+        raise GraphError("face list has no edges")
     by_edge: dict[Edge, list[int]] = {}
     for i, f in enumerate(faces):
         for j in range(len(f)):

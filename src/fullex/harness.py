@@ -290,7 +290,7 @@ class DigestCache:
             return {}
         return {key: d for key, d in digests.items() if _well_formed(d)}
 
-    def save(self, n: int, catalogue: Catalogue, digests: dict[str, dict]) -> None:
+    def save(self, n: int, catalogue: Catalogue, digests: dict[str, dict]) -> dict:
         path = self._path(n)
         os.makedirs(self.directory, exist_ok=True)
         payload = {
@@ -313,6 +313,7 @@ class DigestCache:
         finally:
             if os.path.exists(tmp):
                 os.remove(tmp)
+        return payload
 
 
 def _process_pool(workers: int):

@@ -44,11 +44,6 @@ def induced(adj: Adjacency, removed: Iterable[int]) -> dict[int, frozenset[int]]
             for v, ns in adj.items() if v not in gone}
 
 
-def subgraph(adj: Adjacency, keep: Iterable[int]) -> dict[int, frozenset[int]]:
-    kept = set(keep)
-    return {v: frozenset(w for w in adj[v] if w in kept) for v in kept}
-
-
 def without_edges(adj: Adjacency, edges: Iterable[Edge]) -> dict[int, frozenset[int]]:
     dead = {norm_edge(*e) for e in edges}
     return {v: frozenset(w for w in ns if norm_edge(v, w) not in dead)
@@ -199,8 +194,8 @@ def extends_to_perfect(g: PlaneCubicGraph | Adjacency, m: Iterable[Edge]) -> boo
 
 
 def matching_certificate(adj: Adjacency, m: Iterable[Edge]) -> DeficiencyCertificate:
-    """The deficiency certificate of the graph minus the matching's ends."""
-    return deficiency_certificate(induced(adj, {v for e in m for v in e}))
+    """The deficiency certificate of G minus the ends of m; NotAMatching unless m is one."""
+    return deficiency_certificate(induced(adj, {v for e in check_matching(adj, m) for v in e}))
 
 
 # ---------------------------------------------------------------------------
@@ -298,11 +293,9 @@ class PmIndex:
 
 
 def is_factor_critical(g: PlaneCubicGraph | Adjacency) -> bool:
-    """True iff removing any single vertex leaves a perfectly matchable graph."""
+    """G - v has a perfect matching for every v: by Gallai's lemma, G connected and D = V."""
     adj = adjacency_of(g)
-    if len(adj) % 2 == 0 and adj:
-        return False
-    return all(has_perfect_matching(induced(adj, [v])) for v in adj)
+    return is_connected(adj) and _gallai_edmonds_d(adj) == set(adj)
 
 
 # ---------------------------------------------------------------------------
@@ -359,11 +352,10 @@ def _structure_set(adj: dict[int, frozenset[int]]) -> set[int]:
     d_part = _gallai_edmonds_d(adj)
     a_part = {w for v in d_part for w in adj[v]} - d_part
     s = set(a_part)
-    c_verts = set(adj) - d_part - a_part
-    for comp in components(subgraph(adj, c_verts)):
+    for comp in components(induced(adj, d_part | a_part)):
         u = min(comp)
         s.add(u)
-        s |= _structure_set(subgraph(adj, comp - {u}))
+        s |= _structure_set(induced(adj, set(adj) - comp | {u}))
     return s
 
 
@@ -397,6 +389,6 @@ def deficiency_certificate(g: PlaneCubicGraph | Adjacency) -> DeficiencyCertific
     adj = adjacency_of(g)
     s = frozenset(_structure_set(adj))
     comps = tuple(frozenset(c) for c in components(induced(adj, s)))
-    flags = tuple(is_factor_critical(subgraph(adj, c)) for c in comps)
+    flags = tuple(is_factor_critical(induced(adj, set(adj) - c)) for c in comps)
     matchable = _matchable_to_components(adj, s, comps)
     return DeficiencyCertificate(s, comps, flags, matchable)

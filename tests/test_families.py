@@ -100,7 +100,9 @@ def test_recognize_relabeled_tube():
 def test_recognize_tube_same_under_aligned_walk(monkeypatch):
     """The descriptors found through `embedding_map` are those found through
     the step-by-step alignment oracle, on every catalogue graph with
-    n <= 20 and on the tubes of 1-6 layers relabelled, plain and mirrored."""
+    n <= 20 and on the tubes of 1-6 layers relabelled, plain and mirrored;
+    each tube's cap centers are the vertices whose three faces are
+    quadrilaterals."""
     rng = random.Random(5)
     graphs = [g for n in range(8, 21, 2) for g in catalogue(n).graphs]
     for layers in range(1, 7):
@@ -112,6 +114,11 @@ def test_recognize_tube_same_under_aligned_walk(monkeypatch):
     assert [F.recognize_tube(g) for g in graphs] == found
     # the catalogue's tubes at n = 14 and 20, and the twelve copies
     assert sum(d is not None for d in found) == 14
+    for g, desc in zip(graphs, found):
+        if desc is not None:
+            quads = [v for f in G.faces(g).faces if f.size == 4 for v in f.boundary]
+            assert sorted(desc.cap_centers) == sorted(
+                v for v in set(quads) if quads.count(v) == 3)
 
 
 def test_pm_structure_small_tubes():

@@ -56,6 +56,16 @@ def test_extends_to_perfect(cube):
         M.extends_to_perfect(cube, [(0, 6)])
 
 
+def test_matching_certificate_rejects_a_non_matching(cube):
+    adj = cube.adj_dict()
+    with pytest.raises(M.NotAMatching):
+        M.matching_certificate(adj, [(0, 1), (1, 2)])
+    with pytest.raises(M.NotAMatching):
+        M.matching_certificate(adj, [(0, 99)])
+    cert = M.matching_certificate(adj, [(1, 0)])
+    assert cert == M.deficiency_certificate(M.induced(adj, [0, 1]))
+
+
 def test_extends_equals_deleted_subgraph_matchability():
     rng = random.Random(77)
     for _ in range(60):
@@ -174,5 +184,5 @@ def test_certificate_random_graphs():
         assert cert.deficiency == missed
         # re-verify the two properties independently of the construction
         for comp in cert.components:
-            assert M.is_factor_critical(M.subgraph(adj, comp))
+            assert M.is_factor_critical(M.induced(adj, set(adj) - comp))
         assert M._matchable_to_components(adj, cert.S, cert.components)

@@ -8,7 +8,7 @@ keeps Hypothesis's source-constants cache out of the working tree).
 import itertools
 import random
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fullex import antikekule as AK
@@ -138,6 +138,20 @@ def test_gallai_edmonds_d_is_the_per_vertex_definition(adj):
     """Odd orders, isolated vertices and several components included."""
     adj = M.adjacency_of(adj)
     assert M._gallai_edmonds_d(adj) == per_vertex_gallai_edmonds_d(adj)
+
+
+@PROPERTY
+@given(labelled_graphs())
+@example({})
+@example({0: set()})
+@example({0: {1, 2}, 1: {0, 2}, 2: {0, 1}})
+@example({0: {1}, 1: {0, 2}, 2: {1, 3}, 3: {2}})
+@example({0: {1, 2}, 1: {0, 2}, 2: {0, 1}, 3: {4, 5}, 4: {3, 5}, 5: {3, 4}, 6: set()})
+def test_factor_critical_is_the_definition(adj):
+    """G - v has a perfect matching for every vertex v, by brute force; empty,
+    odd, even and disconnected graphs included."""
+    assert M.is_factor_critical(adj) == all(
+        2 * brute_max_matching_size(M.induced(adj, [v])) == len(adj) - 1 for v in adj)
 
 
 # every catalogue member with n <= 16 and the tubes of 1..3 layers
