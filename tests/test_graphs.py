@@ -49,8 +49,7 @@ def test_construction_errors():
         # vertex 5 lists 1 instead of 4: edge 4->5 has no reverse
         G.from_rotation(6, [(1, 2, 3), (2, 0, 4), (0, 1, 5),
                             (0, 4, 5), (1, 3, 5), (2, 3, 1)])
-    # no faces, and one face without a vertex: domain errors, not
-    # IndexError or the ValueError of max() over nothing
+    # no faces, and one face without a vertex
     for empty in ([], [()]):
         with pytest.raises(G.GraphError):
             G.from_faces(empty)
