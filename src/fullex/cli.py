@@ -44,11 +44,8 @@ def _fail(message: str) -> int:
 
 def _read_input(path: str):
     if path == "-":
-        data = sys.stdin.buffer.read()
-    else:
-        with open(path, "rb") as fh:
-            data = fh.read()
-    return list(planar_code.read_graphs(data))
+        return list(planar_code.read_graphs(sys.stdin.buffer.read()))
+    return planar_code.read_file(path)
 
 
 def _write_output(graphs, path: Optional[str]) -> None:

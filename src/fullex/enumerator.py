@@ -18,8 +18,8 @@ from __future__ import annotations
 import os
 from typing import Iterable, Iterator, NamedTuple
 
-from .graphs import (PlaneCubicGraph, _bfs_code, _trace_faces, canonical_code,
-                     canonical_form, faces, from_rotation)
+from .graphs import (PlaneCubicGraph, _bfs_code, _code_sweep, _trace_faces,
+                     canonical_code, faces, from_code)
 
 DEFAULT_BOUND = 24
 
@@ -60,22 +60,29 @@ class Catalogue(NamedTuple):
         return [canonical_code(g) for g in self.graphs]
 
 
-def _catalogue_from(n: int, graphs) -> Catalogue:
+def _catalogue_from(n: int, rotations) -> Catalogue:
     """One member per class, in canonical labelling, sorted by canonical code.
 
-    The labels depend only on the code, so every route to a class (and any
-    rewrite of a route) yields the same rotation system for it.
+    One `_code_sweep` per rotation system gives its code and chirality, and
+    the member is built once, from the code, with both preset: the BFS from
+    vertex 0 to vertex 1 reproduces the code, and no root does better.  The
+    labels depend only on the code, so every route to a class (and any
+    rewrite of a route) yields the same rotation system for it.  A code
+    seen twice raises RuntimeError: the walk emits each class once.
     """
-    by_code: dict[bytes, PlaneCubicGraph] = {}
-    for g in graphs:
-        by_code.setdefault(canonical_code(g), g)
-    ordered = tuple(canonical_form(by_code[c]) for c in sorted(by_code))
+    swept = sorted(_code_sweep(len(rot), rot) for rot in rotations)
+    ordered: list[PlaneCubicGraph] = []
     counts: dict[tuple[int, int, int], int] = {}
-    for g in ordered:
+    for code, chiral in swept:
+        if ordered and ordered[-1]._canonical == code:
+            raise RuntimeError(f"class {code.hex()} emitted twice at n = {n}")
+        g = from_code(code)
+        g._canonical, g._chiral = code, chiral
+        ordered.append(g)
         inv = faces(g)
         key = (inv.p4, inv.p5, inv.p6)
         counts[key] = counts.get(key, 0) + 1
-    return Catalogue(n, ordered, counts)
+    return Catalogue(n, tuple(ordered), counts)
 
 
 # ---------------------------------------------------------------------------
@@ -273,14 +280,13 @@ def _walk(v_max: int) -> Iterator[tuple[int, list[Rotation]]]:
         yield v, levels[v]
 
 
-def _dualize(n: int, rot: Rotation) -> PlaneCubicGraph:
-    """Dual of a sphere triangulation: one cubic vertex per triangle face."""
+def _dualize(n: int, rot: Rotation) -> Rotation:
+    """The dual's rotation system: one cubic vertex per triangle face."""
     triangles = _trace_faces(n, rot)
     face_id = {(t[i - 1], t[i]): f for f, t in enumerate(triangles) for i in range(3)}
     # each triangle's neighbours: the faces across its edges, in walk order
-    dual_rot = [tuple(face_id[(t[(i + 1) % 3], t[i])] for i in range(3))
-                for t in triangles]
-    return from_rotation(len(triangles), dual_rot)
+    return tuple(tuple(face_id[(t[(i + 1) % 3], t[i])] for i in range(3))
+                 for t in triangles)
 
 
 def enumerate_catalogues(sizes: Iterable[int],

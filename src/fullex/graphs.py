@@ -386,20 +386,6 @@ def from_code(code: bytes) -> PlaneCubicGraph:
     return from_rotation(len(rot), rot)
 
 
-def canonical_form(g: PlaneCubicGraph) -> PlaneCubicGraph:
-    """The copy of g labelled as its canonical code lists it.
-
-    Every isomorphic copy, mirror images included, has the same canonical
-    form.  Its canonical code is the code it was built from: the BFS from
-    vertex 0 to vertex 1 reproduces the code, and no root does better.
-    """
-    code = canonical_code(g)
-    h = from_code(code)
-    h._canonical = code
-    h._chiral = g._chiral
-    return h
-
-
 def is_isomorphic(g1: PlaneCubicGraph, g2: PlaneCubicGraph) -> bool:
     if g1.n != g2.n:
         return False

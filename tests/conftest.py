@@ -421,12 +421,14 @@ def naive_enumerate(n: int) -> EN.Catalogue:
     edge), which enumerates every embedding at least once per rooted
     orientation.  Pruning uses only the face-size definition: a traced
     facial walk may never exceed six edges and must close at 4, 5 or 6.
+    A class is found many times (12 rotation systems for the 2 classes at
+    n = 12, 56 for the 4 at n = 14); one per canonical code is kept.
     """
     if n % 2 != 0:
         raise EN.OddVertexCount(f"cubic graphs have even order, got {n}")
     if not 4 <= n <= NAIVE_BOUND:
         raise EN.BoundExceeded(f"naive search is bounded at {NAIVE_BOUND}")
-    found: list[G.PlaneCubicGraph] = []
+    found: dict[bytes, EN.Rotation] = {}  # one rotation system per class
     rot: list[tuple[int, int, int] | None] = [None] * n
     declared: list[list[int]] = [[] for _ in range(n)]
 
@@ -469,7 +471,7 @@ def naive_enumerate(n: int) -> EN.Catalogue:
                     G.validate_fullerene(g)
                 except G.GraphError:
                     return
-                found.append(g)
+                found.setdefault(G.canonical_code(g), g.rot)
             return
         entry = declared[v][0]
         forced = declared[v][1:]
@@ -532,7 +534,7 @@ def naive_enumerate(n: int) -> EN.Catalogue:
     declared[2].append(0)
     declared[3].append(0)
     process(1, 4)
-    return EN._catalogue_from(n, found)
+    return EN._catalogue_from(n, found.values())
 
 
 def pytest_configure(config):

@@ -233,6 +233,33 @@ def test_malformed_cached_certificate_is_reanalysed(tmp_path):
     assert json.loads(sidecar.read_text())["digests"][key]["certificate"] == good
 
 
+def test_wrong_typed_or_too_deep_sidecar_is_reanalysed(tmp_path):
+    args = ["verify-all", "--nmax", "10", "--cache-dir", str(tmp_path)]
+    first = run_cli(args)
+    assert first.returncode == 0
+
+    def poison(n, edit):
+        sidecar = tmp_path / f"fullerenes_n{n}.json"
+        data = json.loads(sidecar.read_text())
+        (digest,) = data["digests"].values()
+        edit(digest)
+        sidecar.write_text(json.dumps(data))
+
+    poison(8, lambda d: d.update(p4=None))
+    poison(10, lambda d: d["certificate"].update(s_size="3"))
+    r = run_cli(args)
+    assert (r.returncode, r.stdout) == (0, first.stdout)
+    (tmp_path / "fullerenes_n8.json").write_bytes(b"[" * 100000)
+    r = run_cli(args)
+    assert (r.returncode, r.stdout) == (0, first.stdout)
+    # a tampered value of the right type is read, and its claim fails
+    poison(8, lambda d: d.update(connectivity=2))
+    r = run_cli(args)
+    assert r.returncode == 1
+    failing = [c["anchor"] for c in json.loads(r.stdout)["claims"] if c["failures"]]
+    assert failing == ["connectivity-three"]
+
+
 def test_non_integer_nmax_env_is_a_usage_error(monkeypatch):
     monkeypatch.setenv("FULLEX_NMAX", "abc")
     r = run_cli(["verify-all", "--nmax", "8"])

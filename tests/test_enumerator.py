@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from fullex import cli
 from fullex import enumerator as EN
 from fullex import graphs as G
 from fullex.families import build_tube
@@ -152,8 +153,21 @@ def test_dualize_octahedron_gives_cube(cube):
     octa = [rot for rot in triangulations(6)
             if all(len(r) == 4 for r in rot)]
     assert len(octa) == 1
-    dual = EN._dualize(6, octa[0])
+    dual = G.from_rotation(8, EN._dualize(6, octa[0]))
     assert G.is_isomorphic(dual, cube)
+
+
+def test_a_class_emitted_twice_is_an_internal_error(monkeypatch, tmp_path):
+    walk = EN._walk
+
+    def repeating(v_max):
+        for v, leaves in walk(v_max):
+            yield v, leaves + leaves[:1]
+
+    monkeypatch.setattr(EN, "_walk", repeating)
+    with pytest.raises(RuntimeError, match="emitted twice"):
+        EN.enumerate_fullerenes(8)
+    assert cli.main(["enumerate", "8", "--outdir", str(tmp_path)]) == 3
 
 
 def test_enumerate_eight_is_cube(cube):

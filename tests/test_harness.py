@@ -111,11 +111,12 @@ def test_malformed_cache_entry_is_reanalysed(tmp_path):
     data = json.loads(sidecar.read_text())
     key = next(iter(data["digests"]))
     good = data["digests"][key]
-    data["digests"][key] = {}
-    sidecar.write_text(json.dumps(data))
-    assert harness.DigestCache(str(tmp_path)).load(8) == {}
-    assert harness.verify_all(8, cache_dir=str(tmp_path)).ok
-    assert json.loads(sidecar.read_text())["digests"][key] == good
+    for bad in ({}, dict(good, p4=None), dict(good, girth="4")):
+        data["digests"][key] = bad
+        sidecar.write_text(json.dumps(data))
+        assert harness.DigestCache(str(tmp_path)).load(8) == {}
+        assert harness.verify_all(8, cache_dir=str(tmp_path)).ok
+        assert json.loads(sidecar.read_text())["digests"][key] == good
 
 
 def test_malformed_certificate_is_a_cache_miss(tmp_path):
@@ -125,7 +126,7 @@ def test_malformed_certificate_is_a_cache_miss(tmp_path):
     (key, digest), = data["digests"].items()
     good = digest["certificate"]
     assert good is not None
-    for bad in ({}, [], 7, dict(good, extra=1)):
+    for bad in ({}, [], 7, dict(good, extra=1), dict(good, s_size="3")):
         digest["certificate"] = bad
         sidecar.write_text(json.dumps(data))
         assert harness.DigestCache(str(tmp_path)).load(10) == {}
@@ -293,7 +294,8 @@ def test_unreadable_sidecar_is_a_cache_miss(tmp_path):
     sidecar = tmp_path / "fullerenes_n8.json"
     stale_shape = json.dumps({"version": harness.__version__,
                               "labelling": "canonical", "digests": 7})
-    for garbage in (b"{not json", b"\xff\xfe\x00", b"[1, 2]", stale_shape.encode()):
+    for garbage in (b"{not json", b"\xff\xfe\x00", b"[1, 2]", stale_shape.encode(),
+                    b"[" * 100000):
         sidecar.write_bytes(garbage)
         assert cache.load(8) == {}
 
