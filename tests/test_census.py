@@ -1,15 +1,17 @@
 """Pinned census of the (4,5,6)-fullerene catalogues.
 
-`data/census.json` holds, for every even n in 8..30, the catalogue size,
+`data/census.json` holds, for every even n in 8..34, the catalogue size,
 the face-vector histogram and the sha256 of the sorted canonical codes,
 and from the analysis digests the number of tubes, of non-2-extendable
-graphs and of graphs with anti-Kekule number 3, and the total count of
-nontrivial edge cuts of size <= 3.  An enumerator or analysis rewrite must
-reproduce it exactly.  Tier-1 checks n <= 20; n = 22..30 run only with
-FULLEX_CENSUS_FULL=1, and so do the check of the n = 16 catalogue against
-the naive oracle and the check that the walk's defect bound 2 (v_max - v')
-loses no leaf that the bound 4 (v_max - v') finds, for v_max <= 15.  The classical slice of the pinned rows (no quadrilaterals) is
-checked against the published counts in tier-1.
+graphs and of graphs with anti-Kekule number 3, the total count of
+nontrivial edge cuts of size <= 3, and the sha256 of the digests
+themselves (sorted-key JSON, in catalogue order).  An enumerator or
+analysis rewrite must reproduce it exactly.  Tier-1 checks n <= 20;
+n = 22..34 run only with FULLEX_CENSUS_FULL=1, and so do the check of the
+n = 16 catalogue against the naive oracle and the check that the walk's
+defect bound 2 (v_max - v') loses no leaf that the bound 4 (v_max - v')
+finds, for v_max <= 15.  The classical slice of the pinned rows (no
+quadrilaterals) is checked against the published counts in tier-1.
 
 Regenerate (only ever from an enumerator and analysis already known to be
 right):
@@ -33,13 +35,13 @@ from conftest import catalogue, catalogues
 
 CENSUS_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                            "data", "census.json")
-CENSUS_SIZES = range(8, 31, 2)
+CENSUS_SIZES = range(8, 35, 2)
 FULL = os.environ.get("FULLEX_CENSUS_FULL") == "1"
 
-# classical fullerenes (p4 = 0) on n = 20, 22, ..., 30 vertices, mirror
+# classical fullerenes (p4 = 0) on n = 20, 22, ..., 34 vertices, mirror
 # images identified: OEIS A007894; P. W. Fowler and D. E. Manolopoulos,
 # An Atlas of Fullerenes (1995)
-CLASSICAL_COUNTS = {20: 1, 22: 0, 24: 1, 26: 1, 28: 2, 30: 3}
+CLASSICAL_COUNTS = {20: 1, 22: 0, 24: 1, 26: 1, 28: 2, 30: 3, 32: 6, 34: 6}
 
 
 def census_row(n: int) -> dict:
@@ -54,6 +56,8 @@ def census_row(n: int) -> dict:
             "ak3": sum(d["ak_number"] == 3 for d in digests),
             "nontrivial_cuts_leq3": sum(d["nontrivial_cuts_leq3"] for d in digests),
         },
+        "digests_sha256": hashlib.sha256(
+            json.dumps(digests, sort_keys=True).encode()).hexdigest(),
         "size": cat.size,
         "faces": {f"{p4},{p5},{p6}": k
                   for (p4, p5, p6), k in sorted(cat.counts.items())},
