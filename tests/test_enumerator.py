@@ -253,3 +253,78 @@ def test_determinism():
     assert [g.rot for g in first.graphs] == [g.rot for g in second.graphs]
     # a walk to n = 20 yields the same members on its way
     assert [g.rot for g in first.graphs] == [g.rot for g in catalogue(10).graphs]
+
+
+def _rotation_of(n, triangles):
+    """The rotation system whose faces are the given oriented triangles."""
+    succ = [{} for _ in range(n)]
+    for x, y, z in triangles:
+        succ[y][x], succ[z][y], succ[x][z] = z, x, y
+    rot = []
+    for s in succ:
+        cycle = [min(s)]
+        while s[cycle[-1]] != cycle[0]:
+            cycle.append(s[cycle[-1]])
+        rot.append(tuple(cycle))
+    return tuple(rot)
+
+
+def _quartered(n, rot):
+    """Each triangle cut into four at its edge midpoints: the old vertices
+    keep their degrees, the midpoints get degree 6, and no two old
+    vertices stay adjacent."""
+    mid = {}
+    for u in range(n):
+        for v in rot[u]:
+            mid.setdefault(frozenset((u, v)), n + len(mid))
+    tris = []
+    for x, y, z in G._trace_faces(n, rot):
+        a, b, c = (mid[frozenset(e)] for e in ((x, y), (y, z), (z, x)))
+        tris += [(x, a, c), (y, b, a), (z, c, b), (a, b, c)]
+    return n + len(mid), _rotation_of(n + len(mid), tris)
+
+
+def _contracted(n, rot, u, v):
+    """rot with the contractible edge uv contracted onto u."""
+    label = {x: i for i, x in enumerate(x for x in range(n) if x != v)}
+    label[v] = label[u]
+    tris = [tuple(label[x] for x in t) for t in G._trace_faces(n, rot)
+            if not {u, v} <= set(t)]
+    return n - 1, _rotation_of(n - 1, tris)
+
+
+def _contractions(n, rot):
+    """rot with each of its contractible edges contracted."""
+    nbrs = [set(r) for r in rot]
+    return [_contracted(n, rot, u, v)[1] for u in range(n) for v in rot[u]
+            if u < v and len(nbrs[u] & nbrs[v]) == 2]
+
+
+def test_no_constant_defect_bound_is_closed_under_contraction():
+    """Why `_walk` bounds the defect by v_max - v', not by a constant.
+    delta = 0 is not closed: one of the 4 classes on 9 vertices with all
+    degrees in {4, 5, 6} has no contraction that keeps them there.  Nor
+    is delta <= 1: quartering the icosahedron, contracting one edge at a
+    degree-5 vertex and quartering again gives 158 vertices with degrees
+    5^13 6^144 7^1, no two of the 5s and the 7 adjacent, and every edge
+    contractible; every contraction leaves delta >= 2, a second vertex of
+    degree 7 or one of degree at least 8."""
+    zero = [rot for rot in triangulations(9) if _defect(rot) == 0]
+    assert len(zero) == 4
+    assert sum(min(map(_defect, _contractions(9, rot))) > 0
+               for rot in zero) == 1
+
+    ico = next(rot for v, rots in EN._walk(12) if v == 12 for rot in rots
+               if all(len(r) == 5 for r in rot))
+    n, rot = _quartered(12, ico)
+    n, rot = _contracted(n, rot, 0, rot[0][0])
+    n, rot = _quartered(n, rot)
+    assert n == 158 and _is_triangulation(n, rot)
+    degrees = sorted(len(r) for r in rot)
+    assert degrees == [5] * 13 + [6] * 144 + [7]
+    assert _defect(rot) == 1
+    assert all(len(rot[y]) == 6 for x in range(n) if len(rot[x]) != 6
+               for y in rot[x])
+    contractions = _contractions(n, rot)
+    assert len(contractions) == sum(degrees) // 2
+    assert min(map(_defect, contractions)) == 2
