@@ -16,16 +16,12 @@ from __future__ import annotations
 from typing import Iterator, NamedTuple
 
 from . import matching as mt
-from .graphs import Edge, PlaneCubicGraph, norm_edge
+from .graphs import Edge, PlaneCubicGraph
 
 SEARCH_CAP = 4
 
 
 class AntiKekuleError(ValueError):
-    pass
-
-
-class EdgeNotInGraph(AntiKekuleError):
     pass
 
 
@@ -37,17 +33,6 @@ class SearchExhausted(AntiKekuleError):
 class AntiKekuleResult(NamedTuple):
     number: int
     witness_set: frozenset[Edge]
-
-
-def is_anti_kekule_set(g: PlaneCubicGraph | mt.Adjacency, edges) -> bool:
-    """True iff deleting the edges keeps the graph connected and unmatchable."""
-    adj = mt.adjacency_of(g)
-    dead = [norm_edge(*e) for e in edges]
-    for u, v in dead:
-        if u not in adj or v not in adj[u]:
-            raise EdgeNotInGraph(f"edge ({u}, {v}) is not in the graph")
-    left = mt.without_edges(adj, dead)
-    return mt.is_connected(left) and not mt.has_perfect_matching(left)
 
 
 def sets_of_size(index: mt.PmIndex, size: int) -> Iterator[frozenset[Edge]]:
@@ -115,11 +100,3 @@ def anti_kekule_number(g: PlaneCubicGraph | mt.Adjacency) -> AntiKekuleResult:
     """Smallest anti-Kekule set of the graph; see ``search``."""
     return search(mt.PmIndex(mt.adjacency_of(g)))
 
-
-def min_anti_kekule_sets(g: PlaneCubicGraph | mt.Adjacency, size: int) -> list[frozenset[Edge]]:
-    """All anti-Kekule sets of exactly the given size (<= 4)."""
-    if size > SEARCH_CAP:
-        raise AntiKekuleError(f"size is capped at {SEARCH_CAP}")
-    if size <= 0:
-        return []
-    return list(sets_of_size(mt.PmIndex(mt.adjacency_of(g)), size))

@@ -19,7 +19,7 @@ import os
 from typing import Iterable, Iterator, NamedTuple
 
 from .graphs import (PlaneCubicGraph, _bfs_code, _code_sweep, _trace_faces,
-                     canonical_code, faces, from_code)
+                     faces, from_code)
 
 DEFAULT_BOUND = 24
 
@@ -55,9 +55,6 @@ class Catalogue(NamedTuple):
     @property
     def size(self) -> int:
         return len(self.graphs)
-
-    def canonical_codes(self) -> list[bytes]:
-        return [canonical_code(g) for g in self.graphs]
 
 
 def _catalogue_from(n: int, rotations) -> Catalogue:
@@ -138,7 +135,7 @@ def _canonical_key(n: int, rot: Rotation, x: int, y: int) -> bytes | None:
     the matching orientation.  A root and its image emit the same code, so
     the keys are the least of the same codes; a code lists the whole
     rotation system, so equal keys mean isomorphic embeddings up to
-    mirroring, as equal `rotation_code`s do.  Two roots emitting one code
+    mirroring, as equal `_code_sweep` codes do.  Two roots emitting one code
     are related by the map matching equal labels, an automorphism or a
     reflection: the roots emitting the key form one orbit, and so do the
     canonical edges.

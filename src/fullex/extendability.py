@@ -70,23 +70,18 @@ def nonextendable_matchings(index: mt.PmIndex, k: int) -> Iterator[tuple[Edge, .
             yield cand
 
 
-def _report(adj: dict[int, frozenset[int]], k: int,
-            witness: Optional[tuple[Edge, ...]]) -> ExtendabilityReport:
-    """The verdict for a witness or None; a witness is certified by the
-    deficiency certificate of the graph minus its endpoints."""
+def is_k_extendable(g: PlaneCubicGraph | mt.Adjacency, k: int) -> ExtendabilityReport:
+    """Scan all size-k matchings; the first one that fails becomes the
+    witness, certified by the deficiency certificate of the graph minus its
+    endpoints."""
+    adj = mt.adjacency_of(g)
+    check_preconditions(adj, k)
+    witness = None
+    if k > 0:
+        witness = next(nonextendable_matchings(mt.PmIndex(adj, ENUMERATION_CAP), k), None)
     if witness is None:
         return ExtendabilityReport(k, True, None, None)
     return ExtendabilityReport(k, False, witness, mt.matching_certificate(adj, witness))
-
-
-def is_k_extendable(g: PlaneCubicGraph | mt.Adjacency, k: int) -> ExtendabilityReport:
-    """Scan all size-k matchings; the first one that fails becomes the witness."""
-    adj = mt.adjacency_of(g)
-    check_preconditions(adj, k)
-    if k == 0:
-        return ExtendabilityReport(0, True, None, None)
-    index = mt.PmIndex(adj, ENUMERATION_CAP)
-    return _report(adj, k, next(nonextendable_matchings(index, k), None))
 
 
 def extendability_number(g: PlaneCubicGraph | mt.Adjacency) -> int:
@@ -105,10 +100,3 @@ def extendability_number(g: PlaneCubicGraph | mt.Adjacency) -> int:
         best = k
     return best
 
-
-def nonextendable_pairs(g: PlaneCubicGraph | mt.Adjacency) -> list[ExtendabilityReport]:
-    """Every size-2 matching with no perfect-matching extension, certified."""
-    adj = mt.adjacency_of(g)
-    check_preconditions(adj, 2)
-    index = mt.PmIndex(adj, ENUMERATION_CAP)
-    return [_report(adj, 2, w) for w in nonextendable_matchings(index, 2)]

@@ -288,11 +288,6 @@ def validate_fullerene(g: PlaneCubicGraph) -> FaceInventory:
 # Canonical codes
 # ---------------------------------------------------------------------------
 
-def rotation_code(n: int, rot: Sequence[Sequence[int]]) -> bytes:
-    """Canonical byte code of an embedded graph (`_code_sweep`)."""
-    return _code_sweep(n, rot)[0]
-
-
 def _code_sweep(n: int, rot: Sequence[Sequence[int]]) -> tuple[bytes, bool]:
     """(canonical code, whether the embedding is chiral) from one sweep.
 
@@ -384,12 +379,6 @@ def from_code(code: bytes) -> PlaneCubicGraph:
         rot.append(tuple(code[i + 1:i + 1 + k]))
         i += 1 + k
     return from_rotation(len(rot), rot)
-
-
-def is_isomorphic(g1: PlaneCubicGraph, g2: PlaneCubicGraph) -> bool:
-    if g1.n != g2.n:
-        return False
-    return canonical_code(g1) == canonical_code(g2)
 
 
 def embedding_map(g1: PlaneCubicGraph, g2: PlaneCubicGraph) -> dict[int, int] | None:
@@ -604,37 +593,3 @@ def has_cyclic_bond(adj: Mapping[int, Iterable[int]], cuts: Iterable[EdgeCut]) -
     """
     return any(all(has_cycle(side, adj) for side in cut.sides) for cut in cuts)
 
-
-def cube_graph() -> PlaneCubicGraph:
-    """The 3-cube: smallest (4,5,6)-fullerene, all faces quadrilaterals."""
-    return from_faces([
-        (0, 1, 2, 3),
-        (0, 4, 5, 1),
-        (1, 5, 6, 2),
-        (2, 6, 7, 3),
-        (3, 7, 4, 0),
-        (4, 7, 6, 5),
-    ])
-
-
-def k4_graph() -> PlaneCubicGraph:
-    """The tetrahedron; plane cubic but not a fullerene (triangle faces)."""
-    return from_faces([(0, 1, 2), (0, 3, 1), (1, 3, 2), (2, 3, 0)])
-
-
-def dodecahedron_graph() -> PlaneCubicGraph:
-    """The dodecahedron: the 20-vertex fullerene with twelve pentagons."""
-    return from_faces([
-        (0, 1, 2, 3, 4),
-        (0, 5, 10, 6, 1),
-        (1, 6, 11, 7, 2),
-        (2, 7, 12, 8, 3),
-        (3, 8, 13, 9, 4),
-        (4, 9, 14, 5, 0),
-        (5, 14, 19, 15, 10),
-        (6, 10, 15, 16, 11),
-        (7, 11, 16, 17, 12),
-        (8, 12, 17, 18, 13),
-        (9, 13, 18, 19, 14),
-        (15, 19, 18, 17, 16),
-    ])

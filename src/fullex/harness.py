@@ -6,11 +6,12 @@ are predicates over digests, registered in a table so the report layout is
 data-driven.  Reports are deterministic: graphs are keyed by canonical
 code, claims run in registration order, and JSON is emitted with sorted
 keys.  Digests can be cached in the catalogue sidecar files keyed by
-canonical code and invalidated by the library version stamp.
+canonical code and invalidated by a hash of the package's sources.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 from contextlib import nullcontext
@@ -268,6 +269,19 @@ class VerificationReport(NamedTuple):
         return json.dumps(self.to_json(), indent=2, sort_keys=True) + "\n"
 
 
+@functools.cache
+def source_stamp() -> str:
+    """sha256 of the package's *.py sources, read in sorted order, once per
+    process; hashlib is imported here, so a run without a cache never loads it."""
+    import hashlib
+    here = os.path.dirname(os.path.abspath(__file__))
+    digest = hashlib.sha256()
+    for name in sorted(f for f in os.listdir(here) if f.endswith(".py")):
+        with open(os.path.join(here, name), "rb") as fh:
+            digest.update(fh.read())
+    return digest.hexdigest()
+
+
 class DigestCache:
     """Sidecar-backed digest store keyed by canonical code hex."""
 
@@ -281,11 +295,8 @@ class DigestCache:
         """Cached digests; a missing, undecodable (nested too deep to parse,
         too) or stale sidecar is a miss, and so is an entry that is not a
         dict with the digest's fields, each of its JSON type, or whose
-        certificate is neither None nor such a dict with its fields.
-
-        A sidecar without the `labelling` marker was written before catalogue
-        members were rebuilt in canonical labelling, so its witnesses may
-        name other vertices than the graph keyed by the same code: a miss.
+        certificate is neither None nor such a dict with its fields.  A
+        sidecar is stale unless `source_stamp` matches the one it holds.
         """
         path = self._path(n)
         if not os.path.exists(path):
@@ -295,8 +306,7 @@ class DigestCache:
                 data = json.load(fh)
         except (ValueError, RecursionError):
             return {}
-        if (not isinstance(data, dict) or data.get("version") != __version__
-                or data.get("labelling") != "canonical"):
+        if not isinstance(data, dict) or data.get("source_sha256") != source_stamp():
             return {}
         digests = data.get("digests")
         if not isinstance(digests, dict):
@@ -308,7 +318,7 @@ class DigestCache:
         os.makedirs(self.directory, exist_ok=True)
         payload = {
             "version": __version__,
-            "labelling": "canonical",
+            "source_sha256": source_stamp(),
             "n": n,
             "count": catalogue.size,
             "counts_by_faces": {

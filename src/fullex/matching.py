@@ -44,12 +44,6 @@ def induced(adj: Adjacency, removed: Iterable[int]) -> dict[int, frozenset[int]]
             for v, ns in adj.items() if v not in gone}
 
 
-def without_edges(adj: Adjacency, edges: Iterable[Edge]) -> dict[int, frozenset[int]]:
-    dead = {norm_edge(*e) for e in edges}
-    return {v: frozenset(w for w in ns if norm_edge(v, w) not in dead)
-            for v, ns in adj.items()}
-
-
 def edges_of(adj: Adjacency) -> list[Edge]:
     return sorted({norm_edge(v, w) for v, ns in adj.items() for w in ns})
 
@@ -317,12 +311,6 @@ class DeficiencyCertificate(NamedTuple):
     @property
     def deficiency(self) -> int:
         return len(self.components) - len(self.S)
-
-    def implies_perfect_matching(self) -> bool:
-        return len(self.S) == len(self.components)
-
-    def valid(self) -> bool:
-        return self.matchable and all(self.factor_critical_flags)
 
 
 def _gallai_edmonds_d(adj: Adjacency) -> set[int]:

@@ -20,7 +20,11 @@ the level below, deduplicated by `tri_key` (which
 canonical augmentation only the split itself.  `is_chiral` compares the
 least codes of the two orientations, each from its own sweep.
 `aligned_embedding_map` finds an embedding isomorphism by walking two
-rotation systems in step, without BFS codes.
+rotation systems in step, without BFS codes.  `is_anti_kekule_set` checks
+the definition on the graph minus the edges, and `min_anti_kekule_sets`,
+`nonextendable_pairs`, `rotation_code` and the certificate predicates are
+thin readings of library results that only the tests need, as are the
+fixed graphs (cube, dodecahedron, K4).
 """
 
 from __future__ import annotations
@@ -32,7 +36,9 @@ from collections import deque
 
 import pytest
 
+from fullex import antikekule as AK
 from fullex import enumerator as EN
+from fullex import extendability as E
 from fullex import graphs as G
 from fullex import matching as M
 
@@ -59,6 +65,15 @@ def triangulations(v: int) -> tuple[EN.Rotation, ...]:
     for child in split_children(v):
         level.setdefault(tri_key(v, child), child)
     return tuple(level.values())
+
+
+def rotation_code(n: int, rot) -> bytes:
+    """Canonical byte code of an embedded graph (`_code_sweep`)."""
+    return G._code_sweep(n, rot)[0]
+
+
+def canonical_codes(cat: EN.Catalogue) -> list[bytes]:
+    return [G.canonical_code(g) for g in cat.graphs]
 
 
 def tri_key(n: int, rot: EN.Rotation) -> bytes:
@@ -217,6 +232,50 @@ def combination_anti_kekule_sets(index: M.PmIndex, size: int):
             yield frozenset(combo)
 
 
+class EdgeNotInGraph(ValueError):
+    pass
+
+
+def without_edges(adj, edges) -> dict[int, frozenset[int]]:
+    dead = {G.norm_edge(*e) for e in edges}
+    return {v: frozenset(w for w in ns if G.norm_edge(v, w) not in dead)
+            for v, ns in adj.items()}
+
+
+def is_anti_kekule_set(g, edges) -> bool:
+    """True iff deleting the edges keeps the graph connected and unmatchable."""
+    adj = M.adjacency_of(g)
+    dead = [G.norm_edge(*e) for e in edges]
+    for u, v in dead:
+        if u not in adj or v not in adj[u]:
+            raise EdgeNotInGraph(f"edge ({u}, {v}) is not in the graph")
+    left = without_edges(adj, dead)
+    return M.is_connected(left) and not M.has_perfect_matching(left)
+
+
+def min_anti_kekule_sets(g, size: int) -> list[frozenset[G.Edge]]:
+    """All anti-Kekule sets of exactly the given size, from the library's search."""
+    return list(AK.sets_of_size(M.PmIndex(M.adjacency_of(g)), size))
+
+
+def nonextendable_pairs(g) -> list[E.ExtendabilityReport]:
+    """Every size-2 matching with no perfect-matching extension, certified."""
+    adj = M.adjacency_of(g)
+    E.check_preconditions(adj, 2)
+    index = M.PmIndex(adj, E.ENUMERATION_CAP)
+    return [E.ExtendabilityReport(2, False, w, M.matching_certificate(adj, w))
+            for w in E.nonextendable_matchings(index, 2)]
+
+
+def certificate_valid(cert: M.DeficiencyCertificate) -> bool:
+    """S matches into the components of G - S, and each is factor-critical."""
+    return cert.matchable and all(cert.factor_critical_flags)
+
+
+def implies_perfect_matching(cert: M.DeficiencyCertificate) -> bool:
+    return len(cert.S) == len(cert.components)
+
+
 def backtracking_isomorphic(g1: G.PlaneCubicGraph, g2: G.PlaneCubicGraph) -> bool:
     """Abstract-graph isomorphism, ignoring the embeddings entirely."""
     if g1.n != g2.n:
@@ -321,6 +380,41 @@ def _try_align(rot1, rot2, r1: int, f1: int, r2: int, f2: int) -> dict[int, int]
                 entry2[b] = w
                 order.append(a)
     return mapping
+
+
+def cube_graph() -> G.PlaneCubicGraph:
+    """The 3-cube: smallest (4,5,6)-fullerene, all faces quadrilaterals."""
+    return G.from_faces([
+        (0, 1, 2, 3),
+        (0, 4, 5, 1),
+        (1, 5, 6, 2),
+        (2, 6, 7, 3),
+        (3, 7, 4, 0),
+        (4, 7, 6, 5),
+    ])
+
+
+def k4_graph() -> G.PlaneCubicGraph:
+    """The tetrahedron; plane cubic but not a fullerene (triangle faces)."""
+    return G.from_faces([(0, 1, 2), (0, 3, 1), (1, 3, 2), (2, 3, 0)])
+
+
+def dodecahedron_graph() -> G.PlaneCubicGraph:
+    """The dodecahedron: the 20-vertex fullerene with twelve pentagons."""
+    return G.from_faces([
+        (0, 1, 2, 3, 4),
+        (0, 5, 10, 6, 1),
+        (1, 6, 11, 7, 2),
+        (2, 7, 12, 8, 3),
+        (3, 8, 13, 9, 4),
+        (4, 9, 14, 5, 0),
+        (5, 14, 19, 15, 10),
+        (6, 10, 15, 16, 11),
+        (7, 11, 16, 17, 12),
+        (8, 12, 17, 18, 13),
+        (9, 13, 18, 19, 14),
+        (15, 19, 18, 17, 16),
+    ])
 
 
 def two_blocks_joined_by_two_edges() -> G.PlaneCubicGraph:
@@ -554,14 +648,14 @@ def pytest_configure(config):
 
 @pytest.fixture(scope="session")
 def cube():
-    return G.cube_graph()
+    return cube_graph()
 
 
 @pytest.fixture(scope="session")
 def dodecahedron():
-    return G.dodecahedron_graph()
+    return dodecahedron_graph()
 
 
 @pytest.fixture(scope="session")
 def k4():
-    return G.k4_graph()
+    return k4_graph()

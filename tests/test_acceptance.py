@@ -20,7 +20,7 @@ from fullex import graphs as G
 from fullex import harness
 from fullex import matching as M
 
-from conftest import brute_max_matching_size, catalogue, random_simple_graph
+from conftest import brute_max_matching_size, canonical_codes, catalogue, random_simple_graph
 
 
 def verdict(criterion: str, ok: bool, detail: str = "") -> None:
@@ -198,8 +198,8 @@ def test_criterion_10_generator_completeness():
     t0 = time.time()
     bad = []
     for n in (8, 10, 12, 14):
-        fast = set(catalogue(n).canonical_codes())
-        naive = set(catalogue(n, naive=True).canonical_codes())
+        fast = set(canonical_codes(catalogue(n)))
+        naive = set(canonical_codes(catalogue(n, naive=True)))
         if fast != naive:
             bad.append(n)
     verdict("10 generator-completeness", not bad,

@@ -6,7 +6,8 @@ import time
 from pathlib import Path
 
 from fullex import planar_code as PC
-from fullex.graphs import cube_graph
+
+from conftest import cube_graph
 
 
 def run_cli(args, input=None):

@@ -7,8 +7,8 @@ from fullex import enumerator as EN
 from fullex import graphs as G
 from fullex.families import build_tube
 
-from conftest import (catalogue, relabel_rotation, split_children, tri_key,
-                      triangulations)
+from conftest import (canonical_codes, catalogue, relabel_rotation, rotation_code,
+                      split_children, tri_key, triangulations)
 
 
 # simple sphere triangulations per vertex count (simplicial polyhedra)
@@ -21,7 +21,7 @@ def _defect(rot):
 
 
 def _codes(v, rots):
-    return {G.rotation_code(v, rot) for rot in rots}
+    return {rotation_code(v, rot) for rot in rots}
 
 
 def _is_triangulation(n, rot):
@@ -49,7 +49,7 @@ def _separates_as_rotation_code(key_of, seed):
             for rot in (child, relabel_rotation(child, rng, False),
                         relabel_rotation(child, rng, True)):
                 key = key_of(v, rot)
-                code = G.rotation_code(v, rot)
+                code = rotation_code(v, rot)
                 assert key_of_code.setdefault(code, key) == key
                 assert code_of_key.setdefault(key, code) == code
         assert len(key_of_code) == TRIANGULATION_COUNTS[v]
@@ -84,7 +84,7 @@ def test_each_class_is_accepted_once_from_one_parent():
             children = []
             for i, rot in enumerate(level):
                 for child in EN._children(n, rot, slack):
-                    parents.setdefault(G.rotation_code(n + 1, child), []).append(i)
+                    parents.setdefault(rotation_code(n + 1, child), []).append(i)
                     children.append(child)
             assert all(len(p) == 1 for p in parents.values())
             want = [rot for rot in triangulations(n + 1) if _defect(rot) <= slack]
@@ -154,7 +154,7 @@ def test_dualize_octahedron_gives_cube(cube):
             if all(len(r) == 4 for r in rot)]
     assert len(octa) == 1
     dual = G.from_rotation(8, EN._dualize(6, octa[0]))
-    assert G.is_isomorphic(dual, cube)
+    assert G.canonical_code(dual) == G.canonical_code(cube)
 
 
 def test_a_class_emitted_twice_is_an_internal_error(monkeypatch, tmp_path):
@@ -173,13 +173,13 @@ def test_a_class_emitted_twice_is_an_internal_error(monkeypatch, tmp_path):
 def test_enumerate_eight_is_cube(cube):
     cat = EN.enumerate_fullerenes(8)
     assert cat.size == 1
-    assert G.is_isomorphic(cat.graphs[0], cube)
+    assert G.canonical_code(cat.graphs[0]) == G.canonical_code(cube)
 
 
 def test_catalogue_members_are_valid_and_sorted():
     for n in (10, 12, 14):
         cat = catalogue(n)
-        codes = cat.canonical_codes()
+        codes = canonical_codes(cat)
         assert codes == sorted(codes)
         assert len(set(codes)) == cat.size
         for g in cat.graphs:
@@ -199,14 +199,14 @@ def test_tubes_appear_in_catalogue():
     for layers in (1, 2):
         g, _ = build_tube(layers)
         cat = catalogue(g.n)
-        assert any(G.is_isomorphic(g, h) for h in cat.graphs)
+        assert any(G.canonical_code(g) == G.canonical_code(h) for h in cat.graphs)
 
 
 def test_twenty_vertex_members_pairwise_distinct():
     from conftest import backtracking_isomorphic
     cat = catalogue(20)
     a, b = cat.graphs[0], cat.graphs[1]
-    assert not G.is_isomorphic(a, b)
+    assert G.canonical_code(a) != G.canonical_code(b)
     assert not backtracking_isomorphic(a, b)
 
 
@@ -214,7 +214,7 @@ def test_naive_agrees_with_fast_small():
     for n in (8, 10):
         fast = EN.enumerate_fullerenes(n)
         naive = catalogue(n, naive=True)
-        assert set(fast.canonical_codes()) == set(naive.canonical_codes())
+        assert set(canonical_codes(fast)) == set(canonical_codes(naive))
 
 
 def test_fast_and_naive_members_are_identical():
@@ -222,7 +222,7 @@ def test_fast_and_naive_members_are_identical():
         fast = catalogue(n)
         naive = catalogue(n, naive=True)
         assert [g.rot for g in fast.graphs] == [g.rot for g in naive.graphs]
-        assert fast.canonical_codes() == naive.canonical_codes()
+        assert canonical_codes(fast) == canonical_codes(naive)
 
 
 def test_bounds_and_parity():
@@ -249,7 +249,7 @@ def test_env_override(monkeypatch):
 def test_determinism():
     first = EN.enumerate_fullerenes(10)
     second = EN.enumerate_fullerenes(10)
-    assert first.canonical_codes() == second.canonical_codes()
+    assert canonical_codes(first) == canonical_codes(second)
     assert [g.rot for g in first.graphs] == [g.rot for g in second.graphs]
     # a walk to n = 20 yields the same members on its way
     assert [g.rot for g in first.graphs] == [g.rot for g in catalogue(10).graphs]

@@ -7,7 +7,7 @@ from fullex import graphs as G
 from fullex import harness
 from fullex import matching as M
 
-from conftest import aligned_embedding_map, catalogue, relabel_rotation
+from conftest import aligned_embedding_map, catalogue, relabel_rotation, without_edges
 
 
 def test_build_tube_validates():
@@ -48,7 +48,7 @@ def test_traversed_layers_are_cyclic_three_cuts():
     g, desc = F.build_tube(2)
     adj = M.adjacency_of(g)
     for layer in desc.traversed_edges:
-        left = M.without_edges(adj, layer)
+        left = without_edges(adj, layer)
         comps = M.components(left)
         assert len(comps) == 2
         for comp in comps:

@@ -1,5 +1,7 @@
+import hashlib
 import json
 from concurrent.futures.process import BrokenProcessPool
+from pathlib import Path
 
 import pytest
 
@@ -13,7 +15,7 @@ from fullex import planar_code as PC
 from fullex.enumerator import BoundExceeded
 from fullex.graphs import canonical_code
 
-from conftest import catalogue, exhaustive_cyclic_cut_leq3
+from conftest import catalogue, cube_graph, dodecahedron_graph, exhaustive_cyclic_cut_leq3
 
 
 def test_analyze_cube_digest(cube):
@@ -42,7 +44,7 @@ def test_short_cycle_searches_run_once_per_length(monkeypatch):
         return search(g, length)
 
     monkeypatch.setattr(G, "_simple_cycles_of_length", spy)
-    for g, girth in ((G.cube_graph(), 4), (G.dodecahedron_graph(), 5)):
+    for g, girth in ((cube_graph(), 4), (dodecahedron_graph(), 5)):
         searches.clear()
         d = harness.analyze_graph(g)
         assert (d["girth"], d["short_cycles_facial"]) == (girth, True)
@@ -135,32 +137,43 @@ def test_malformed_certificate_is_a_cache_miss(tmp_path):
     assert harness.DigestCache(str(tmp_path)).load(10) == {key: digest}
 
 
+def _poisoned_sidecar(tmp_path, stamp):
+    """The n = 8 sidecar with one digest poisoned and its source stamp set
+    to `stamp`, or dropped for None."""
+    harness.verify_all(8, cache_dir=str(tmp_path))
+    sidecar = tmp_path / "fullerenes_n8.json"
+    data = json.loads(sidecar.read_text())
+    assert data.pop("source_sha256") == harness.source_stamp()
+    if stamp is not None:
+        data["source_sha256"] = stamp
+    key = next(iter(data["digests"]))
+    data["digests"][key]["connectivity"] = 2
+    sidecar.write_text(json.dumps(data))
+    return sidecar
+
+
 def test_cache_invalidated_by_version(tmp_path):
-    harness.verify_all(8, cache_dir=str(tmp_path))
-    sidecar = tmp_path / "fullerenes_n8.json"
-    data = json.loads(sidecar.read_text())
-    data["version"] = "0.0.0-different"
-    key = next(iter(data["digests"]))
-    data["digests"][key]["connectivity"] = 2
-    sidecar.write_text(json.dumps(data))
+    # any change to the sources, a version bump included, changes the stamp
+    sidecar = _poisoned_sidecar(tmp_path, "0" * 64)
+    assert harness.DigestCache(str(tmp_path)).load(8) == {}
     # stale cache is ignored, so the poisoned digest has no effect
-    report = harness.verify_all(8, cache_dir=str(tmp_path))
-    assert report.ok
+    assert harness.verify_all(8, cache_dir=str(tmp_path)).ok
+    assert json.loads(sidecar.read_text())["source_sha256"] == harness.source_stamp()
 
 
-def test_sidecar_without_labelling_marker_is_a_miss(tmp_path):
-    # a sidecar of the same version written before members were rebuilt in
-    # canonical labelling: its witnesses may name other vertices
-    harness.verify_all(8, cache_dir=str(tmp_path))
-    sidecar = tmp_path / "fullerenes_n8.json"
-    data = json.loads(sidecar.read_text())
-    assert data.pop("labelling") == "canonical"
-    key = next(iter(data["digests"]))
-    data["digests"][key]["connectivity"] = 2
-    sidecar.write_text(json.dumps(data))
+def test_sidecar_without_source_stamp_is_a_miss(tmp_path):
+    sidecar = _poisoned_sidecar(tmp_path, None)
     assert harness.DigestCache(str(tmp_path)).load(8) == {}
     assert harness.verify_all(8, cache_dir=str(tmp_path)).ok
-    assert json.loads(sidecar.read_text())["labelling"] == "canonical"
+    assert json.loads(sidecar.read_text())["source_sha256"] == harness.source_stamp()
+
+
+def test_source_stamp_hashes_the_package_sources_in_sorted_order():
+    src = Path(harness.__file__).parent
+    digest = hashlib.sha256()
+    for path in sorted(src.glob("*.py")):
+        digest.update(path.read_bytes())
+    assert harness.source_stamp() == digest.hexdigest()
 
 
 def test_parallel_digests_match_serial():
@@ -292,8 +305,7 @@ def test_verify_all_starts_one_pool(monkeypatch, tmp_path):
 def test_unreadable_sidecar_is_a_cache_miss(tmp_path):
     cache = harness.DigestCache(str(tmp_path))
     sidecar = tmp_path / "fullerenes_n8.json"
-    stale_shape = json.dumps({"version": harness.__version__,
-                              "labelling": "canonical", "digests": 7})
+    stale_shape = json.dumps({"source_sha256": harness.source_stamp(), "digests": 7})
     for garbage in (b"{not json", b"\xff\xfe\x00", b"[1, 2]", stale_shape.encode(),
                     b"[" * 100000):
         sidecar.write_bytes(garbage)

@@ -18,8 +18,8 @@ from fullex import planar_code as PC
 from fullex.families import build_tube
 
 from conftest import (brute_max_matching_size, brute_perfect_matchings, catalogue,
-                      combination_anti_kekule_sets, per_vertex_gallai_edmonds_d,
-                      relabelled_mirror)
+                      combination_anti_kekule_sets, cube_graph, dodecahedron_graph,
+                      k4_graph, per_vertex_gallai_edmonds_d, relabelled_mirror)
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=300, deadline=None)
 
@@ -33,7 +33,7 @@ def _records(n: int):
 
 
 _VALID = [PC.HEADER + PC.encode_graph(g)
-          for g in (G.k4_graph(), G.cube_graph(), G.dodecahedron_graph())]
+          for g in (k4_graph(), cube_graph(), dodecahedron_graph())]
 
 
 def _mutated(data: bytes, pos: int, value: int) -> bytes:
@@ -72,7 +72,7 @@ def test_arbitrary_bytes_raise_only_domain_errors(data):
 
 
 # graphs with and without symmetry, chiral ones among the n = 16 members
-_GRAPHS = [G.k4_graph(), G.cube_graph(), build_tube(1)[0],
+_GRAPHS = [k4_graph(), cube_graph(), build_tube(1)[0],
            *(g for n in (12, 14, 16) for g in catalogue(n).graphs)]
 
 

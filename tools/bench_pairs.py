@@ -15,8 +15,9 @@ once in each export, the parent first in even pairs and the change first in
 odd ones, so a slow spell of the host falls on both sides alike.  The last
 stdout line of every run is kept under `runs`.  `summary` gives, for each
 end-to-end metric of the parent's BENCHMARK.json, each side's median and
-quartiles and the number of pairs in which the change reads better (ties
-count for neither side).  With `--trace-metrics`, one
+quartiles, the number of pairs in which the change reads better (ties
+count for neither side) and a `verdict` against the metric's bound (see
+`verdict`).  With `--trace-metrics`, one
 `run.py --workload all --seed S --trace 1` run per side adds the named
 per-layer figures of every workload under `trace`.
 """
@@ -71,9 +72,25 @@ def spread(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "n": len(values)}
 
 
+def verdict(parent: list[float], change: list[float], sign: int, bound: float) -> str:
+    """'worse' when the change's median is worse than the parent's by more
+    than bound x the parent's median; 'unresolved' when it is not, but the
+    parent's quartile spread exceeds that margin and not every change run
+    beats every parent run; 'held' otherwise.  `sign` is 1 when lower is
+    better and -1 when higher is."""
+    p, c = spread(parent), spread(change)
+    margin = bound * abs(p["median"])
+    if sign * (c["median"] - p["median"]) > margin:
+        return "worse"
+    if (p["q3"] - p["q1"] > margin
+            and max(sign * x for x in change) >= min(sign * x for x in parent)):
+        return "unresolved"
+    return "held"
+
+
 def summarize(runs: list[dict], end_to_end: list[dict]) -> dict:
-    """Per workload and end-to-end metric: each side's spread and the pairs
-    in which the change reads better."""
+    """Per workload and end-to-end metric: each side's spread, the pairs
+    in which the change reads better and the verdict."""
     out: dict[str, dict] = {}
     for workload in dict.fromkeys(r["workload"] for r in runs):
         pairs: dict[int, dict[str, dict]] = {}
@@ -89,6 +106,8 @@ def summarize(runs: list[dict], end_to_end: list[dict]) -> dict:
                          for p, c in zip(value["parent"], value["change"]))
             row[name] = {side: spread(value[side]) for side in SIDES}
             row[name]["change_better_pairs"] = f"{better}/{len(pairs)}"
+            row[name]["verdict"] = verdict(value["parent"], value["change"], sign,
+                                           spec["bound"])
         row["all_correct"] = all(p[side]["correct"] and p[side]["failed"] == 0
                                  for p in pairs.values() for side in SIDES)
         out[workload] = row
@@ -160,9 +179,12 @@ def main(argv=None) -> int:
             "--trace 0), run by tools/bench_pairs.py in a git-archive export of "
             "each commit, alternating which side runs first from pair to pair; "
             "'runs' holds each run's last stdout line as 'result'. 'summary' "
-            "gives each side's median and quartiles and the pairs where the "
-            "change reads better. 'trace' is one --workload all --trace 1 run "
-            "per side."),
+            "gives each side's median and quartiles, the pairs where the "
+            "change reads better and a verdict against the metric's bound: "
+            "'worse' (median worse by more than bound x the parent's median), "
+            "'unresolved' (not worse, but the parent's quartile spread exceeds "
+            "that margin and not every change run beats every parent run) or "
+            "'held'. 'trace' is one --workload all --trace 1 run per side."),
         "summary": summarize(runs, end_to_end),
         "trace": trace,
         "runs": runs,
