@@ -99,4 +99,3 @@ def search(index: mt.PmIndex) -> AntiKekuleResult:
 def anti_kekule_number(g: PlaneCubicGraph | mt.Adjacency) -> AntiKekuleResult:
     """Smallest anti-Kekule set of the graph; see ``search``."""
     return search(mt.PmIndex(mt.adjacency_of(g)))
-

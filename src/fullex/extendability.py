@@ -99,4 +99,3 @@ def extendability_number(g: PlaneCubicGraph | mt.Adjacency) -> int:
             break
         best = k
     return best
-

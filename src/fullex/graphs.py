@@ -592,4 +592,3 @@ def has_cyclic_bond(adj: Mapping[int, Iterable[int]], cuts: Iterable[EdgeCut]) -
     a cycle.  The converse is immediate.
     """
     return any(all(has_cycle(side, adj) for side in cut.sides) for cut in cuts)
-

@@ -2,7 +2,6 @@ import random
 
 import pytest
 
-from fullex import graphs as G
 from fullex import matching as M
 from fullex.families import build_tube
 
