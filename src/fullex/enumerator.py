@@ -5,9 +5,10 @@ on the dual side: one depth-first walk grows simple sphere triangulations
 from K4 by vertex splitting, up to v_max = nmax/2 + 2 vertices, and
 dualizes the classes with all degrees in {4, 5, 6}.  A child on v' vertices
 is made only when its defect (the summed distance of its degrees from
-[4, 6]) is at most 2 (v_max - v') (`_walk`), and kept only when its new
-edge is canonical (McKay's canonical augmentation, `_canonical_key`), so
-the leaves of every size up to nmax come out of the one walk, each once.
+[4, 6]) is at most 2 (v_max - v') (`_walk`), from one split per orbit of
+the parent's automorphisms (`_children`), and kept only when its new edge
+is canonical (McKay's canonical augmentation, `_canonical_key`), so the
+leaves of every size up to nmax come out of the one walk, each once.
 
 Nothing is cached between calls.  The test suite certifies the catalogues
 against an independent rotation-system search.
@@ -16,6 +17,7 @@ against an independent rotation-system search.
 from __future__ import annotations
 
 import os
+from itertools import permutations
 from typing import Iterable, Iterator, NamedTuple
 
 from .graphs import (PlaneCubicGraph, _bfs_code, _code_sweep, _trace_faces,
@@ -87,8 +89,10 @@ def _catalogue_from(n: int, rotations) -> Catalogue:
 # ---------------------------------------------------------------------------
 
 Rotation = tuple[tuple[int, ...], ...]
+Group = list[tuple[int, ...]]  # vertex maps, phi[u] the image of u
 
 _K4_ROT: Rotation = ((1, 2, 3), (0, 3, 2), (0, 1, 3), (0, 2, 1))
+_K4_GROUP: Group = list(permutations(range(4)))
 
 
 def _split_vertex(n: int, rot: Rotation, w: int, a: int, b: int) -> Rotation:
@@ -116,8 +120,9 @@ def _split_vertex(n: int, rot: Rotation, w: int, a: int, b: int) -> Rotation:
     return tuple(new_rot)
 
 
-def _canonical_key(n: int, rot: Rotation, x: int, y: int) -> bytes | None:
-    """The key of `rot` if its edge xy is canonical, else None.
+def _canonical_key(n: int, rot: Rotation, x: int, y: int) -> tuple[bytes, Group] | None:
+    """(the key of `rot`, its automorphism group) if its edge xy is
+    canonical, else None.
 
     An edge uv is contractible when u and v have exactly two common
     neighbours, the apexes of its triangles; contracting it gives a simple
@@ -138,7 +143,9 @@ def _canonical_key(n: int, rot: Rotation, x: int, y: int) -> bytes | None:
     mirroring, as equal `_code_sweep` codes do.  Two roots emitting one code
     are related by the map matching equal labels, an automorphism or a
     reflection: the roots emitting the key form one orbit, and so do the
-    canonical edges.
+    canonical edges.  Every automorphism maps the first such root onto one
+    of them, so the maps from the first to each are the whole group, the
+    orientation reversals included, at no extra BFS.
     """
     deg = [len(q) for q in rot]
 
@@ -168,22 +175,28 @@ def _canonical_key(n: int, rot: Rotation, x: int, y: int) -> bytes | None:
                 rivals.append((u, v))
     orientations = (rot, tuple(r[::-1] for r in rot))
     best = None
-    for m, s, t in roots(x, y):
-        found = _bfs_code(n, orientations[m], s, t, best)
-        if found is not None:
-            best = found[0]
-    for u, v in rivals:
+    ties: list[list[int]] = []  # the label orders of the roots emitting best
+    for i, (u, v) in enumerate([(x, y)] + rivals):
         for m, s, t in roots(u, v):
             found = _bfs_code(n, orientations[m], s, t, best)
-            if found is not None and found[0] != best:
-                return None  # a rival root emits a smaller code
-    return bytes(best)
+            if found is not None:
+                if found[0] != best:
+                    if i:
+                        return None  # a rival root emits a smaller code
+                    best, ties = found[0], []
+                ties.append(found[1])
+    # phi[u] is the vertex that a tie labels as the first tie labels u
+    pos = sorted(range(n), key=ties[0].__getitem__)
+    return bytes(best), [tuple(map(t.__getitem__, pos)) for t in ties]
 
 
-def _children(n: int, rot: Rotation, slack: int) -> Iterator[Rotation]:
-    """The vertex splits of `rot` with defect at most `slack` and a
-    canonical new edge, one per class (a set of keys drops the splits that
-    an automorphism of `rot` makes equivalent).
+def _children(n: int, rot: Rotation, slack: int,
+              group: Group) -> Iterator[tuple[Rotation, Group]]:
+    """(child, its group) for the vertex splits of `rot` with defect at most
+    `slack` and a canonical new edge, one per orbit of `group`, the
+    automorphisms of `rot`: the first split of an orbit is tested, and its
+    images under `group` are marked done.  A split is the vertex w and the
+    pair r[a], r[b], the apexes of the new edge.
 
     With the defect delta(T) = sum of dist(deg v, [4, 6]), delta(child) is
     read off the parent: splitting w (degree d) at rotation positions
@@ -203,7 +216,7 @@ def _children(n: int, rot: Rotation, slack: int) -> Iterator[Rotation]:
     nbrs = [set(r) for r in rot]
     sums = sorted((deg[y] + deg[z], y, z) for y in range(n) for z in rot[y]
                   if y < z and len(nbrs[y] & nbrs[z]) == 2)
-    seen: set[bytes] = set()
+    done: set[tuple[int, int, int]] = set()
     for w in range(n):
         r, d, near = rot[w], deg[w], nbrs[w]
         must: set[int] | None = set()  # what r[a], r[b] must include
@@ -227,11 +240,15 @@ def _children(n: int, rot: Rotation, slack: int) -> Iterator[Rotation]:
                         + dist[d - b + a + 2] > slack
                         or not must.issubset((r[a], r[b]))):
                     continue
+                p, q = r[a], r[b]
+                if (w, p, q) in done:
+                    continue
+                for g in group:  # the orbit, each pair read both ways
+                    done.update(((g[w], g[p], g[q]), (g[w], g[q], g[p])))
                 child = _split_vertex(n, rot, w, a, b)
-                key = _canonical_key(n + 1, child, w, n)
-                if key is not None and key not in seen:
-                    seen.add(key)
-                    yield child
+                found = _canonical_key(n + 1, child, w, n)
+                if found is not None:
+                    yield child, found[1]
 
 
 def _walk(v_max: int) -> Iterator[tuple[int, list[Rotation]]]:
@@ -256,7 +273,14 @@ def _walk(v_max: int) -> Iterator[tuple[int, list[Rotation]]]:
 
     Each class T on v <= v_max vertices comes once.  Its canonical edges
     form one orbit, so T is accepted only from one parent class, T with a
-    canonical edge contracted, where the key set keeps one split to it.
+    canonical edge contracted, and from one split of it (McKay's argument):
+    if splits s1, s2 of P give children C1, C2 with canonical new edges
+    e1, e2 and equal keys, an isomorphism C1 -> C2 (mirror allowed),
+    composed with an automorphism of C2, maps e1 onto e2 and so their
+    apexes onto theirs.  It descends to the contractions, P both times: an
+    automorphism of P that maps s1 (merged vertex, apexes) onto s2, so
+    `_children` tests one of them.  All splits of one orbit give one class,
+    their new edges canonical or not together.
     That split is made: a canonical edge has the least degree sum (the
     invariant of `_canonical_key` leads with it), so by the lemma the
     contraction path of T meets delta <= 2 (v - v') <= 2 (v_max - v') on
@@ -265,14 +289,14 @@ def _walk(v_max: int) -> Iterator[tuple[int, list[Rotation]]]:
     """
     levels: list[list[Rotation]] = [[] for _ in range(v_max + 1)]
 
-    def grow(n: int, rot: Rotation) -> None:
+    def grow(n: int, rot: Rotation, group: Group) -> None:
         if all(4 <= len(r) <= 6 for r in rot):
             levels[n].append(rot)
         if n < v_max:
-            for child in _children(n, rot, 2 * (v_max - n - 1)):
-                grow(n + 1, child)
+            for child, child_group in _children(n, rot, 2 * (v_max - n - 1), group):
+                grow(n + 1, child, child_group)
 
-    grow(4, _K4_ROT)
+    grow(4, _K4_ROT, _K4_GROUP)
     for v in range(4, v_max + 1):
         yield v, levels[v]
 

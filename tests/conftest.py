@@ -20,7 +20,11 @@ the level below, deduplicated by `tri_key` (which
 canonical augmentation only the split itself.  `is_chiral` compares the
 least codes of the two orientations, each from its own sweep.
 `aligned_embedding_map` finds an embedding isomorphism by walking two
-rotation systems in step, without BFS codes.  `is_anti_kekule_set` checks
+rotation systems in step, without BFS codes, and `embedding_automorphisms`
+finds every automorphism of a triangulation the same way from each dart.
+`keyset_children` is the enumerator's split generation before it made one
+split per orbit of the parent's group: it tests every split and keeps the
+first of each canonical key.  `is_anti_kekule_set` checks
 the definition on the graph minus the edges, and `min_anti_kekule_sets`,
 `nonextendable_pairs`, `rotation_code` and the certificate predicates are
 thin readings of library results that only the tests need, as are the
@@ -130,6 +134,77 @@ def split_children(v: int):
             for a in range(d):
                 for b in range(a + 1, d):
                     yield EN._split_vertex(n, rot, w, a, b)
+
+
+def embedding_automorphisms(n: int, rot) -> set[tuple[int, ...]]:
+    """Every vertex map carrying `rot` onto itself or onto its mirror, as
+    phi with phi[u] the image of u.  From each dart a -> b of both
+    orientations, the map is grown by reading the rotations in step from
+    0 -> rot[0][0], and kept when it is a bijection that carries every
+    rotation onto a cyclic shift of the image's.  A map is fixed by where it
+    sends one dart, so every automorphism and reflection is found."""
+    maps = set()
+    for rr in (rot, tuple(r[::-1] for r in rot)):
+        for a in range(n):
+            for b in rr[a]:
+                phi, todo = {0: a}, [(0, rot[0][0], b)]
+                while todo:
+                    u, x, y = todo.pop()  # the dart u -> x goes to phi[u] -> y
+                    ru, rv = rot[u], rr[phi[u]]
+                    if len(ru) != len(rv) or y not in rv:
+                        continue  # no map; phi stays partial or fails below
+                    i, j = ru.index(x), rv.index(y)
+                    for k in range(len(ru)):
+                        s = ru[(i + k) % len(ru)]
+                        if s not in phi:
+                            phi[s] = rv[(j + k) % len(rv)]
+                            todo.append((s, u, phi[u]))
+                if len(phi) != n or len(set(phi.values())) != n:
+                    continue
+                images = [(tuple(phi[x] for x in rot[u]), rr[phi[u]]) for u in range(n)]
+                if all(any(m == t[k:] + t[:k] for k in range(len(t))) for m, t in images):
+                    maps.add(tuple(phi[u] for u in range(n)))
+    return maps
+
+
+def keyset_children(n: int, rot: EN.Rotation, slack: int):
+    """`EN._children` as it was before the orbit rule, kept as its
+    reference: every split passing the same filters is tested, and a set of
+    keys per parent keeps the first split to each class."""
+    dist = [max(4 - d, 0, d - 6) for d in range(n + 2)]
+    deg = [len(r) for r in rot]
+    delta = sum(dist[d] for d in deg)
+    nbrs = [set(r) for r in rot]
+    sums = sorted((deg[y] + deg[z], y, z) for y in range(n) for z in rot[y]
+                  if y < z and len(nbrs[y] & nbrs[z]) == 2)
+    seen: set[bytes] = set()
+    for w in range(n):
+        r, d, near = rot[w], deg[w], nbrs[w]
+        must: set[int] | None = set()  # what r[a], r[b] must include
+        for s, y, z in sums:
+            if s >= d + 4:
+                break
+            if w in (y, z) or (y in near and z in near):
+                continue
+            if s < d + 3 or (y not in near and z not in near):
+                must = None
+                break
+            must.add(y if y in near else z)
+        if must is None or len(must) > 2:
+            continue
+        base = delta - dist[d]
+        gain = [dist[deg[x] + 1] - dist[deg[x]] for x in r]
+        for a in range(d):
+            for b in range(a + 1, d):
+                if (base + gain[a] + gain[b] + dist[b - a + 2]
+                        + dist[d - b + a + 2] > slack
+                        or not must.issubset((r[a], r[b]))):
+                    continue
+                child = EN._split_vertex(n, rot, w, a, b)
+                found = EN._canonical_key(n + 1, child, w, n)
+                if found is not None and found[0] not in seen:
+                    seen.add(found[0])
+                    yield child
 
 
 def random_simple_graph(rng: random.Random, max_n: int = 12):

@@ -91,14 +91,14 @@ def _walk_at_four_per_level(v_max: int) -> list[list[EN.Rotation]]:
     4 (v_max - v'), which contracting any edge keeps."""
     levels: list[list[EN.Rotation]] = [[] for _ in range(v_max + 1)]
 
-    def grow(n: int, rot: EN.Rotation) -> None:
+    def grow(n: int, rot: EN.Rotation, group: EN.Group) -> None:
         if all(4 <= len(r) <= 6 for r in rot):
             levels[n].append(rot)
         if n < v_max:
-            for child in EN._children(n, rot, 4 * (v_max - n - 1)):
-                grow(n + 1, child)
+            for child, child_group in EN._children(n, rot, 4 * (v_max - n - 1), group):
+                grow(n + 1, child, child_group)
 
-    grow(4, EN._K4_ROT)
+    grow(4, EN._K4_ROT, EN._K4_GROUP)
     return levels[4:]
 
 

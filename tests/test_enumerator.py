@@ -7,7 +7,8 @@ from fullex import enumerator as EN
 from fullex import graphs as G
 from fullex.families import build_tube
 
-from conftest import (canonical_codes, catalogue, relabel_rotation, rotation_code,
+from conftest import (canonical_codes, catalogue, embedding_automorphisms,
+                      keyset_children, relabel_rotation, rotation_code,
                       split_children, tri_key, triangulations)
 
 
@@ -61,9 +62,9 @@ def test_tri_key_separates_exactly_as_rotation_code():
 
 def _augmentation_key(v, rot):
     """The one key that the canonical edges of rot give; there are some."""
-    keys = {EN._canonical_key(v, rot, x, y)
-            for x, r in enumerate(rot) for y in r if x < y}
-    keys.discard(None)
+    found = [EN._canonical_key(v, rot, x, y)
+             for x, r in enumerate(rot) for y in r if x < y]
+    keys = {f[0] for f in found if f is not None}
     assert len(keys) == 1
     return keys.pop()
 
@@ -73,23 +74,71 @@ def test_canonical_key_separates_exactly_as_rotation_code():
 
 
 def test_each_class_is_accepted_once_from_one_parent():
-    """The per-parent key set is the only dedup: level by level, for walks
-    to v_max <= 11, `_children` yields every class on v vertices with
-    defect <= 4 (v_max - v) exactly once, and from one parent."""
+    """Level by level, for walks to v_max <= 11, `_children` (one split per
+    orbit of the parent's group, kept when its new edge is canonical)
+    yields every class on v vertices with defect <= 4 (v_max - v) exactly
+    once, and from one parent."""
     for v_max in range(5, 12):
-        level = [EN._K4_ROT]
+        level = [(EN._K4_ROT, EN._K4_GROUP)]
         for n in range(4, v_max):
             slack = 4 * (v_max - n - 1)
             parents: dict[bytes, list[int]] = {}
             children = []
-            for i, rot in enumerate(level):
-                for child in EN._children(n, rot, slack):
+            for i, (rot, group) in enumerate(level):
+                for child, child_group in EN._children(n, rot, slack, group):
                     parents.setdefault(rotation_code(n + 1, child), []).append(i)
-                    children.append(child)
+                    children.append((child, child_group))
             assert all(len(p) == 1 for p in parents.values())
             want = [rot for rot in triangulations(n + 1) if _defect(rot) <= slack]
             assert set(parents) == _codes(n + 1, want)
             level = children
+
+
+def test_canonical_key_returns_the_automorphism_group():
+    """For every class on 4..9 vertices and each canonical edge, the group
+    is exactly the vertex maps carrying the embedding onto itself or its
+    mirror, by brute force over every dart in both orientations."""
+    checked = 0
+    for v in range(4, 10):
+        for rot in triangulations(v):
+            want = embedding_automorphisms(v, rot)
+            for x, r in enumerate(rot):
+                for y in r:
+                    found = EN._canonical_key(v, rot, x, y) if x < y else None
+                    if found is not None:
+                        assert len(found[1]) == len(want)
+                        assert set(found[1]) == want
+                        checked += 1
+    assert checked >= 73  # at least one canonical edge per class
+    assert len(EN._K4_GROUP) == 24
+    assert set(EN._K4_GROUP) == embedding_automorphisms(4, EN._K4_ROT)
+
+
+def test_one_split_per_orbit_keeps_the_key_set_children(monkeypatch):
+    """For every class on v <= 10 vertices at slack 4 (11 - v'), `_children`
+    yields the children of the per-parent key set (`keyset_children`), in
+    the same order.  The walk to v_max 10 makes 121 `_canonical_key` calls,
+    against 486 with the key set: testing symmetric splits again fails."""
+    for v in range(4, 11):
+        for rot in triangulations(v):
+            group = sorted(embedding_automorphisms(v, rot))
+            slack = 4 * (11 - v - 1)
+            orbits = [child for child, _ in EN._children(v, rot, slack, group)]
+            assert orbits == list(keyset_children(v, rot, slack))
+    calls = []
+    key = EN._canonical_key
+    monkeypatch.setattr(EN, "_canonical_key", lambda *a: calls.append(a) or key(*a))
+    for _ in EN._walk(10):
+        pass
+    assert len(calls) == 121
+
+    def grow(n, rot):
+        for child in keyset_children(n, rot, 2 * (10 - n - 1)) if n < 10 else ():
+            grow(n + 1, child)
+
+    calls.clear()
+    grow(4, EN._K4_ROT)
+    assert len(calls) == 486
 
 
 def test_contraction_raises_defect_by_at_most_four():
