@@ -102,13 +102,12 @@ def test_canonical_key_returns_the_automorphism_group():
     for v in range(4, 10):
         for rot in triangulations(v):
             want = embedding_automorphisms(v, rot)
-            for x, r in enumerate(rot):
-                for y in r:
-                    found = EN._canonical_key(v, rot, x, y) if x < y else None
-                    if found is not None:
-                        assert len(found[1]) == len(want)
-                        assert set(found[1]) == want
-                        checked += 1
+            for x, y in ((x, y) for x, r in enumerate(rot) for y in r if x < y):
+                found = EN._canonical_key(v, rot, x, y)
+                if found is not None:
+                    assert len(found[1]) == len(want)
+                    assert set(found[1]) == want
+                    checked += 1
     assert checked >= 73  # at least one canonical edge per class
     assert len(EN._K4_GROUP) == 24
     assert set(EN._K4_GROUP) == embedding_automorphisms(4, EN._K4_ROT)
