@@ -180,7 +180,7 @@ def _canonical_key(n: int, rot: Rotation, x: int, y: int) -> tuple[bytes, Group]
         for m, s, t in roots(u, v):
             found = _bfs_code(n, orientations[m], s, t, best)
             if found is not None:
-                if found[0] != best:
+                if found[0] is not best:
                     if i:
                         return None  # a rival root emits a smaller code
                     best, ties = found[0], []

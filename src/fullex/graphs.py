@@ -12,6 +12,7 @@ n - m + f = 2.
 from __future__ import annotations
 
 from collections import deque
+from itertools import accumulate
 from typing import Collection, Iterable, Mapping, NamedTuple, Sequence
 
 Edge = tuple[int, int]
@@ -299,20 +300,67 @@ def _code_sweep(n: int, rot: Sequence[Sequence[int]]) -> tuple[bytes, bool]:
     yields a code only when it is at most the current best, so the mirrored
     least code equals P (an orientation-reversing automorphism exists) iff
     some mirrored root ties P and none beats it.
+
+    Roots are darts, numbered in sweep order: mirrored after plain, and
+    within each by vertex and then by position in the rotation.  When a
+    root ties the best code, matching equal labels of the two label orders
+    is an automorphism, orientation-reversing when the two roots differ in
+    orientation.  It maps every root onto one that emits the same code, so
+    a union-find, started at the first tie, merges each dart with its
+    image, and a root whose class holds an earlier dart is skipped: that
+    dart was swept, or skipped for a swept one, and emitted the same code.
+    The least code is unchanged, and so is the chirality: a skipped
+    mirrored root either shares a class with a swept mirrored one or with
+    a plain one, and the latter takes an orientation reversal, found only
+    from a mirrored root that tied.
     """
     plain = tuple(tuple(r) for r in rot)
+    orient = (plain, tuple(r[::-1] for r in plain))
+    offset = [0, *accumulate(map(len, plain))]  # dart (u, i) of orientation m
+    half = offset[n]                             # is m * half + offset[u] + i
     best: list[int] | None = None
+    best_m, best_order = 0, []
+    parent: list[int] | None = None  # the union-find over darts; roots are least
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        return x
+
     tie = beaten = False
-    for mirrored, rr in enumerate((plain, tuple(r[::-1] for r in plain))):
+    dart = -1
+    for m, rr in enumerate(orient):
         for u in range(n):
             for v in rr[u]:
+                dart += 1
+                if parent is not None and parent[dart] != dart:
+                    continue  # parents are smaller, so its class holds an earlier dart
                 found = _bfs_code(n, rr, u, v, best)
                 if found is None:
                     continue
-                if mirrored and found[0] == best:
-                    tie = True
-                else:
-                    beaten, best = bool(mirrored), found[0]
+                if found[0] is not best:
+                    best, best_order = found
+                    beaten, best_m = bool(m), m
+                    continue
+                tie = tie or bool(m)
+                if parent is None:
+                    parent = list(range(2 * half))
+                phi = [0] * n
+                for x, y in zip(best_order, found[1]):
+                    phi[x] = y
+                flip = m ^ best_m
+                for s in range(m, 2):  # once mirrored, plain darts are all swept
+                    src, dst = orient[s], orient[s ^ flip]
+                    for x, y in enumerate(phi):
+                        r = src[x]
+                        j, k = dst[y].index(phi[r[0]]), len(r)
+                        a0, b0 = s * half + offset[x], (s ^ flip) * half + offset[y]
+                        for i in range(k):
+                            a, b = find(a0 + i), find(b0 + (i + j) % k)
+                            if a < b:
+                                parent[b] = a
+                            elif b < a:
+                                parent[a] = b
     assert best is not None
     return bytes(best), beaten or not tie
 
@@ -320,13 +368,18 @@ def _code_sweep(n: int, rot: Sequence[Sequence[int]]) -> tuple[bytes, bool]:
 def _bfs_code(n: int, rot: Sequence[tuple[int, ...]], root: int, first: int,
               best: list[int] | None) -> tuple[list[int], list[int]] | None:
     """(BFS code from one rooted directed edge, the vertices in label
-    order); None once the code exceeds `best`."""
+    order); None once the code exceeds `best`.
+
+    While the code ties `best` it is not built: the first smaller entry
+    copies `best[:pos]` and appends from there, and a code equal to `best`
+    is returned as `best` itself, so callers tell a tie by identity.
+    """
     label = [-1] * n
     entry = [-1] * n
     label[root], label[first] = 0, 1
     entry[root], entry[first] = first, root
     order = [root, first]
-    code: list[int] = []
+    code = None if best is not None else []
     pos = 0
     next_label = 2
     idx = 0
@@ -336,13 +389,12 @@ def _bfs_code(n: int, rot: Sequence[tuple[int, ...]], root: int, first: int,
         r = rot[v]
         k = len(r)
         start = r.index(entry[v])
-        if best is not None:
-            b = best[pos]
-            if k > b:
+        if code is not None:
+            code.append(k)
+        elif k != best[pos]:
+            if k > best[pos]:
                 return None
-            if k < b:
-                best = None  # strictly better; stop comparing
-        code.append(k)
+            code = best[:pos] + [k]  # strictly smaller; stop comparing
         pos += 1
         for w in r[start:] + r[:start]:
             lw = label[w]
@@ -352,15 +404,14 @@ def _bfs_code(n: int, rot: Sequence[tuple[int, ...]], root: int, first: int,
                 entry[w] = v
                 order.append(w)
                 next_label += 1
-            if best is not None:
-                b = best[pos]
-                if lw > b:
+            if code is not None:
+                code.append(lw)
+            elif lw != best[pos]:
+                if lw > best[pos]:
                     return None
-                if lw < b:
-                    best = None
-            code.append(lw)
+                code = best[:pos] + [lw]
             pos += 1
-    return code, order
+    return (best if code is None else code), order
 
 
 def canonical_code(g: PlaneCubicGraph) -> bytes:
@@ -398,7 +449,7 @@ def embedding_map(g1: PlaneCubicGraph, g2: PlaneCubicGraph) -> dict[int, int] | 
         for a in range(g2.n):
             for b in rot2[a]:
                 found = _bfs_code(g2.n, rot2, a, b, code)
-                if found is not None and found[0] == code:
+                if found is not None and found[0] is code:
                     return dict(zip(order, found[1]))
     return None
 

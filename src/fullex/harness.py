@@ -330,8 +330,8 @@ class DigestCache:
         tmp = f"{path}.{os.getpid()}.tmp"
         try:
             with open(tmp, "w", encoding="utf-8") as fh:
-                json.dump(payload, fh, indent=2, sort_keys=True)
-                fh.write("\n")
+                # json.dumps without indent runs the C encoder, json.dump never does
+                fh.write(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
             os.replace(tmp, path)
         finally:
             if os.path.exists(tmp):

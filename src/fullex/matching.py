@@ -201,11 +201,22 @@ def perfect_matchings(g: PlaneCubicGraph | Adjacency) -> Iterator[tuple[Edge, ..
 
     Backtracks on the smallest uncovered vertex over int bitmasks; bounded
     at 64 vertices.  Bit i stands for the i-th smallest vertex, so the
-    lowest set bit of the free mask is the smallest uncovered vertex and
-    its partners are tried in ascending order.  Covering v and w can only
-    strand a free neighbour of v or w, so a branch is cut when one of
-    those is left without a free neighbour; such a branch holds no
-    perfect matching, and the output is unaffected.
+    lowest set bit of the free mask is the smallest uncovered vertex v and
+    its partners w are tried in ascending order.  Covering v and w changes
+    only the free neighbourhoods of their free neighbours, so only those
+    are looked at, and the look cascades: one left with no free neighbour
+    ends the branch, and one left with exactly one is matched to it (a
+    forced edge), which touches the free neighbours of that partner.
+
+    Neither changes the output.  A forced edge lies in every perfect
+    matching that extends the edges chosen so far, so the branch holds the
+    same matchings, and a dead end holds none.  The order holds too: for
+    two perfect matchings A and B, sorted(A) < sorted(B) iff the least
+    edge of their symmetric difference is in A, as both have n/2 edges.
+    Matchings from the branch on (v, w) and from a later (v, w') differ
+    first at (v, w), since every edge they do not share lies among the
+    free vertices, all at least v.  Edges common to a whole branch, the
+    forced ones included, leave every symmetric difference in it alone.
     """
     adj = adjacency_of(g)
     if len(adj) > COUNT_LIMIT:
@@ -220,7 +231,7 @@ def perfect_matchings(g: PlaneCubicGraph | Adjacency) -> Iterator[tuple[Edge, ..
 
     def recurse(free: int) -> Iterator[tuple[Edge, ...]]:
         if not free:
-            yield tuple(chosen)
+            yield tuple(sorted(chosen))
             return
         v = (free & -free).bit_length() - 1
         free ^= 1 << v
@@ -228,16 +239,23 @@ def perfect_matchings(g: PlaneCubicGraph | Adjacency) -> Iterator[tuple[Edge, ..
             if not free >> w & 1:
                 continue
             left = free ^ (1 << w)
-            exposed = (nbrs[v] | nbrs[w]) & left
-            while exposed:
-                low = exposed & -exposed
-                if not nbrs[low.bit_length() - 1] & left:
+            mark = len(chosen)
+            chosen.append(edge)
+            touched = (nbrs[v] | nbrs[w]) & left
+            while touched:
+                low = touched & -touched
+                touched ^= low
+                only = nbrs[low.bit_length() - 1] & left
+                if not only:
                     break
-                exposed ^= low
+                if not only & (only - 1):  # one free neighbour: forced
+                    x, y = low.bit_length() - 1, only.bit_length() - 1
+                    chosen.append(norm_edge(verts[x], verts[y]))
+                    left ^= low | only
+                    touched = (touched | nbrs[y]) & left
             else:
-                chosen.append(edge)
                 yield from recurse(left)
-                chosen.pop()
+            del chosen[mark:]
 
     yield from recurse((1 << len(verts)) - 1)
 

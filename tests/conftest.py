@@ -17,7 +17,8 @@ canonical labelling.  The triangulation levels are every vertex split of
 the level below, deduplicated by `tri_key` (which
 `test_tri_key_separates_exactly_as_rotation_code` checks against
 `rotation_code`) with no pruning, and so share with the enumerator's
-canonical augmentation only the split itself.  `is_chiral` compares the
+canonical augmentation only the split itself.  `plain_code_sweep` is the
+canonical sweep before it skipped roots by automorphisms.  `is_chiral` compares the
 least codes of the two orientations, each from its own sweep.
 `aligned_embedding_map` finds an embedding isomorphism by walking two
 rotation systems in step, without BFS codes, and `embedding_automorphisms`
@@ -74,6 +75,27 @@ def triangulations(v: int) -> tuple[EN.Rotation, ...]:
 def rotation_code(n: int, rot) -> bytes:
     """Canonical byte code of an embedded graph (`_code_sweep`)."""
     return G._code_sweep(n, rot)[0]
+
+
+def plain_code_sweep(n: int, rot) -> tuple[bytes, bool]:
+    """`_code_sweep` without its automorphism pruning: a BFS code from
+    every dart in both orientations, plain first, the mirrored ones only
+    compared against the best so far."""
+    plain = tuple(tuple(r) for r in rot)
+    best: list[int] | None = None
+    tie = beaten = False
+    for mirrored, rr in enumerate((plain, tuple(r[::-1] for r in plain))):
+        for u in range(n):
+            for v in rr[u]:
+                found = G._bfs_code(n, rr, u, v, best)
+                if found is None:
+                    continue
+                if mirrored and found[0] == best:
+                    tie = True
+                else:
+                    beaten, best = bool(mirrored), found[0]
+    assert best is not None
+    return bytes(best), beaten or not tie
 
 
 def canonical_codes(cat: EN.Catalogue) -> list[bytes]:

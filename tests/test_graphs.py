@@ -7,9 +7,9 @@ from fullex.families import build_tube
 
 from conftest import (aligned_embedding_map, backtracking_isomorphic, bfs_girth, catalogue,
                       cube_graph, exhaustive_connectivity, exhaustive_cyclic_cut_leq3,
-                      exhaustive_edge_cuts, k4_graph, relabel_rotation, relabelled_mirror,
-                      rotation_code, two_blocks_joined_by_a_bridge,
-                      two_blocks_joined_by_two_edges)
+                      exhaustive_edge_cuts, k4_graph, plain_code_sweep, relabel_rotation,
+                      relabelled_mirror, rotation_code, triangulations,
+                      two_blocks_joined_by_a_bridge, two_blocks_joined_by_two_edges)
 from conftest import is_chiral as oracle_is_chiral
 
 
@@ -145,6 +145,34 @@ def test_canonical_form_is_shared_by_relabelled_mirrors():
                 rot[perm[v]] = r[::-1] if mirror else r
             h = G.from_rotation(g.n, rot)
             assert G.from_code(G.canonical_code(h)).rot == form.rot
+
+
+def test_pruned_sweep_is_the_plain_sweep():
+    """Skipping roots by automorphisms keeps (code, chiral): every catalogue
+    graph with n <= 20 with a relabelled and a relabelled mirrored copy,
+    the tubes of 1-6 layers and every triangulation on at most 9 vertices
+    (not cubic, so darts are numbered by degree offsets)."""
+    rng = random.Random(21)
+    rots = [g.rot for n in range(8, 21, 2) for g in catalogue(n).graphs]
+    rots = [r for rot in rots for r in
+            (rot, relabel_rotation(rot, rng, False), relabel_rotation(rot, rng, True))]
+    rots += [build_tube(layers)[0].rot for layers in range(1, 7)]
+    rots += [rot for v in range(4, 10) for rot in triangulations(v)]
+    for rot in rots:
+        assert G._code_sweep(len(rot), rot) == plain_code_sweep(len(rot), rot)
+
+
+def test_sweep_skips_the_roots_automorphisms_cover(monkeypatch):
+    """The 4-layer tube has 192 roots; its automorphisms leave 34 to sweep."""
+    calls = []
+    bfs = G._bfs_code
+    monkeypatch.setattr(G, "_bfs_code", lambda *a: calls.append(a) or bfs(*a))
+    g = build_tube(4)[0]
+    pruned = G._code_sweep(g.n, g.rot)
+    assert len(calls) == 34
+    calls.clear()
+    assert plain_code_sweep(g.n, g.rot) == pruned
+    assert len(calls) == 192
 
 
 def test_embedding_map_transports_adjacency(cube):

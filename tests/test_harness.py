@@ -317,11 +317,27 @@ def test_failed_sidecar_save_keeps_the_previous_file(tmp_path, monkeypatch):
     cache = harness.DigestCache(str(tmp_path))
     digests = harness.catalogue_digests(cat, cache=cache)
 
-    def dump_then_fail(obj, fh, **kwargs):
-        fh.write("{")
-        raise OSError("disk full")
+    class FullDisk:
+        """A file that takes the first character of a write, then fails."""
 
-    monkeypatch.setattr(harness.json, "dump", dump_then_fail)
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, text):
+            self.fh.write(text[:1])
+            raise OSError("disk full")
+
+    def open_on_full_disk(path, mode="r", **kwargs):
+        fh = open(path, mode, **kwargs)
+        return FullDisk(fh) if "w" in mode else fh
+
+    monkeypatch.setattr(harness, "open", open_on_full_disk, raising=False)
     with pytest.raises(OSError):
         cache.save(8, cat, {})
     monkeypatch.undo()

@@ -2,13 +2,14 @@ import random
 
 import pytest
 
+from fullex import graphs as G
 from fullex import matching as M
 from fullex.families import build_tube
 
 from conftest import (backtracking_perfect_matchings, brute_max_matching_size,
                       brute_perfect_matchings, catalogue, certificate_valid, cube_graph,
                       dodecahedron_graph, implies_perfect_matching, random_simple_graph,
-                      relabelled_mirror)
+                      relabel_rotation, relabelled_mirror)
 
 
 def path(n):
@@ -112,7 +113,8 @@ def _disjoint_union(a, b):
 
 def _oracle_graphs():
     """Every catalogue graph with n <= 20 and the tubes of 1-5 layers; a
-    seeded relabelled mirror copy of each on labels 3v + 5; induced
+    seeded relabelled mirror copy of each on labels 3v + 5 and a relabelled
+    one on labels 0..n-1; the forced-chain graph; induced
     subgraphs of odd order, of even order and with several components."""
     rng = random.Random(8)
     plane = [g for n in range(8, 21, 2) for g in catalogue(n).graphs]
@@ -120,6 +122,8 @@ def _oracle_graphs():
     plane += [g for g, _ in tubes]
     graphs = [M.adjacency_of(g) for g in plane]
     graphs += [_spread(relabelled_mirror(g, rng)) for g in plane]
+    graphs += [M.adjacency_of(G.from_rotation(g.n, relabel_rotation(g.rot, rng, False)))
+               for g in plane]
     cube, tube2 = M.adjacency_of(cube_graph()), M.adjacency_of(tubes[1][0])
     rings, (cap_a, cap_b) = tubes[1][1].concentric_cycles, tubes[1][1].cap_centers
     union = _disjoint_union(cube, _spread(dodecahedron_graph()))  # labels 0..7, then 8, 11, ..
@@ -132,8 +136,29 @@ def _oracle_graphs():
         union,
         M.induced(union, [0, max(union)]),
         M.induced(union, [0, 1, 8, max(union)]),
+        _forced_chain(),
+        _spread(_forced_chain()),
     ]
     return graphs
+
+
+def _forced_chain():
+    """Choosing the edge 01 forces 23 and then 45, and leaves 6 with no
+    free neighbour; 02 completes to the one perfect matching."""
+    edges = [(0, 1), (0, 2), (1, 7), (2, 3), (3, 4), (3, 7), (4, 5), (5, 6)]
+    adj = {v: set() for v in range(8)}
+    for v, w in edges:
+        adj[v].add(w)
+        adj[w].add(v)
+    return {v: frozenset(ns) for v, ns in adj.items()}
+
+
+def test_forced_chain_ending_in_a_dead_end():
+    adj = _forced_chain()
+    pms = list(M.perfect_matchings(adj))
+    assert pms == [((0, 2), (1, 7), (3, 4), (5, 6))]
+    assert pms == list(backtracking_perfect_matchings(adj))
+    assert set(pms) == brute_perfect_matchings(adj)
 
 
 def test_enumeration_is_the_backtracking_oracle_in_order():
