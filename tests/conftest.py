@@ -18,8 +18,8 @@ the level below, deduplicated by `tri_key` (which
 `test_tri_key_separates_exactly_as_rotation_code` checks against
 `rotation_code`) with no pruning, and so share with the enumerator's
 canonical augmentation only the split itself.  `plain_code_sweep` is the
-canonical sweep before it skipped roots by automorphisms.  `is_chiral` compares the
-least codes of the two orientations, each from its own sweep.
+canonical sweep before it skipped roots by automorphisms.  `is_chiral`
+compares the least codes of the two orientations, each from its own sweep.
 `aligned_embedding_map` finds an embedding isomorphism by walking two
 rotation systems in step, without BFS codes, and `embedding_automorphisms`
 finds every automorphism of a triangulation the same way from each dart.
