@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from collections import deque
 from itertools import accumulate
-from typing import Collection, Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 Edge = tuple[int, int]
 
@@ -83,14 +83,16 @@ class FaceInventory(NamedTuple):
 
 
 class EdgeCut(NamedTuple):
-    """Minimal edge cut with the two vertex sides it separates."""
+    """Minimal edge cut, given by its edges.  It is trivial when a side is
+    one vertex, i.e. when it is the three edges at a vertex; a nontrivial
+    cut of <= 3 edges has a cycle on both sides (`has_cyclic_cut_leq3`)."""
 
     edges: frozenset[Edge]
-    sides: tuple[frozenset[int], frozenset[int]]
 
     @property
     def trivial(self) -> bool:
-        return min(len(self.sides[0]), len(self.sides[1])) == 1
+        first, *rest = self.edges
+        return len(self.edges) == 3 and bool(set(first).intersection(*rest))
 
 
 def cycle_key(cycle: Sequence[int]) -> tuple[int, ...]:
@@ -591,13 +593,7 @@ def edge_cuts_up_to(g: PlaneCubicGraph, k: int) -> list[EdgeCut]:
 
     for s in range(len(dual)):
         extend(s, s, [], {s})
-    adj = g.adj_dict()
-    cuts = []
-    for edges in found:
-        side, other = components(adj, edges)
-        cuts.append(EdgeCut(edges, (frozenset(side), frozenset(other))))
-    cuts.sort(key=lambda c: sorted(c.edges))
-    return cuts
+    return sorted(map(EdgeCut, found), key=lambda c: sorted(c.edges))
 
 
 def connectivity(g: PlaneCubicGraph) -> int:
@@ -619,27 +615,21 @@ def connectivity(g: PlaneCubicGraph) -> int:
     return min(len(c.edges) for c in edge_cuts_up_to(g, 3))
 
 
-def has_cycle(comp: Collection[int], adj: Mapping[int, Iterable[int]],
-              blocked_edges: frozenset[Edge] = frozenset()) -> bool:
-    """True iff the connected vertex set spans a cycle (edges >= vertices)."""
-    edges = sum(1 for v in comp for w in adj[v]
-                if w in comp and norm_edge(v, w) not in blocked_edges) // 2
-    return edges >= len(comp)
-
-
 def has_cyclic_cut_leq3(g: PlaneCubicGraph) -> bool:
-    """True iff <= 3 edges can be removed leaving two components with cycles."""
-    return has_cyclic_bond(g.adj_dict(), edge_cuts_up_to(g, 3))
+    """True iff <= 3 edges can be removed leaving two components with
+    cycles: iff ``edge_cuts_up_to(g, 3)`` holds a nontrivial cut.
 
+    It suffices to look at minimal cuts.  Let F be a set of <= 3 edges and
+    C1, C2 cyclic components of G - F; then d(C1) lies in F.  The component
+    D of G - d(C1) containing C2 gives a minimal cut d(D) within d(C1), and
+    both of its sides contain a cycle.  The converse is immediate.
 
-def has_cyclic_bond(adj: Mapping[int, Iterable[int]], cuts: Iterable[EdgeCut]) -> bool:
-    """True iff one of the minimal cuts has a cycle on both sides.
-
-    With g's adjacency and ``edge_cuts_up_to(g, 3)`` this decides whether
-    <= 3 edges of a connected g can be removed leaving two components with
-    cycles.  Let F be a set of <= 3 edges and C1, C2 cyclic components of
-    G - F; then d(C1) lies in F.  The component D of G - d(C1) containing
-    C2 gives a minimal cut d(D) within d(C1), and both of its sides contain
-    a cycle.  The converse is immediate.
+    A side S of a minimal c-edge cut is connected and spans (3|S| - c)/2
+    edges, so it holds a cycle iff that is at least |S|, i.e. iff
+    |S| >= c.  With c <= 3 this fails only for |S| = 1 and c = 3: in a
+    simple cubic graph a one-vertex side has c = 3, and a two-vertex side,
+    being connected, is one edge with c = 4.  That is a cut whose three
+    edges share an end, a trivial one, so a minimal cut of <= 3 edges has
+    a cycle on both sides iff it is nontrivial.
     """
-    return any(all(has_cycle(side, adj) for side in cut.sides) for cut in cuts)
+    return any(not c.trivial for c in edge_cuts_up_to(g, 3))

@@ -14,7 +14,6 @@ from __future__ import annotations
 import functools
 import json
 import os
-from contextlib import nullcontext
 from typing import Callable, NamedTuple, Optional
 
 from . import __version__
@@ -24,9 +23,8 @@ from . import families
 from . import matching as mt
 from . import planar_code
 from .enumerator import Catalogue, enumerate_catalogues, enumerate_fullerenes
-from .graphs import (Edge, PlaneCubicGraph, canonical_code, components,
-                     edge_cuts_up_to, girth, has_cycle, has_cyclic_bond,
-                     short_cycles_facial, validate_fullerene)
+from .graphs import (Edge, PlaneCubicGraph, canonical_code, edge_cuts_up_to,
+                     girth, short_cycles_facial, validate_fullerene)
 
 
 def _edge_list(edges) -> list[list[int]]:
@@ -88,8 +86,6 @@ CERTIFICATE_TYPES = {
     "all_factor_critical": _B, "matchable": _B, "components": (list,),
     "edges_inside_s": _I, "edges_inside_witness": _I, "edges_witness_to_s": _I,
     "boundary_sum": _I, "boundary_identity_holds": _B, "min_component_boundary": _I}
-DIGEST_FIELDS = frozenset(DIGEST_TYPES)
-CERTIFICATE_FIELDS = frozenset(CERTIFICATE_TYPES)
 
 
 def _well_formed(digest) -> bool:
@@ -107,13 +103,14 @@ def analyze_graph(g: PlaneCubicGraph) -> dict:
     """Full analysis digest of one fullerene; plain JSON-able values only.
 
     Each fact is computed once: the minimal cuts of size <= 3 give the
-    connectivity (as in ``graphs.connectivity``), the nontrivial cut count
-    and the cyclic-cut flag, and one index of all perfect matchings serves
-    the k = 1, 2, 3 scans and the anti-Kekule search.
+    connectivity and the nontrivial cut count, which is positive iff some
+    cut is cyclic (as in ``graphs``), and one index of all perfect matchings
+    serves the k = 1, 2, 3 scans and the anti-Kekule search.
     """
     inv = validate_fullerene(g)
     tube = families.recognize_tube(g)
     cuts3 = edge_cuts_up_to(g, 3)
+    nontrivial = sum(1 for c in cuts3 if not c.trivial)
     adj = g.adj_dict()
     ext_mod.check_preconditions(adj, ext_mod.K_CAP)
     index = mt.PmIndex(adj)
@@ -129,8 +126,8 @@ def analyze_graph(g: PlaneCubicGraph) -> dict:
         "connectivity": min(len(c.edges) for c in cuts3),
         "girth": girth(g),
         "short_cycles_facial": short_cycles_facial(g),
-        "nontrivial_cuts_leq3": sum(1 for c in cuts3 if not c.trivial),
-        "has_cyclic_cut_leq3": has_cyclic_bond(adj, cuts3),
+        "nontrivial_cuts_leq3": nontrivial,
+        "has_cyclic_cut_leq3": nontrivial > 0,
         "is_tube": tube is not None,
         "tube_layers": tube.n_layers if tube else None,
         "one_extendable": flags[0],
@@ -387,9 +384,8 @@ def catalogue_digests(catalogue: Catalogue, jobs: int = 1,
     if workers > 1:
         from concurrent.futures.process import BrokenProcessPool
         try:
-            with (_LazyPool(workers) if pool is None
-                  else nullcontext(pool)) as runner:
-                results = list(runner.map(analyze_graph, todo))
+            with _LazyPool(workers) as own:  # starts no pool unless used
+                results = list((pool or own).map(analyze_graph, todo))
         except (OSError, BrokenProcessPool):
             pass  # analysed serially below
     if results is None:
@@ -430,13 +426,10 @@ def _tube_suite(nmax: int) -> list[ClaimResult]:
         pair = report.gap_pair_in_common_pm
         witness_claim.record(pair is None,
                              {"layers": layers, "pair": pair and _edge_list(pair)})
-        adj = g.adj_dict()
-        cut_ok = True
-        for layer in desc.traversed_edges:
-            comps = components(adj, layer)
-            if len(comps) != 2 or not all(has_cycle(c, adj, layer) for c in comps):
-                cut_ok = False
-        cut_claim.record(cut_ok, {"layers": layers})
+        # a nontrivial minimal cut of <= 3 edges has a cycle on both sides
+        cyclic = {c.edges for c in edge_cuts_up_to(g, 3) if not c.trivial}
+        cut_claim.record(all(layer in cyclic for layer in desc.traversed_edges),
+                         {"layers": layers})
         rec = families.recognize_tube(g)
         trip_claim.record(rec is not None and rec.n_layers == layers,
                           {"layers": layers})

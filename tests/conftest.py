@@ -38,6 +38,7 @@ import functools
 import itertools
 import random
 from collections import deque
+from typing import Collection, Iterable, Mapping
 
 import pytest
 
@@ -530,10 +531,13 @@ def two_blocks_joined_by_a_bridge() -> G.PlaneCubicGraph:
                          (0, 4, 9, 6, 8, 5, 9, 4, 1, 3)])
 
 
-def exhaustive_edge_cuts(g: G.PlaneCubicGraph, k: int) -> list[G.EdgeCut]:
-    """All minimal edge cuts of size <= k, one components search per edge
-    subset: removing the subset leaves two components and every removed
-    edge joins them."""
+Sides = tuple[frozenset[int], frozenset[int]]
+
+
+def exhaustive_edge_cuts(g: G.PlaneCubicGraph, k: int) -> list[tuple[G.EdgeCut, Sides]]:
+    """All minimal edge cuts of size <= k, each with its two vertex sides,
+    one components search per edge subset: removing the subset leaves two
+    components and every removed edge joins them."""
     adj = g.adj_dict()
     cuts = []
     for size in range(1, k + 1):
@@ -545,8 +549,8 @@ def exhaustive_edge_cuts(g: G.PlaneCubicGraph, k: int) -> list[G.EdgeCut]:
             s0 = comps[0]
             if not all((u in s0) != (v in s0) for u, v in combo):
                 continue
-            cuts.append(G.EdgeCut(blocked, (frozenset(comps[0]), frozenset(comps[1]))))
-    cuts.sort(key=lambda c: sorted(c.edges))
+            cuts.append((G.EdgeCut(blocked), (frozenset(comps[0]), frozenset(comps[1]))))
+    cuts.sort(key=lambda cut: sorted(cut[0].edges))
     return cuts
 
 
@@ -587,6 +591,14 @@ def bfs_girth(g: G.PlaneCubicGraph) -> int:
     return best
 
 
+def has_cycle(comp: Collection[int], adj: Mapping[int, Iterable[int]],
+              blocked_edges: frozenset[G.Edge] = frozenset()) -> bool:
+    """True iff the connected vertex set spans a cycle (edges >= vertices)."""
+    edges = sum(1 for v in comp for w in adj[v]
+                if w in comp and G.norm_edge(v, w) not in blocked_edges) // 2
+    return edges >= len(comp)
+
+
 def exhaustive_cyclic_cut_leq3(g: G.PlaneCubicGraph) -> bool:
     """True iff removing some set of <= 3 edges leaves two components with
     cycles, by one components search per edge subset."""
@@ -595,7 +607,7 @@ def exhaustive_cyclic_cut_leq3(g: G.PlaneCubicGraph) -> bool:
         for combo in itertools.combinations(g.edge_list, size):
             blocked = frozenset(combo)
             comps = G.components(adj, blocked)
-            if sum(1 for c in comps if G.has_cycle(c, adj, blocked)) >= 2:
+            if sum(1 for c in comps if has_cycle(c, adj, blocked)) >= 2:
                 return True
     return False
 

@@ -45,15 +45,20 @@ def test_descriptor_structure():
 
 
 def test_traversed_layers_are_cyclic_three_cuts():
-    g, desc = F.build_tube(2)
-    adj = M.adjacency_of(g)
-    for layer in desc.traversed_edges:
-        left = without_edges(adj, layer)
-        comps = M.components(left)
-        assert len(comps) == 2
-        for comp in comps:
-            edges_inside = sum(1 for v in comp for w in left[v] if w in comp) // 2
-            assert edges_inside >= len(comp)  # both sides keep a cycle
+    """Each layer leaves two sides that keep a cycle, and is a nontrivial
+    minimal cut of <= 3 edges, the form the report's tube cut claim reads."""
+    for layers in range(1, 7):
+        g, desc = F.build_tube(layers)
+        adj = M.adjacency_of(g)
+        nontrivial = [c.edges for c in G.edge_cuts_up_to(g, 3) if not c.trivial]
+        for layer in desc.traversed_edges:
+            left = without_edges(adj, layer)
+            comps = M.components(left)
+            assert len(comps) == 2
+            for comp in comps:
+                edges_inside = sum(1 for v in comp for w in left[v] if w in comp) // 2
+                assert edges_inside >= len(comp)  # both sides keep a cycle
+            assert layer in nontrivial
 
 
 def test_tube_has_cyclic_cut(cube):

@@ -6,10 +6,11 @@ from fullex import graphs as G
 from fullex.families import build_tube
 
 from conftest import (aligned_embedding_map, backtracking_isomorphic, bfs_girth, catalogue,
-                      cube_graph, exhaustive_connectivity, exhaustive_cyclic_cut_leq3,
-                      exhaustive_edge_cuts, k4_graph, plain_code_sweep, relabel_rotation,
-                      relabelled_mirror, rotation_code, triangulations,
-                      two_blocks_joined_by_a_bridge, two_blocks_joined_by_two_edges)
+                      cube_graph, dodecahedron_graph, exhaustive_connectivity,
+                      exhaustive_cyclic_cut_leq3, exhaustive_edge_cuts, has_cycle, k4_graph,
+                      plain_code_sweep, relabel_rotation, relabelled_mirror, rotation_code,
+                      triangulations, two_blocks_joined_by_a_bridge,
+                      two_blocks_joined_by_two_edges)
 from conftest import is_chiral as oracle_is_chiral
 
 
@@ -240,8 +241,8 @@ def test_edge_cuts_cube(cube):
     assert len(cuts) == 8
     assert all(c.trivial for c in cuts)
     assert all(len(c.edges) == 3 for c in cuts)
-    for c in cuts:
-        small = min(c.sides, key=len)
+    for _, sides in exhaustive_edge_cuts(cube, 3):
+        small = min(sides, key=len)
         assert len(small) == 1
 
 
@@ -258,9 +259,15 @@ def _cut_test_graphs():
     return graphs
 
 
+def _four_cut_graphs():
+    """Graphs whose cuts of size <= 4 are checked against the exhaustive scan."""
+    return (cube_graph(), dodecahedron_graph(), build_tube(1)[0],
+            two_blocks_joined_by_two_edges(), two_blocks_joined_by_a_bridge())
+
+
 def test_edge_cuts_are_the_exhaustive_scan():
     for g in _cut_test_graphs():
-        assert G.edge_cuts_up_to(g, 3) == exhaustive_edge_cuts(g, 3)
+        assert G.edge_cuts_up_to(g, 3) == [cut for cut, _ in exhaustive_edge_cuts(g, 3)]
 
 
 def test_connectivity_girth_and_cyclic_cut_are_the_exhaustive_scans():
@@ -270,17 +277,36 @@ def test_connectivity_girth_and_cyclic_cut_are_the_exhaustive_scans():
         assert G.has_cyclic_cut_leq3(g) == exhaustive_cyclic_cut_leq3(g)
 
 
-def test_edge_cuts_of_size_four_are_the_exhaustive_scan(cube, dodecahedron):
-    for g in (cube, dodecahedron, build_tube(1)[0], two_blocks_joined_by_two_edges(),
-              two_blocks_joined_by_a_bridge()):
-        assert G.edge_cuts_up_to(g, 4) == exhaustive_edge_cuts(g, 4)
+def test_edge_cuts_of_size_four_are_the_exhaustive_scan():
+    for g in _four_cut_graphs():
+        assert G.edge_cuts_up_to(g, 4) == [cut for cut, _ in exhaustive_edge_cuts(g, 4)]
+
+
+def test_a_cut_side_holds_a_cycle_iff_it_has_as_many_vertices_as_the_cut_edges():
+    """The counting rule behind `EdgeCut.trivial` and `has_cyclic_cut_leq3`,
+    on the exhaustive scan's sides: a side S of a minimal c-edge cut spans
+    (3|S| - c)/2 edges, so it holds a cycle iff |S| >= c, and a cut is
+    trivial iff a side is one vertex."""
+    cases = [(g, 3) for g in _cut_test_graphs()] + [(g, 4) for g in _four_cut_graphs()]
+    cyclic_seen, trivial_seen = set(), set()
+    for g, k in cases:
+        adj = g.adj_dict()
+        for cut, sides in exhaustive_edge_cuts(g, k):
+            for side in sides:
+                cyclic = has_cycle(side, adj)
+                assert cyclic == (len(side) >= len(cut.edges))
+                cyclic_seen.add(cyclic)
+            assert cut.trivial == (min(map(len, sides)) == 1)
+            trivial_seen.add(cut.trivial)
+    assert cyclic_seen == trivial_seen == {False, True}
 
 
 def test_bridge_and_two_edge_cuts_are_found():
     g = two_blocks_joined_by_a_bridge()
     bridge = G.edge_cuts_up_to(g, 1)
     assert [sorted(c.edges) for c in bridge] == [[(4, 9)]]
-    assert bridge[0].sides == (frozenset(range(5)), frozenset(range(5, 10)))
+    assert [sides for _, sides in exhaustive_edge_cuts(g, 1)] == [
+        (frozenset(range(5)), frozenset(range(5, 10)))]
     assert G.edge_cuts_up_to(g, 0) == []
     pair = G.edge_cuts_up_to(two_blocks_joined_by_two_edges(), 2)
     assert [sorted(c.edges) for c in pair] == [[(0, 4), (1, 5)]]

@@ -29,7 +29,7 @@ def test_analyze_cube_digest(cube):
     assert d["is_tube"] is False
     assert d["certificate"] is None
     json.dumps(d)  # digests must be JSON-serializable as-is
-    assert d.keys() == harness.DIGEST_FIELDS
+    assert d.keys() == harness.DIGEST_TYPES.keys()
 
 
 def test_short_cycle_searches_run_once_per_length(monkeypatch):
@@ -53,7 +53,7 @@ def test_short_cycle_searches_run_once_per_length(monkeypatch):
 
 def test_certificate_fields():
     cert = harness.analyze_graph(F.build_tube(1)[0])["certificate"]
-    assert cert.keys() == harness.CERTIFICATE_FIELDS
+    assert cert.keys() == harness.CERTIFICATE_TYPES.keys()
 
 
 def test_verify_all_smallest_population():
