@@ -67,9 +67,6 @@ class Face(NamedTuple):
     def is_simple_cycle(self) -> bool:
         return len(set(self.boundary)) == len(self.boundary)
 
-    def key(self) -> tuple[int, ...]:
-        return cycle_key(self.boundary)
-
 
 class FaceInventory(NamedTuple):
     faces: tuple[Face, ...]
@@ -95,22 +92,8 @@ class EdgeCut(NamedTuple):
         return len(self.edges) == 3 and bool(set(first).intersection(*rest))
 
 
-def cycle_key(cycle: Sequence[int]) -> tuple[int, ...]:
-    """Canonical representative of a cyclic sequence up to rotation and reversal."""
-    best = None
-    seq = tuple(cycle)
-    k = len(seq)
-    for s in (seq, seq[::-1]):
-        for i in range(k):
-            cand = s[i:] + s[:i]
-            if best is None or cand < best:
-                best = cand
-    assert best is not None
-    return best
-
-
 class PlaneCubicGraph:
-    """Immutable cubic plane graph; canonical code and short cycles kept on first use."""
+    """Immutable cubic plane graph; canonical code and short-cycle edge sets cached."""
 
     __slots__ = ("n", "rot", "adj", "edge_list", "_faces", "_canonical", "_chiral",
                  "_cycles")
@@ -125,7 +108,7 @@ class PlaneCubicGraph:
         self._faces = faces
         self._canonical: bytes | None = None
         self._chiral: bool | None = None
-        self._cycles: dict[int, frozenset[tuple[int, ...]]] = {}
+        self._cycles: frozenset[frozenset[Edge]] | None = None
 
     @property
     def m(self) -> int:
@@ -491,55 +474,60 @@ def components(adj: Mapping[int, Iterable[int]],
     return comps
 
 
-def _simple_cycles_of_length(g: PlaneCubicGraph, length: int) -> frozenset[tuple[int, ...]]:
-    """All simple cycles of the given length, as canonical cycle keys; each
-    length is searched once per graph."""
-    if length in g._cycles:
-        return g._cycles[length]
-    found: set[tuple[int, ...]] = set()
-    for a in range(g.n):
-        path = [a]
-        on_path = {a}
+def _cycles_up_to(adj: Sequence[Sequence[tuple[Edge, int]]], k: int) -> set[frozenset[Edge]]:
+    """Edge sets of the cycles of at most k edges of a multigraph, given by
+    the (edge, other end) pairs at each node, each found by a depth-first
+    search from its least node that visits only greater nodes and no node
+    or edge twice.  A path edge has both ends on the path, so only an edge
+    back to the start can repeat one."""
+    found: set[frozenset[Edge]] = set()
 
-        def extend():
-            v = path[-1]
-            if len(path) == length:
-                if a in g.adj[v]:
-                    found.add(cycle_key(path))
-                return
-            for w in g.adj[v]:
-                if w > a and w not in on_path:
-                    path.append(w)
-                    on_path.add(w)
-                    extend()
-                    path.pop()
-                    on_path.discard(w)
+    def extend(s: int, v: int, path: list[Edge], on_path: set[int]) -> None:
+        for e, t in adj[v]:
+            if t == s:
+                if e not in path:
+                    found.add(frozenset(path + [e]))
+            elif t > s and t not in on_path and len(path) + 1 < k:
+                path.append(e)
+                on_path.add(t)
+                extend(s, t, path, on_path)
+                path.pop()
+                on_path.discard(t)
 
-        extend()
-    g._cycles[length] = frozenset(found)
-    return g._cycles[length]
+    for s in range(len(adj)):
+        extend(s, s, [], {s})
+    return found
+
+
+def _short_cycles(g: PlaneCubicGraph) -> frozenset[frozenset[Edge]]:
+    """Edge sets of the simple cycles of length 3 to 5, searched once per
+    graph: g has no loops or parallel edges and no edge is reused, so no 1-
+    or 2-cycle comes out.  In a simple graph a simple cycle is fixed by its
+    edge set, so two are equal exactly when their edge sets are."""
+    if g._cycles is None:
+        g._cycles = frozenset(_cycles_up_to(
+            [[(norm_edge(v, w), w) for w in g.rot[v]] for v in range(g.n)], 5))
+    return g._cycles
 
 
 def girth(g: PlaneCubicGraph) -> int:
-    """Length of a shortest cycle: the least of 3, 4, 5 with a simple cycle.
-
-    Some cycle is that short in every plane cubic graph.  Euler's formula
-    with 2m = 3n gives the sum over faces of (6 - |f|) = 6f - 2m = 12, so
-    some facial walk has length <= 5.  No facial walk turns straight back
-    (that needs a vertex of degree 1), so its first repeated vertex closes
-    a cycle no longer than the walk.
-    """
-    return next(k for k in (3, 4, 5) if _simple_cycles_of_length(g, k))
+    """Length of a shortest cycle, the least size in `_short_cycles`, which
+    is never empty.  Euler's formula with 2m = 3n gives the sum over faces
+    of (6 - |f|) = 6f - 2m = 12, so some facial walk has length <= 5.  No
+    facial walk turns straight back (that needs a vertex of degree 1), so
+    its first repeated vertex closes a cycle no longer than the walk."""
+    return min(map(len, _short_cycles(g)))
 
 
 def short_cycles_facial(g: PlaneCubicGraph) -> bool:
-    """True iff every 4- and 5-cycle is the boundary of some face."""
-    facial = {f.key() for f in g._faces if f.size in (4, 5)}
-    for length in (4, 5):
-        for key in _simple_cycles_of_length(g, length):
-            if key not in facial:
-                return False
-    return True
+    """True iff every 4- and 5-cycle is a face, compared as edge sets.  A
+    facial walk uses each dart once, so a walk of length 4 or 5 with the
+    edge set of a simple 4- or 5-cycle C walks C once, and is C, or has
+    length 5 on the edges of a 4-cycle, which cannot be: a closed walk on a
+    4-cycle has even length."""
+    facial = {frozenset(norm_edge(*d) for d in f.directed_edges())
+              for f in g._faces if f.size in (4, 5)}
+    return all(c in facial for c in _short_cycles(g) if len(c) > 3)
 
 
 def edge_cuts_up_to(g: PlaneCubicGraph, k: int) -> list[EdgeCut]:
@@ -559,10 +547,7 @@ def edge_cuts_up_to(g: PlaneCubicGraph, k: int) -> list[EdgeCut]:
     dual cycle gives contains a minimal cut, whose dual is a cycle inside
     the first one, hence equal to it: that cut is minimal.  The dual is
     edge for edge, so the dual cycles of length <= k are exactly the
-    minimal cuts of size <= k.
-
-    Each cycle is found by a depth-first search from its least face that
-    visits only greater faces and no face or edge twice.
+    minimal cuts of size <= k, and `_cycles_up_to` finds them.
     """
     if k > 4:
         raise ValueError("edge cut enumeration is capped at k = 4")
@@ -576,24 +561,7 @@ def edge_cuts_up_to(g: PlaneCubicGraph, k: int) -> list[EdgeCut]:
         dual[a].append(((u, v), b))
         if b != a:
             dual[b].append(((u, v), a))
-    found: set[frozenset[Edge]] = set()
-
-    def extend(s: int, f: int, path: list[Edge], on_path: set[int]) -> None:
-        for e, t in dual[f]:
-            if e in path:
-                continue
-            if t == s:
-                found.add(frozenset(path + [e]))
-            elif t > s and t not in on_path and len(path) + 1 < k:
-                path.append(e)
-                on_path.add(t)
-                extend(s, t, path, on_path)
-                path.pop()
-                on_path.discard(t)
-
-    for s in range(len(dual)):
-        extend(s, s, [], {s})
-    return sorted(map(EdgeCut, found), key=lambda c: sorted(c.edges))
+    return sorted(map(EdgeCut, _cycles_up_to(dual, k)), key=lambda c: sorted(c.edges))
 
 
 def connectivity(g: PlaneCubicGraph) -> int:

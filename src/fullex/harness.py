@@ -448,7 +448,8 @@ class SporadicCandidate(NamedTuple):
 
 def _is_sporadic(d: dict) -> bool:
     """The sporadic filter: not a tube, anti-Kekule number 3, and not
-    2-extendable."""
+    2-extendable.  The tube clause is kept as the paper's wording; on tubes
+    the ak = 3 test already excludes them (ak is 4 for 1 to 6 layers)."""
     return not d["is_tube"] and d["ak_number"] == 3 and not d["two_extendable"]
 
 

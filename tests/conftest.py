@@ -2,9 +2,9 @@
 
 The oracles here deliberately avoid the library's own algorithms: matchings
 are found by exhaustive search over edge subsets, isomorphism by plain
-backtracking, and cuts, connectivity and girth by scanning every small
-edge or vertex subset and by breadth-first search, so they can certify the
-production implementations.  `backtracking_perfect_matchings` is the
+backtracking, and cuts, connectivity, girth and short cycles by scanning
+every small edge or vertex subset and by breadth-first search, so they can
+certify the production implementations.  `backtracking_perfect_matchings` is the
 set-based perfect-matching search the library used before its bitmask
 kernel, kept as the oracle for that kernel's output order.
 `per_vertex_gallai_edmonds_d` finds the vertices some maximum matching
@@ -589,6 +589,24 @@ def bfs_girth(g: G.PlaneCubicGraph) -> int:
                 elif parent[x] != y:
                     best = min(best, dist[x] + dist[y] + 1)
     return best
+
+
+def scanned_short_cycles(g: G.PlaneCubicGraph) -> set[frozenset[G.Edge]]:
+    """Edge sets of the simple cycles of length 3 to 5, by trying every
+    vertex subset of that size in which each vertex has two neighbours, in
+    every cyclic order."""
+    found = set()
+    for k in (3, 4, 5):
+        for subset in itertools.combinations(range(g.n), k):
+            inside = set(subset)
+            if any(len(g.adj[v] & inside) < 2 for v in subset):
+                continue
+            for rest in itertools.permutations(subset[1:]):
+                ring = (subset[0], *rest)
+                pairs = list(zip(ring, ring[1:] + ring[:1]))
+                if all(b in g.adj[a] for a, b in pairs):
+                    found.add(frozenset(G.norm_edge(a, b) for a, b in pairs))
+    return found
 
 
 def has_cycle(comp: Collection[int], adj: Mapping[int, Iterable[int]],

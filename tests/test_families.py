@@ -29,13 +29,16 @@ def test_descriptor_structure():
     g, desc = F.build_tube(3)
     assert len(desc.concentric_cycles) == 4
     assert len(desc.traversed_edges) == 3
-    facial_keys = {f.key() for f in G.faces(g).faces}
+    def edge_set(walk):
+        return frozenset(G.norm_edge(a, b) for a, b in zip(walk, walk[1:] + walk[:1]))
+
+    facial = {edge_set(f.boundary) for f in G.faces(g).faces}
     seen = set()
     for cyc in desc.concentric_cycles:
         assert len(cyc) == 6
         for i, v in enumerate(cyc):
             assert cyc[(i + 1) % 6] in g.adj[v]
-        assert G.cycle_key(cyc) not in facial_keys  # concentric, never a face
+        assert edge_set(cyc) not in facial  # concentric, never a face
     for layer in desc.traversed_edges:
         assert len(layer) == 3
         assert not (layer & seen)
@@ -195,6 +198,13 @@ def test_sporadic_candidates_fourteen_excludes_tube():
     assert cands
     tube_code = G.canonical_code(F.build_tube(1)[0])
     assert all(G.canonical_code(c.graph) != tube_code for c in cands)
+
+
+def test_tubes_have_anti_kekule_number_four():
+    """Why the sporadic filter's "not a tube" clause decides nothing: the
+    ak = 3 test already excludes every tube."""
+    for layers in range(1, 7):
+        assert harness.analyze_graph(F.build_tube(layers)[0])["ak_number"] == 4
 
 
 def test_sporadic_size_precondition():

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -9,7 +10,7 @@ from conftest import (aligned_embedding_map, backtracking_isomorphic, bfs_girth,
                       cube_graph, dodecahedron_graph, exhaustive_connectivity,
                       exhaustive_cyclic_cut_leq3, exhaustive_edge_cuts, has_cycle, k4_graph,
                       plain_code_sweep, relabel_rotation, relabelled_mirror, rotation_code,
-                      triangulations, two_blocks_joined_by_a_bridge,
+                      scanned_short_cycles, triangulations, two_blocks_joined_by_a_bridge,
                       two_blocks_joined_by_two_edges)
 from conftest import is_chiral as oracle_is_chiral
 
@@ -226,14 +227,27 @@ def test_girth(cube, dodecahedron, k4):
     assert G.girth(dodecahedron) == 5
 
 
-def test_short_cycles_facial(cube, dodecahedron):
+def test_short_cycles_facial(cube, dodecahedron, k4):
     assert G.short_cycles_facial(cube)
     assert G.short_cycles_facial(dodecahedron)
+    # each of these has a 4-cycle that bounds no face
+    assert not G.short_cycles_facial(k4)
+    assert not G.short_cycles_facial(two_blocks_joined_by_two_edges())
+    assert not G.short_cycles_facial(two_blocks_joined_by_a_bridge())
 
 
 def test_cube_has_exactly_six_four_cycles(cube):
-    assert len(G._simple_cycles_of_length(cube, 4)) == 6
-    assert len(G._simple_cycles_of_length(cube, 5)) == 0
+    lengths = [len(c) for c in G._short_cycles(cube)]
+    assert lengths.count(4) == 6
+    assert lengths.count(5) == 0
+
+
+def test_short_cycles_by_length(cube, dodecahedron, k4):
+    cases = ((k4, {3: 4, 4: 3}), (cube, {4: 6}), (dodecahedron, {5: 12}),
+             (two_blocks_joined_by_two_edges(), {3: 4, 4: 2}),
+             (two_blocks_joined_by_a_bridge(), {3: 4, 4: 6, 5: 4}))
+    for g, counts in cases:
+        assert Counter(map(len, G._short_cycles(g))) == counts
 
 
 def test_edge_cuts_cube(cube):
@@ -268,6 +282,11 @@ def _four_cut_graphs():
 def test_edge_cuts_are_the_exhaustive_scan():
     for g in _cut_test_graphs():
         assert G.edge_cuts_up_to(g, 3) == [cut for cut, _ in exhaustive_edge_cuts(g, 3)]
+
+
+def test_short_cycles_are_the_subset_scan():
+    for g in _cut_test_graphs() + [dodecahedron_graph()]:
+        assert G._short_cycles(g) == scanned_short_cycles(g)
 
 
 def test_connectivity_girth_and_cyclic_cut_are_the_exhaustive_scans():

@@ -32,23 +32,24 @@ def test_analyze_cube_digest(cube):
     assert d.keys() == harness.DIGEST_TYPES.keys()
 
 
-def test_short_cycle_searches_run_once_per_length(monkeypatch):
-    """girth and short_cycles_facial share one search per cycle length,
-    with a quadrilateral (girth stops at 4) or without (girth reaches 5)."""
+def test_short_cycle_search_runs_once_per_graph(monkeypatch):
+    """analyze_graph makes one search of the graph's 3- to 5-cycles, which
+    serves girth and short_cycles_facial, beside the one of the dual's
+    <= 3-cycles for the cuts; with a quadrilateral (girth 4) or without
+    (girth 5)."""
     searches = []
-    search = G._simple_cycles_of_length
+    search = G._cycles_up_to
 
-    def spy(g, length):
-        if length not in g._cycles:
-            searches.append(length)
-        return search(g, length)
+    def spy(adj, k):
+        searches.append((len(adj), k))
+        return search(adj, k)
 
-    monkeypatch.setattr(G, "_simple_cycles_of_length", spy)
+    monkeypatch.setattr(G, "_cycles_up_to", spy)
     for g, girth in ((cube_graph(), 4), (dodecahedron_graph(), 5)):
         searches.clear()
         d = harness.analyze_graph(g)
         assert (d["girth"], d["short_cycles_facial"]) == (girth, True)
-        assert sorted(searches) == [3, 4, 5]
+        assert sorted(searches) == [(G.faces(g).count, 3), (g.n, 5)]
 
 
 def test_certificate_fields():
