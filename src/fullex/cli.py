@@ -188,6 +188,8 @@ def cmd_canonical(args) -> int:
 
 
 def cmd_verify_all(args) -> int:
+    if args.jobs < 1:
+        return _fail(f"--jobs must be at least 1, got {args.jobs}")
     nmax = configured_bound() if args.nmax is None else args.nmax
     report = harness.verify_all(nmax, jobs=args.jobs,
                                 cache_dir=args.cache_dir)

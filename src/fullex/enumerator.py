@@ -20,8 +20,8 @@ import os
 from itertools import permutations
 from typing import Iterable, Iterator, NamedTuple
 
-from .graphs import (PlaneCubicGraph, _bfs_code, _code_sweep, _trace_faces,
-                     faces, from_code)
+from .graphs import (PlaneCubicGraph, _bfs_code, _code_sweep, _dual, _label_map,
+                     _trace_faces, faces, from_code)
 
 DEFAULT_BOUND = 24
 
@@ -63,20 +63,21 @@ def _catalogue_from(n: int, rotations) -> Catalogue:
     """One member per class, in canonical labelling, sorted by canonical code.
 
     One `_code_sweep` per rotation system gives its code and chirality, and
-    the member is built once, from the code, with both preset: the BFS from
-    vertex 0 to vertex 1 reproduces the code, and no root does better.  The
-    labels depend only on the code, so every route to a class (and any
+    the member is built once, from the code, with its sweep preset: it is
+    labelled by the code, and its dart 0 -> 1 in the plain orientation,
+    the first root of its sweep, emits it, so its labelling is 0..n-1.
+    The labels depend only on the code, so every route to a class (and any
     rewrite of a route) yields the same rotation system for it.  A code
     seen twice raises RuntimeError: the walk emits each class once.
     """
-    swept = sorted(_code_sweep(len(rot), rot) for rot in rotations)
+    swept = sorted(_code_sweep(len(rot), rot)[:2] for rot in rotations)
     ordered: list[PlaneCubicGraph] = []
     counts: dict[tuple[int, int, int], int] = {}
     for code, chiral in swept:
-        if ordered and ordered[-1]._canonical == code:
+        if ordered and ordered[-1]._sweep[0] == code:
             raise RuntimeError(f"class {code.hex()} emitted twice at n = {n}")
         g = from_code(code)
-        g._canonical, g._chiral = code, chiral
+        g._sweep = (code, chiral, range(g.n))
         ordered.append(g)
         inv = faces(g)
         key = (inv.p4, inv.p5, inv.p6)
@@ -141,11 +142,11 @@ def _canonical_key(n: int, rot: Rotation, x: int, y: int) -> tuple[bytes, Group]
     the keys are the least of the same codes; a code lists the whole
     rotation system, so equal keys mean isomorphic embeddings up to
     mirroring, as equal `_code_sweep` codes do.  Two roots emitting one code
-    are related by the map matching equal labels, an automorphism or a
-    reflection: the roots emitting the key form one orbit, and so do the
-    canonical edges.  Every automorphism maps the first such root onto one
-    of them, so the maps from the first to each are the whole group, the
-    orientation reversals included, at no extra BFS.
+    are related by their `_label_map`, an automorphism or a reflection: the
+    roots emitting the key form one orbit, and so do the canonical edges.
+    Every automorphism maps the first such root onto one of them, so the
+    maps from the first to each are the whole group, the orientation
+    reversals included, at no extra BFS.
     """
     deg = [len(q) for q in rot]
 
@@ -185,9 +186,7 @@ def _canonical_key(n: int, rot: Rotation, x: int, y: int) -> tuple[bytes, Group]
                         return None  # a rival root emits a smaller code
                     best, ties = found[0], []
                 ties.append(found[1])
-    # phi[u] is the vertex that a tie labels as the first tie labels u
-    pos = sorted(range(n), key=ties[0].__getitem__)
-    return bytes(best), [tuple(map(t.__getitem__, pos)) for t in ties]
+    return bytes(best), [_label_map(ties[0], t) for t in ties]
 
 
 def _children(n: int, rot: Rotation, slack: int,
@@ -302,12 +301,9 @@ def _walk(v_max: int) -> Iterator[tuple[int, list[Rotation]]]:
 
 
 def _dualize(n: int, rot: Rotation) -> Rotation:
-    """The dual's rotation system: one cubic vertex per triangle face."""
-    triangles = _trace_faces(n, rot)
-    face_id = {(t[i - 1], t[i]): f for f, t in enumerate(triangles) for i in range(3)}
-    # each triangle's neighbours: the faces across its edges, in walk order
-    return tuple(tuple(face_id[(t[(i + 1) % 3], t[i])] for i in range(3))
-                 for t in triangles)
+    """The dual's rotation system: one cubic vertex per triangle face, its
+    neighbours the faces across its darts in walk order (`_dual`)."""
+    return tuple(tuple(f for _, f in darts) for darts in _dual(_trace_faces(n, rot)))
 
 
 def enumerate_catalogues(sizes: Iterable[int],

@@ -42,9 +42,9 @@ class ExtendabilityReport(NamedTuple):
     certificate: Optional[mt.DeficiencyCertificate]
 
 
-def _candidate_matchings(adj: dict[int, frozenset[int]], k: int):
-    """Size-k matchings in lexicographic order of their sorted edge lists."""
-    for combo in itertools.combinations(mt.edges_of(adj), k):
+def _candidate_matchings(edges: list[Edge], k: int):
+    """Size-k matchings of the sorted edge list, in lexicographic order."""
+    for combo in itertools.combinations(edges, k):
         if len({v for e in combo for v in e}) == 2 * k:
             yield combo
 
@@ -65,7 +65,7 @@ def check_preconditions(adj: dict[int, frozenset[int]], k: int) -> None:
 def nonextendable_matchings(index: mt.PmIndex, k: int) -> Iterator[tuple[Edge, ...]]:
     """Size-k matchings in no perfect matching, in lexicographic order;
     the caller checks the preconditions."""
-    for cand in _candidate_matchings(index.adj, k):
+    for cand in _candidate_matchings(index.edges, k):
         if not index.extends(cand):
             yield cand
 

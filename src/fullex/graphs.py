@@ -64,9 +64,6 @@ class Face(NamedTuple):
         b = self.boundary
         return [(b[i], b[(i + 1) % len(b)]) for i in range(len(b))]
 
-    def is_simple_cycle(self) -> bool:
-        return len(set(self.boundary)) == len(self.boundary)
-
 
 class FaceInventory(NamedTuple):
     faces: tuple[Face, ...]
@@ -93,10 +90,9 @@ class EdgeCut(NamedTuple):
 
 
 class PlaneCubicGraph:
-    """Immutable cubic plane graph; canonical code and short-cycle edge sets cached."""
+    """Immutable cubic plane graph; canonical sweep and short-cycle edge sets cached."""
 
-    __slots__ = ("n", "rot", "adj", "edge_list", "_faces", "_canonical", "_chiral",
-                 "_cycles")
+    __slots__ = ("n", "rot", "adj", "edge_list", "_faces", "_sweep", "_cycles")
 
     def __init__(self, n: int, rot: tuple[tuple[int, int, int], ...],
                  faces: tuple[Face, ...]):
@@ -106,8 +102,7 @@ class PlaneCubicGraph:
         self.edge_list = tuple(sorted(
             {norm_edge(v, w) for v in range(n) for w in rot[v]}))
         self._faces = faces
-        self._canonical: bytes | None = None
-        self._chiral: bool | None = None
+        self._sweep: tuple[bytes, bool, Sequence[int]] | None = None
         self._cycles: frozenset[frozenset[Edge]] | None = None
 
     @property
@@ -139,6 +134,15 @@ def _trace_faces(n: int, rot: Sequence[tuple[int, ...]]) -> list[tuple[int, ...]
                 a, b = b, succ_at[b][a]
             faces.append(tuple(walk))
     return faces
+
+
+def _dual(faces: Sequence[Sequence[int]]) -> list[list[tuple[Edge, int]]]:
+    """The plane dual: for each face in walk order, the pair (edge, face
+    across) for each of its darts.  A bridge is a loop, listed twice at its
+    face; two faces sharing two edges are joined by a parallel pair."""
+    face_of = {(f[i - 1], f[i]): j for j, f in enumerate(faces) for i in range(len(f))}
+    return [[(norm_edge(f[i - 1], f[i]), face_of[(f[i], f[i - 1])]) for i in range(len(f))]
+            for f in faces]
 
 
 def from_rotation(n: int, rot: Sequence[Sequence[int]]) -> PlaneCubicGraph:
@@ -265,7 +269,7 @@ def validate_fullerene(g: PlaneCubicGraph) -> FaceInventory:
     not a polygon and is rejected with the same error.
     """
     for f in g._faces:
-        if f.size not in (4, 5, 6) or not f.is_simple_cycle():
+        if f.size not in (4, 5, 6) or len(set(f.boundary)) != f.size:
             raise BadFaceSize(f.boundary, f.size)
     return faces(g)
 
@@ -274,8 +278,10 @@ def validate_fullerene(g: PlaneCubicGraph) -> FaceInventory:
 # Canonical codes
 # ---------------------------------------------------------------------------
 
-def _code_sweep(n: int, rot: Sequence[Sequence[int]]) -> tuple[bytes, bool]:
-    """(canonical code, whether the embedding is chiral) from one sweep.
+def _code_sweep(n: int, rot: Sequence[Sequence[int]]) -> tuple[bytes, bool, list[int]]:
+    """(canonical code, whether the embedding is chiral, its labelling)
+    from one sweep; the labelling is the label order of the first root
+    that emits the least code.
 
     A breadth-first relabeling is generated from every rooted directed edge
     in both orientations and the lexicographically smallest neighbor
@@ -288,16 +294,16 @@ def _code_sweep(n: int, rot: Sequence[Sequence[int]]) -> tuple[bytes, bool]:
 
     Roots are darts, numbered in sweep order: mirrored after plain, and
     within each by vertex and then by position in the rotation.  When a
-    root ties the best code, matching equal labels of the two label orders
-    is an automorphism, orientation-reversing when the two roots differ in
-    orientation.  It maps every root onto one that emits the same code, so
-    a union-find, started at the first tie, merges each dart with its
-    image, and a root whose class holds an earlier dart is skipped: that
-    dart was swept, or skipped for a swept one, and emitted the same code.
-    The least code is unchanged, and so is the chirality: a skipped
-    mirrored root either shares a class with a swept mirrored one or with
-    a plain one, and the latter takes an orientation reversal, found only
-    from a mirrored root that tied.
+    root ties the best code, the `_label_map` of the two label orders is
+    an automorphism.  It maps every root onto one that emits the same
+    code, so a union-find, started at the first tie, merges each dart with
+    its image, and a root whose class holds an earlier dart is skipped:
+    that dart was swept, or skipped for a swept one, and emitted the same
+    code.  The least code is unchanged, and so are the chirality and the
+    labelling: the first root to emit the least code has no earlier dart
+    in its class, and a skipped mirrored root either shares a class with a
+    swept mirrored one or with a plain one, and the latter takes an
+    orientation reversal, found only from a mirrored root that tied.
     """
     plain = tuple(tuple(r) for r in rot)
     orient = (plain, tuple(r[::-1] for r in plain))
@@ -330,9 +336,7 @@ def _code_sweep(n: int, rot: Sequence[Sequence[int]]) -> tuple[bytes, bool]:
                 tie = tie or bool(m)
                 if parent is None:
                     parent = list(range(2 * half))
-                phi = [0] * n
-                for x, y in zip(best_order, found[1]):
-                    phi[x] = y
+                phi = _label_map(best_order, found[1])
                 flip = m ^ best_m
                 for s in range(m, 2):  # once mirrored, plain darts are all swept
                     src, dst = orient[s], orient[s ^ flip]
@@ -347,7 +351,16 @@ def _code_sweep(n: int, rot: Sequence[Sequence[int]]) -> tuple[bytes, bool]:
                             elif b < a:
                                 parent[a] = b
     assert best is not None
-    return bytes(best), beaten or not tie
+    return bytes(best), beaten or not tie, best_order
+
+
+def _label_map(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
+    """phi with phi[a[i]] = b[i].  If a and b are the label orders of two
+    roots, of one graph or of two, that emit one code, phi is an embedding
+    isomorphism: equal labels list equal rotations, each in its root's
+    orientation, so phi reverses orientation iff the two orientations differ."""
+    pos = sorted(range(len(a)), key=a.__getitem__)
+    return tuple(map(b.__getitem__, pos))
 
 
 def _bfs_code(n: int, rot: Sequence[tuple[int, ...]], root: int, first: int,
@@ -399,11 +412,16 @@ def _bfs_code(n: int, rot: Sequence[tuple[int, ...]], root: int, first: int,
     return (best if code is None else code), order
 
 
+def _swept(g: PlaneCubicGraph) -> tuple[bytes, bool, Sequence[int]]:
+    """The `_code_sweep` of g, made once per graph."""
+    if g._sweep is None:
+        g._sweep = _code_sweep(g.n, g.rot)
+    return g._sweep
+
+
 def canonical_code(g: PlaneCubicGraph) -> bytes:
     """Canonical code identifying mirror images (cached per graph)."""
-    if g._canonical is None:
-        g._canonical, g._chiral = _code_sweep(g.n, g.rot)
-    return g._canonical
+    return _swept(g)[0]
 
 
 def from_code(code: bytes) -> PlaneCubicGraph:
@@ -418,44 +436,28 @@ def from_code(code: bytes) -> PlaneCubicGraph:
 
 
 def embedding_map(g1: PlaneCubicGraph, g2: PlaneCubicGraph) -> dict[int, int] | None:
-    """A vertex map carrying the embedding of g1 onto g2 (mirror allowed).
-
-    The darts of g2 are tried in sorted order, plain orientation before
-    mirrored; the first whose `_bfs_code` equals that of g1 from the dart
-    0 -> rot[0][0] gives the map, label for label.  Equal codes list the
-    same rotation at every label, and an isomorphism carries the root of
-    g1 onto a dart that emits the same code, so a map is found whenever
-    one exists.
-    """
-    if g1.n != g2.n:
-        return None
-    code, order = _bfs_code(g1.n, g1.rot, 0, g1.rot[0][0], None)
-    for rot2 in (g2.rot, tuple(r[::-1] for r in g2.rot)):
-        for a in range(g2.n):
-            for b in rot2[a]:
-                found = _bfs_code(g2.n, rot2, a, b, code)
-                if found is not None and found[0] is code:
-                    return dict(zip(order, found[1]))
-    return None
+    """A vertex map carrying the embedding of g1 onto g2 (mirror allowed),
+    or None, read off the two cached sweeps.  Canonical codes agree iff
+    such a map exists, and then the two labellings come from roots that
+    emit one code, so matching their equal labels is one (`_label_map`)."""
+    code1, _, order1 = _swept(g1)
+    code2, _, order2 = _swept(g2)
+    return dict(zip(order1, order2)) if code1 == code2 else None
 
 
 def is_chiral(g: PlaneCubicGraph) -> bool:
     """True if the embedding admits no orientation-reversing automorphism;
     read off the sweep that `canonical_code` makes (and caches)."""
-    canonical_code(g)
-    return g._chiral
+    return _swept(g)[1]
 
 
 # ---------------------------------------------------------------------------
 # Connectivity, girth, cycles, cuts
 # ---------------------------------------------------------------------------
 
-def components(adj: Mapping[int, Iterable[int]],
-               blocked_edges: frozenset[Edge] = frozenset()) -> list[set[int]]:
-    """Vertex sets of the components of adj minus the blocked edges.
-
-    Listed in order of their smallest vertex.
-    """
+def components(adj: Mapping[int, Iterable[int]]) -> list[set[int]]:
+    """Vertex sets of the components of adj, in order of their smallest
+    vertex, by a depth-first search from each."""
     todo = set(adj)
     comps = []
     while todo:
@@ -466,7 +468,7 @@ def components(adj: Mapping[int, Iterable[int]],
         while stack:
             x = stack.pop()
             for y in adj[x]:
-                if y in todo and norm_edge(x, y) not in blocked_edges:
+                if y in todo:
                     todo.discard(y)
                     comp.add(y)
                     stack.append(y)
@@ -533,34 +535,25 @@ def short_cycles_facial(g: PlaneCubicGraph) -> bool:
 def edge_cuts_up_to(g: PlaneCubicGraph, k: int) -> list[EdgeCut]:
     """All minimal edge cuts of size <= k (k <= 4), as short cycles of the dual.
 
-    The dual multigraph has one node per face and one edge per edge of g,
-    joining the faces of its two darts: a loop when both darts lie on one
-    face (a bridge), a parallel pair when two faces share two edges.  In a
-    connected plane graph an edge set F is a minimal cut (removing it
-    leaves exactly two components, and every edge of F joins them) iff its
-    dual edges form a cycle (Whitney).  A dual cycle is a closed curve
-    crossing each edge of F once, so by the Jordan curve theorem F is a
-    cut.  If F is a minimal cut with sides X and Y, each facial walk is
-    closed and so crosses between X and Y an even number of times: every
-    face meets the dual of F an even number of times, so that dual contains
-    a cycle, whose edges form a cut inside F, hence all of F.  The cut a
-    dual cycle gives contains a minimal cut, whose dual is a cycle inside
-    the first one, hence equal to it: that cut is minimal.  The dual is
-    edge for edge, so the dual cycles of length <= k are exactly the
-    minimal cuts of size <= k, and `_cycles_up_to` finds them.
+    The dual (`_dual`) has one node per face and one edge per edge of g,
+    joining the faces of its two darts.  In a connected plane graph an edge
+    set F is a minimal cut (removing it leaves exactly two components, and
+    every edge of F joins them) iff its dual edges form a cycle (Whitney).
+    A dual cycle is a closed curve crossing each edge of F once, so by the
+    Jordan curve theorem F is a cut.  If F is a minimal cut with sides X and
+    Y, each facial walk is closed and so crosses between X and Y an even
+    number of times: every face meets the dual of F an even number of times,
+    so that dual contains a cycle, whose edges form a cut inside F, hence
+    all of F.  The cut a dual cycle gives contains a minimal cut, whose dual
+    is a cycle inside the first one, hence equal to it: that cut is minimal.
+    The dual is edge for edge, so the dual cycles of length <= k are exactly
+    the minimal cuts of size <= k, and `_cycles_up_to` finds them.
     """
     if k > 4:
         raise ValueError("edge cut enumeration is capped at k = 4")
     if k < 1:
         return []
-    face_of = {dart: i for i, f in enumerate(g._faces)
-               for dart in f.directed_edges()}
-    dual: list[list[tuple[Edge, int]]] = [[] for _ in g._faces]
-    for u, v in g.edge_list:
-        a, b = face_of[(u, v)], face_of[(v, u)]
-        dual[a].append(((u, v), b))
-        if b != a:
-            dual[b].append(((u, v), a))
+    dual = _dual([f.boundary for f in g._faces])
     return sorted(map(EdgeCut, _cycles_up_to(dual, k)), key=lambda c: sorted(c.edges))
 
 

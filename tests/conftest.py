@@ -78,10 +78,11 @@ def rotation_code(n: int, rot) -> bytes:
     return G._code_sweep(n, rot)[0]
 
 
-def plain_code_sweep(n: int, rot) -> tuple[bytes, bool]:
+def plain_code_sweep(n: int, rot) -> tuple[bytes, bool, list[int]]:
     """`_code_sweep` without its automorphism pruning: a BFS code from
     every dart in both orientations, plain first, the mirrored ones only
-    compared against the best so far."""
+    compared against the best so far, and the label order of the first
+    root that emits the least code."""
     plain = tuple(tuple(r) for r in rot)
     best: list[int] | None = None
     tie = beaten = False
@@ -91,12 +92,12 @@ def plain_code_sweep(n: int, rot) -> tuple[bytes, bool]:
                 found = G._bfs_code(n, rr, u, v, best)
                 if found is None:
                     continue
-                if mirrored and found[0] == best:
-                    tie = True
+                if found[0] == best:
+                    tie = tie or bool(mirrored)
                 else:
-                    beaten, best = bool(mirrored), found[0]
+                    beaten, best, order = bool(mirrored), found[0], found[1]
     assert best is not None
-    return bytes(best), beaten or not tie
+    return bytes(best), beaten or not tie, order
 
 
 def canonical_codes(cat: EN.Catalogue) -> list[bytes]:
@@ -326,7 +327,7 @@ def combination_anti_kekule_sets(index: M.PmIndex, size: int):
         acc = 0
         for e in combo:
             acc |= index.masks[e]
-        if acc == index.full and len(G.components(index.adj, frozenset(combo))) == 1:
+        if acc == index.full and len(components_without(index.adj, combo)) == 1:
             yield frozenset(combo)
 
 
@@ -543,7 +544,7 @@ def exhaustive_edge_cuts(g: G.PlaneCubicGraph, k: int) -> list[tuple[G.EdgeCut, 
     for size in range(1, k + 1):
         for combo in itertools.combinations(g.edge_list, size):
             blocked = frozenset(combo)
-            comps = G.components(adj, blocked)
+            comps = components_without(adj, blocked)
             if len(comps) != 2:
                 continue
             s0 = comps[0]
@@ -609,6 +610,27 @@ def scanned_short_cycles(g: G.PlaneCubicGraph) -> set[frozenset[G.Edge]]:
     return found
 
 
+def components_without(adj: Mapping[int, Iterable[int]],
+                       blocked: Collection[G.Edge]) -> list[set[int]]:
+    """Vertex sets of the components of adj minus the blocked edges, in
+    order of their least vertex, by a breadth-first search from each."""
+    comps: list[set[int]] = []
+    seen: set[int] = set()
+    for s in sorted(adj):
+        if s in seen:
+            continue
+        comp, queue = {s}, deque([s])
+        while queue:
+            x = queue.popleft()
+            for y in adj[x]:
+                if y not in comp and G.norm_edge(x, y) not in blocked:
+                    comp.add(y)
+                    queue.append(y)
+        seen |= comp
+        comps.append(comp)
+    return comps
+
+
 def has_cycle(comp: Collection[int], adj: Mapping[int, Iterable[int]],
               blocked_edges: frozenset[G.Edge] = frozenset()) -> bool:
     """True iff the connected vertex set spans a cycle (edges >= vertices)."""
@@ -624,7 +646,7 @@ def exhaustive_cyclic_cut_leq3(g: G.PlaneCubicGraph) -> bool:
     for size in range(1, 4):
         for combo in itertools.combinations(g.edge_list, size):
             blocked = frozenset(combo)
-            comps = G.components(adj, blocked)
+            comps = components_without(adj, blocked)
             if sum(1 for c in comps if has_cycle(c, adj, blocked)) >= 2:
                 return True
     return False

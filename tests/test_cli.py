@@ -193,6 +193,14 @@ def test_negative_k_is_a_usage_error():
     assert b"k must lie in" in r.stderr
 
 
+def test_verify_all_jobs_below_one_is_a_usage_error():
+    for jobs in ("0", "-2"):
+        r = run_cli(["verify-all", "--nmax", "8", "--jobs", jobs])
+        assert r.returncode == 2
+        assert b"--jobs" in r.stderr
+        assert r.stdout == b""
+
+
 def test_certify_unparsable_edges_is_a_usage_error():
     r = run_cli(["certify", "--edges", "0-x,1-2"], input=cube_bytes())
     assert r.returncode == 2

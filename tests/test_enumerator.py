@@ -7,7 +7,7 @@ from fullex import enumerator as EN
 from fullex import graphs as G
 from fullex.families import build_tube
 
-from conftest import (canonical_codes, catalogue, embedding_automorphisms,
+from conftest import (canonical_codes, catalogue, catalogues, embedding_automorphisms,
                       keyset_children, relabel_rotation, rotation_code,
                       split_children, tri_key, triangulations)
 
@@ -234,6 +234,17 @@ def test_catalogue_members_are_valid_and_sorted():
             inv = G.validate_fullerene(g)
             assert 2 * inv.p4 + inv.p5 == 12
             assert g.n == n
+
+
+def test_catalogue_members_carry_their_sweep():
+    """A member built from its code is labelled by that code: the sweep it
+    carries, labelling 0..n-1 included, is the one a fresh sweep makes, for
+    every member with n <= 24."""
+    members = [g for cat in catalogues(24).values() for g in cat.graphs]
+    for g in members:
+        code, chiral, order = g._sweep
+        assert (code, chiral, list(order)) == G._code_sweep(g.n, g.rot)
+    assert len(members) == 139
 
 
 def test_counts_histogram_consistent():

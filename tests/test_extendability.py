@@ -45,7 +45,7 @@ def test_witness_is_first_lexicographic():
     g, _ = F.build_tube(1)
     rep = E.is_k_extendable(g, 2)
     adj = M.adjacency_of(g)
-    for cand in E._candidate_matchings(adj, 2):
+    for cand in E._candidate_matchings(M.edges_of(adj), 2):
         if cand == rep.witness:
             break
         assert M.extends_to_perfect(adj, cand)
@@ -70,7 +70,7 @@ def test_nonextendable_pairs_empty_for_dodecahedron(dodecahedron):
 def test_pm_index_agrees_with_direct_checks(cube):
     adj = M.adjacency_of(cube)
     index = M.PmIndex(adj, E.ENUMERATION_CAP)
-    for cand in E._candidate_matchings(adj, 2):
+    for cand in E._candidate_matchings(M.edges_of(adj), 2):
         assert index.extends(cand) == M.extends_to_perfect(adj, cand)
 
 
@@ -107,7 +107,7 @@ def test_capped_index_falls_back_to_matching_computations(cube):
     assert capped.masks is None
     full = M.PmIndex(adj)
     assert full.full == (1 << 9) - 1
-    for cand in E._candidate_matchings(adj, 3):
+    for cand in E._candidate_matchings(M.edges_of(adj), 3):
         assert capped.extends(cand) == full.extends(cand)
 
 

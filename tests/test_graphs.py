@@ -150,7 +150,8 @@ def test_canonical_form_is_shared_by_relabelled_mirrors():
 
 
 def test_pruned_sweep_is_the_plain_sweep():
-    """Skipping roots by automorphisms keeps (code, chiral): every catalogue
+    """Skipping roots by automorphisms keeps (code, chiral, labelling): the
+    first root to emit the least code is never skipped.  Every catalogue
     graph with n <= 20 with a relabelled and a relabelled mirrored copy,
     the tubes of 1-6 layers and every triangulation on at most 9 vertices
     (not cubic, so darts are numbered by degree offsets)."""
@@ -205,6 +206,30 @@ def test_embedding_map_is_the_aligned_walk_map():
             phi = G.embedding_map(g, h)
             assert phi is not None
             assert phi == aligned_embedding_map(g, h)
+
+
+def test_sweep_labelling_emits_the_code_and_maps_faces_onto_faces():
+    """The sweep's labelling is a root's label order: the BFS from order[0]
+    to order[1], in one of the two orientations, emits the code with that
+    order.  The map `embedding_map` reads off two labellings carries every
+    face onto a face, as edge sets: every catalogue graph with n <= 20 and
+    the tubes of 1-6 layers, each onto a relabelled copy, plain and mirrored."""
+    rng = random.Random(24)
+    graphs = [g for n in range(8, 21, 2) for g in catalogue(n).graphs]
+    graphs += [build_tube(layers)[0] for layers in range(1, 7)]
+
+    def face_edges(g, phi):
+        return {frozenset(G.norm_edge(phi[a], phi[b]) for a, b in f.directed_edges())
+                for f in G.faces(g).faces}
+
+    for g in graphs:
+        for mirror in (False, True):
+            h = G.from_rotation(g.n, relabel_rotation(g.rot, rng, mirror))
+            code, _, order = G._code_sweep(h.n, h.rot)
+            emitted = [G._bfs_code(h.n, rr, order[0], order[1], None)
+                       for rr in (h.rot, tuple(r[::-1] for r in h.rot))]
+            assert (list(code), order) in emitted
+            assert face_edges(g, G.embedding_map(g, h)) == face_edges(h, range(h.n))
 
 
 def test_embedding_map_of_non_isomorphic_pair_is_none():
