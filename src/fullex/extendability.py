@@ -49,16 +49,16 @@ def _candidate_matchings(edges: list[Edge], k: int):
             yield combo
 
 
-def check_preconditions(adj: dict[int, frozenset[int]], k: int) -> None:
-    """Raise unless the graph is connected, matchable and big enough for k."""
+def check_preconditions(index: mt.PmIndex, k: int) -> None:
+    """Raise unless the indexed graph is connected, matchable and big enough for k."""
     if not 0 <= k <= K_CAP:
         raise ExtendabilityError(f"k must lie in 0..{K_CAP}, got {k}")
-    if len(adj) < 2 * k + 2:
+    if len(index.adj) < 2 * k + 2:
         raise TooFewVertices(
-            f"{len(adj)} vertices but k = {k} needs at least {2 * k + 2}")
-    if not mt.is_connected(adj):
+            f"{len(index.adj)} vertices but k = {k} needs at least {2 * k + 2}")
+    if not mt.is_connected(index.adj):
         raise ExtendabilityError("graph is not connected")
-    if not mt.has_perfect_matching(adj):
+    if not index.extends(()):
         raise NoPerfectMatching("graph has no perfect matching")
 
 
@@ -75,10 +75,9 @@ def is_k_extendable(g: PlaneCubicGraph | mt.Adjacency, k: int) -> ExtendabilityR
     witness, certified by the deficiency certificate of the graph minus its
     endpoints."""
     adj = mt.adjacency_of(g)
-    check_preconditions(adj, k)
-    witness = None
-    if k > 0:
-        witness = next(nonextendable_matchings(mt.PmIndex(adj, ENUMERATION_CAP), k), None)
+    index = mt.PmIndex(adj, ENUMERATION_CAP)
+    check_preconditions(index, k)
+    witness = next(nonextendable_matchings(index, k), None)
     if witness is None:
         return ExtendabilityReport(k, True, None, None)
     return ExtendabilityReport(k, False, witness, mt.matching_certificate(adj, witness))
@@ -87,14 +86,14 @@ def is_k_extendable(g: PlaneCubicGraph | mt.Adjacency, k: int) -> ExtendabilityR
 def extendability_number(g: PlaneCubicGraph | mt.Adjacency) -> int:
     """Largest k <= K_CAP for which the graph is k-extendable (0 if none)."""
     adj = mt.adjacency_of(g)
-    if not mt.has_perfect_matching(adj):
-        raise NoPerfectMatching("graph has no perfect matching")
     index = mt.PmIndex(adj, ENUMERATION_CAP)
+    if not index.extends(()):
+        raise NoPerfectMatching("graph has no perfect matching")
     best = 0
     for k in range(1, K_CAP + 1):
         if len(adj) < 2 * k + 2:
             break
-        check_preconditions(adj, k)
+        check_preconditions(index, k)
         if next(nonextendable_matchings(index, k), None) is not None:
             break
         best = k

@@ -137,52 +137,39 @@ class TubePerfectMatchingReport(NamedTuple):
 def verify_tube_pm_structure(n_layers: int) -> TubePerfectMatchingReport:
     """Measure the perfect-matching layer structure of one tube.
 
-    One index of every perfect matching answers each check by bitset
-    arithmetic: (a) a layer holds exactly one edge of every perfect
-    matching when its edges' masks are pairwise disjoint and together
-    cover all of them; (b) a selection of edges extends to as many perfect
-    matchings as the AND of its masks has bits, which must be one for
-    every selection of one edge per matching layer; (c) the count equals
-    the product of the layer sizes.  Everything is measured, nothing
-    assumed.
+    One index of every perfect matching answers each check by counting the
+    perfect matchings that contain given edges: (a) a layer holds exactly
+    one edge of every perfect matching when its single-edge counts sum to
+    the total and no two of its edges share one; (b) every selection of
+    one edge per matching layer must lie in exactly one perfect matching;
+    (c) the count equals the product of the layer sizes.  Everything is
+    measured, nothing assumed.
     """
     if not 1 <= n_layers <= 6:
         raise BadLayerCount("layer count for the exhaustive check must be 1..6")
     g, desc = build_tube(n_layers)
-    index = mt.PmIndex(g.adj_dict())
-    masks, full = index.masks, index.full
+    count = mt.PmIndex(g.adj_dict()).count
+    pm_count = count(())
 
     def one_per_pm(layer: frozenset[Edge]) -> bool:
-        seen = 0
-        for e in layer:
-            if seen & masks[e]:
-                return False
-            seen |= masks[e]
-        return seen == full
-
-    def extensions(selection: tuple[Edge, ...]) -> int:
-        acc = full
-        for e in selection:
-            acc &= masks[e]
-        return acc.bit_count()
+        return (sum(count((e,)) for e in layer) == pm_count
+                and not any(map(count, itertools.combinations(layer, 2))))
 
     layers = desc.matching_layers()
     gaps = desc.traversed_edges
     return TubePerfectMatchingReport(
         n_layers=n_layers,
-        pm_count=full.bit_length(),
+        pm_count=pm_count,
         layer_sizes=tuple(len(layer) for layer in layers),
         one_traversed_per_gap=all(one_per_pm(layer) for layer in gaps),
         one_star_edge_per_cap=all(one_per_pm(star) for star in desc.cap_stars),
         every_layer_selection_unique=all(
-            extensions(sel) == 1
+            count(sel) == 1
             for sel in itertools.product(*[sorted(layer) for layer in layers])),
         gap_extension_counts=tuple(sorted(
-            extensions(sel)
-            for sel in itertools.product(*[sorted(layer) for layer in gaps]))),
+            map(count, itertools.product(*[sorted(layer) for layer in gaps])))),
         gap_pair_in_common_pm=next(
             (pair for layer in gaps
              for pair in itertools.combinations(sorted(layer), 2)
-             if extensions(pair)), None),
+             if count(pair)), None),
     )
-

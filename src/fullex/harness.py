@@ -105,15 +105,15 @@ def analyze_graph(g: PlaneCubicGraph) -> dict:
     Each fact is computed once: the minimal cuts of size <= 3 give the
     connectivity and the nontrivial cut count, which is positive iff some
     cut is cyclic (as in ``graphs``), and one index of all perfect matchings
-    serves the k = 1, 2, 3 scans and the anti-Kekule search.
+    serves the preconditions, the k = 1..3 scans and the anti-Kekule search.
     """
     inv = validate_fullerene(g)
     tube = families.recognize_tube(g)
     cuts3 = edge_cuts_up_to(g, 3)
     nontrivial = sum(1 for c in cuts3 if not c.trivial)
     adj = g.adj_dict()
-    ext_mod.check_preconditions(adj, ext_mod.K_CAP)
     index = mt.PmIndex(adj)
+    ext_mod.check_preconditions(index, ext_mod.K_CAP)
     witnesses = [next(ext_mod.nonextendable_matchings(index, k), None)
                  for k in (1, 2, 3)]
     flags = [w is None for w in witnesses]

@@ -265,12 +265,13 @@ def count_perfect_matchings(g: PlaneCubicGraph | Adjacency) -> int:
 
 
 class PmIndex:
-    """Per-edge bitsets over the perfect matchings of one graph.
+    """Per-edge bitsets over the perfect matchings of one graph, which
+    answer their existence, extension and counts.
 
     Bit i of ``masks[e]`` is set when the i-th perfect matching contains e;
     ``full`` has a bit per perfect matching.  With a ``cap``, past
-    COUNT_LIMIT vertices or ``cap`` matchings ``masks`` is None and
-    ``extends`` runs one matching computation per query instead.
+    COUNT_LIMIT vertices or ``cap`` matchings ``masks`` is None, ``count``
+    fails and ``extends`` runs one matching computation per query instead.
     """
 
     def __init__(self, adj: Mapping[int, frozenset[int]], cap: int | None = None):
@@ -292,16 +293,25 @@ class PmIndex:
         self.masks = masks
         self.full = (1 << count) - 1
 
+    def count(self, edges: Iterable[Edge]) -> int:
+        """How many perfect matchings contain every given edge."""
+        acc = self.full
+        for e in edges:
+            acc &= self.masks[e]
+        return acc.bit_count()
+
     def extends(self, edges: Iterable[Edge]) -> bool:
-        """True iff the matching is contained in some perfect matching."""
+        """True iff the edges, which must be a matching of the graph, lie in a
+        perfect matching; for no edges, iff it has one.  Only the blossom path
+        validates them, raising NotAMatching."""
         if self.masks is None:
             return extends_to_perfect(self.adj, edges)
-        acc = -1
+        acc = self.full
         for e in edges:
             acc &= self.masks[e]
             if acc == 0:
                 return False
-        return True
+        return acc != 0
 
 
 def is_factor_critical(g: PlaneCubicGraph | Adjacency) -> bool:

@@ -360,8 +360,8 @@ def min_anti_kekule_sets(g, size: int) -> list[frozenset[G.Edge]]:
 def nonextendable_pairs(g) -> list[E.ExtendabilityReport]:
     """Every size-2 matching with no perfect-matching extension, certified."""
     adj = M.adjacency_of(g)
-    E.check_preconditions(adj, 2)
     index = M.PmIndex(adj, E.ENUMERATION_CAP)
+    E.check_preconditions(index, 2)
     return [E.ExtendabilityReport(2, False, w, M.matching_certificate(adj, w))
             for w in E.nonextendable_matchings(index, 2)]
 

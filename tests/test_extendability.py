@@ -83,6 +83,10 @@ def test_preconditions():
         E.is_k_extendable(disconnected, 1)
     with pytest.raises(E.NoPerfectMatching):
         E.extendability_number({0: {1, 2}, 1: {0, 2}, 2: {0, 1}})
+    star = {0: {1, 2, 3}, 1: {0}, 2: {0}, 3: {0}}  # connected, even, unmatchable
+    for k in (0, 1):
+        with pytest.raises(E.NoPerfectMatching):
+            E.is_k_extendable(star, k)
     with pytest.raises(E.ExtendabilityError):
         E.is_k_extendable(small, -1)
 
@@ -101,14 +105,47 @@ def test_enumerated_twelve_vertex_fullerenes():
     assert verdicts == [False, True]  # one sporadic exception, one prism
 
 
+def _triangles(t: int) -> dict[int, frozenset[int]]:
+    """t disjoint triangles: 3t vertices and no perfect matching."""
+    return {v: frozenset({3 * (v // 3) + (v + 1) % 3, 3 * (v // 3) + (v + 2) % 3})
+            for v in range(3 * t)}
+
+
 def test_capped_index_falls_back_to_matching_computations(cube):
     adj = M.adjacency_of(cube)
     capped = M.PmIndex(adj, 3)  # the cube has 9 perfect matchings
     assert capped.masks is None
     full = M.PmIndex(adj)
     assert full.full == (1 << 9) - 1
-    for cand in E._candidate_matchings(M.edges_of(adj), 3):
-        assert capped.extends(cand) == full.extends(cand)
+    for k in range(4):  # k = 0 compares the empty matching too
+        for cand in E._candidate_matchings(M.edges_of(adj), k):
+            assert capped.extends(cand) == full.extends(cand)
+    # no perfect matching: 6 vertices take the masks path, 66 the blossom one
+    masked = M.PmIndex(_triangles(2))
+    blossom = M.PmIndex(_triangles(22), E.ENUMERATION_CAP)
+    assert masked.masks is not None and blossom.masks is None
+    assert not masked.extends(()) and not blossom.extends(())
+    assert masked.count(()) == 0
+
+
+def test_extendability_runs_no_second_matching_engine(monkeypatch, cube, dodecahedron):
+    calls = 0
+    has_pm = M.has_perfect_matching
+
+    def counted(g):
+        nonlocal calls
+        calls += 1
+        return has_pm(g)
+
+    monkeypatch.setattr(M, "has_perfect_matching", counted)
+    for g in (cube, dodecahedron, F.build_tube(1)[0]):
+        for k in range(E.K_CAP + 1):
+            E.is_k_extendable(g, k)
+        E.extendability_number(g)
+    assert calls == 0
+    capped = M.PmIndex(M.adjacency_of(cube), 3)  # no masks: the blossom answers
+    assert capped.masks is None and capped.extends(())
+    assert calls == 1
 
 
 def _prism(k: int) -> dict[int, frozenset[int]]:

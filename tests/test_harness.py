@@ -193,9 +193,10 @@ def test_counterexample_record_identifies_graph(cube):
 
 
 def test_analyze_graph_computes_each_fact_once(monkeypatch):
-    calls = {"pm": 0, "cert": 0}
+    calls = {"pm": 0, "cert": 0, "blossom": 0}
     enumerate_pms = M.perfect_matchings
     certify = M.deficiency_certificate
+    has_pm = M.has_perfect_matching
 
     def counted_pms(g):
         calls["pm"] += 1
@@ -205,14 +206,20 @@ def test_analyze_graph_computes_each_fact_once(monkeypatch):
         calls["cert"] += 1
         return certify(g)
 
+    def counted_has_pm(g):  # the index answers existence: no blossom run
+        calls["blossom"] += 1
+        return has_pm(g)
+
     monkeypatch.setattr(M, "perfect_matchings", counted_pms)
     monkeypatch.setattr(M, "deficiency_certificate", counted_cert)
+    monkeypatch.setattr(M, "has_perfect_matching", counted_has_pm)
     graphs = list(catalogue(12).graphs) + [F.build_tube(1)[0]]
     certified = 0
     for g in graphs:
-        calls.update(pm=0, cert=0)
+        calls.update(pm=0, cert=0, blossom=0)
         d = harness.analyze_graph(g)
         assert calls["pm"] == 1
+        assert calls["blossom"] == 0
         assert calls["cert"] <= 1
         certified += calls["cert"]
         assert (d["certificate"] is None) == d["two_extendable"]

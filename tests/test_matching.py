@@ -79,10 +79,12 @@ def test_extends_equals_deleted_subgraph_matchability():
             M.induced(adj, e))
 
 
-def test_perfect_matching_counts(cube, k4):
+def test_perfect_matching_counts(cube, k4, dodecahedron):
     assert M.count_perfect_matchings(cycle(6)) == 2
     assert M.count_perfect_matchings(k4) == 3
-    assert M.count_perfect_matchings(cube) == 9
+    for g, pms in ((cube, 9), (dodecahedron, 36), (build_tube(1)[0], 27)):
+        index = M.PmIndex(M.adjacency_of(g))  # its count of no edges agrees
+        assert M.count_perfect_matchings(g) == index.count(()) == pms
 
 
 def test_enumeration_matches_brute_force(cube, k4):
