@@ -3,7 +3,7 @@
 __version__ = "0.1.0"
 
 from .graphs import (PlaneCubicGraph, canonical_code, connectivity,
-                     edge_cuts_up_to, faces, from_faces, from_rotation, girth,
+                     edge_cuts_up_to, faces, from_rotation, girth,
                      has_cyclic_cut_leq3, short_cycles_facial,
                      validate_fullerene)
 from .matching import (count_perfect_matchings, deficiency_certificate,

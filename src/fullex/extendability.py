@@ -50,9 +50,8 @@ def _candidate_matchings(edges: list[Edge], k: int):
 
 
 def check_preconditions(index: mt.PmIndex, k: int) -> None:
-    """Raise unless the indexed graph is connected, matchable and big enough for k."""
-    if not 0 <= k <= K_CAP:
-        raise ExtendabilityError(f"k must lie in 0..{K_CAP}, got {k}")
+    """Raise unless the indexed graph is connected, matchable and big enough
+    for k; the caller keeps k in 0..K_CAP."""
     if len(index.adj) < 2 * k + 2:
         raise TooFewVertices(
             f"{len(index.adj)} vertices but k = {k} needs at least {2 * k + 2}")
@@ -73,7 +72,10 @@ def nonextendable_matchings(index: mt.PmIndex, k: int) -> Iterator[tuple[Edge, .
 def is_k_extendable(g: PlaneCubicGraph | mt.Adjacency, k: int) -> ExtendabilityReport:
     """Scan all size-k matchings; the first one that fails becomes the
     witness, certified by the deficiency certificate of the graph minus its
-    endpoints."""
+    endpoints.  An out-of-range k is rejected before any perfect matching
+    is enumerated."""
+    if not 0 <= k <= K_CAP:
+        raise ExtendabilityError(f"k must lie in 0..{K_CAP}, got {k}")
     adj = mt.adjacency_of(g)
     index = mt.PmIndex(adj, ENUMERATION_CAP)
     check_preconditions(index, k)

@@ -13,7 +13,7 @@ import math
 from typing import NamedTuple, Optional
 
 from . import matching as mt
-from .graphs import (Edge, PlaneCubicGraph, embedding_map, from_faces, norm_edge,
+from .graphs import (Edge, PlaneCubicGraph, embedding_map, from_rotation, norm_edge,
                      validate_fullerene)
 
 
@@ -38,7 +38,16 @@ class TubeDescriptor(NamedTuple):
 
 
 def build_tube(n_layers: int) -> tuple[PlaneCubicGraph, TubeDescriptor]:
-    """Tube with the given number of hexagon layers (>= 1)."""
+    """Tube with the given number of hexagon layers (>= 1).
+
+    The rotation system is written directly.  With n layers, position j of
+    concentric cycle i is v(i, j) = 1 + 6i + (j mod 6), and for even j:
+    - cap center 0: (v(0, 0), v(0, 4), v(0, 2));
+    - v(i, j): (v(i, j + 1), v(i, j - 1), v(i - 1, j + 1)), or 0 when i = 0;
+    - v(i, j + 1): (v(i, j), v(i, j + 2), v(i + 1, j)), or 6n + 7 when i = n;
+    - cap center 6n + 7: (v(n, 1), v(n, 3), v(n, 5)).
+    Each entry is rotated so that its least neighbor comes first.
+    """
     if n_layers < 1:
         raise BadLayerCount(f"need at least 1 layer, got {n_layers}")
     n = n_layers
@@ -46,18 +55,13 @@ def build_tube(n_layers: int) -> tuple[PlaneCubicGraph, TubeDescriptor]:
     center_a = 0
     center_b = 6 * n + 7
 
-    face_list: list[tuple[int, ...]] = []
-    for k in range(3):
-        face_list.append((center_a, v(0, 2 * k), v(0, 2 * k + 1), v(0, 2 * k + 2)))
-    for i in range(1, n + 1):
-        for t in range(3):
-            face_list.append((v(i - 1, 2 * t + 1), v(i - 1, 2 * t + 2),
-                              v(i - 1, 2 * t + 3), v(i, 2 * t + 2),
-                              v(i, 2 * t + 1), v(i, 2 * t)))
-    for k in range(3):
-        face_list.append((center_b, v(n, 2 * k + 3), v(n, 2 * k + 2), v(n, 2 * k + 1)))
-
-    g = from_faces(face_list)
+    rot = [(v(0, 0), v(0, 4), v(0, 2))]
+    for i in range(n + 1):
+        for j in range(0, 6, 2):
+            rot.append((v(i, j + 1), v(i, j - 1), v(i - 1, j + 1) if i else center_a))
+            rot.append((v(i, j), v(i, j + 2), v(i + 1, j) if i < n else center_b))
+    rot.append((v(n, 1), v(n, 3), v(n, 5)))
+    g = from_rotation(6 * n + 8, [min(r[k:] + r[:k] for k in range(3)) for r in rot])
     cycles = tuple(tuple(v(i, j) for j in range(6)) for i in range(n + 1))
     traversed = tuple(
         frozenset(norm_edge(v(i - 1, 2 * t + 1), v(i, 2 * t)) for t in range(3))

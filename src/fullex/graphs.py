@@ -11,7 +11,6 @@ n - m + f = 2.
 
 from __future__ import annotations
 
-from collections import deque
 from itertools import accumulate
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -181,76 +180,6 @@ def from_rotation(n: int, rot: Sequence[Sequence[int]]) -> PlaneCubicGraph:
     if len(components(dict(enumerate(fixed)))) != 1:
         raise NotSpherical("rotation system is not connected")
     return PlaneCubicGraph(n, tuple(fixed), tuple(Face(w) for w in walks))
-
-
-def from_faces(face_cycles: Sequence[Sequence[int]]) -> PlaneCubicGraph:
-    """Build a plane cubic graph from its list of facial vertex cycles.
-
-    Face orientations may be inconsistent; they are flipped as needed so
-    that every edge is traversed once in each direction.
-    """
-    faces = [tuple(f) for f in face_cycles]
-    if not any(faces):
-        raise GraphError("face list has no edges")
-    by_edge: dict[Edge, list[int]] = {}
-    for i, f in enumerate(faces):
-        for j in range(len(f)):
-            e = norm_edge(f[j], f[(j + 1) % len(f)])
-            by_edge.setdefault(e, []).append(i)
-    for e, owners in by_edge.items():
-        if len(owners) != 2:
-            raise GraphError(f"edge {e} lies on {len(owners)} faces, expected 2")
-
-    flipped = [False] * len(faces)
-    assigned = [False] * len(faces)
-    assigned[0] = True
-    queue = deque([0])
-    directed_of = lambda i: (
-        faces[i] if not flipped[i] else faces[i][::-1])
-    while queue:
-        i = queue.popleft()
-        f = directed_of(i)
-        for j in range(len(f)):
-            a, b = f[j], f[(j + 1) % len(f)]
-            e = norm_edge(a, b)
-            other = [o for o in by_edge[e] if o != i]
-            o = other[0] if other else i
-            if o == i or assigned[o]:
-                continue
-            g = faces[o]
-            g_arcs = {(g[t], g[(t + 1) % len(g)]) for t in range(len(g))}
-            # the shared edge must be traversed oppositely by the two faces
-            flipped[o] = (a, b) in g_arcs
-            assigned[o] = True
-            queue.append(o)
-    if not all(assigned):
-        raise GraphError("face list does not describe a connected surface")
-
-    succ: dict[tuple[int, int], int] = {}
-    for i in range(len(faces)):
-        f = directed_of(i)
-        k = len(f)
-        for j in range(k):
-            a, b, c = f[j], f[(j + 1) % k], f[(j + 2) % k]
-            if (a, b) in succ:
-                raise GraphError(f"directed edge {(a, b)} traced twice")
-            succ[(a, b)] = c
-    n = max(v for f in faces for v in f) + 1
-    preds: dict[int, list[int]] = {}
-    for u, w in succ:
-        preds.setdefault(w, []).append(u)
-    rot = []
-    for v in range(n):
-        nbrs = sorted(preds.get(v, ()))
-        if not nbrs:
-            raise GraphError(f"vertex {v} appears on no face")
-        a = nbrs[0]
-        b = succ[(a, v)]
-        c = succ[(b, v)]
-        if succ[(c, v)] != a:
-            raise GraphError(f"rotation at {v} does not close")
-        rot.append((a, b, c))
-    return from_rotation(n, rot)
 
 
 def faces(g: PlaneCubicGraph) -> FaceInventory:

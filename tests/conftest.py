@@ -483,53 +483,39 @@ def _try_align(rot1, rot2, r1: int, f1: int, r2: int, f2: int) -> dict[int, int]
 
 def cube_graph() -> G.PlaneCubicGraph:
     """The 3-cube: smallest (4,5,6)-fullerene, all faces quadrilaterals."""
-    return G.from_faces([
-        (0, 1, 2, 3),
-        (0, 4, 5, 1),
-        (1, 5, 6, 2),
-        (2, 6, 7, 3),
-        (3, 7, 4, 0),
-        (4, 7, 6, 5),
-    ])
+    return G.from_rotation(8, [(1, 4, 3), (0, 2, 5), (1, 3, 6), (0, 7, 2),
+                               (0, 5, 7), (1, 6, 4), (2, 7, 5), (3, 4, 6)])
 
 
 def k4_graph() -> G.PlaneCubicGraph:
     """The tetrahedron; plane cubic but not a fullerene (triangle faces)."""
-    return G.from_faces([(0, 1, 2), (0, 3, 1), (1, 3, 2), (2, 3, 0)])
+    return G.from_rotation(4, [(1, 3, 2), (0, 2, 3), (0, 3, 1), (0, 1, 2)])
 
 
 def dodecahedron_graph() -> G.PlaneCubicGraph:
     """The dodecahedron: the 20-vertex fullerene with twelve pentagons."""
-    return G.from_faces([
-        (0, 1, 2, 3, 4),
-        (0, 5, 10, 6, 1),
-        (1, 6, 11, 7, 2),
-        (2, 7, 12, 8, 3),
-        (3, 8, 13, 9, 4),
-        (4, 9, 14, 5, 0),
-        (5, 14, 19, 15, 10),
-        (6, 10, 15, 16, 11),
-        (7, 11, 16, 17, 12),
-        (8, 12, 17, 18, 13),
-        (9, 13, 18, 19, 14),
-        (15, 19, 18, 17, 16),
+    return G.from_rotation(20, [
+        (1, 5, 4), (0, 2, 6), (1, 3, 7), (2, 4, 8), (0, 9, 3),
+        (0, 10, 14), (1, 11, 10), (2, 12, 11), (3, 13, 12), (4, 14, 13),
+        (5, 6, 15), (6, 7, 16), (7, 8, 17), (8, 9, 18), (5, 19, 9),
+        (10, 16, 19), (11, 17, 15), (12, 18, 16), (13, 19, 17), (14, 15, 18),
     ])
 
 
 def two_blocks_joined_by_two_edges() -> G.PlaneCubicGraph:
     """Two K4s with one edge removed from each, joined by two edges: the
     join is a 2-edge cut, a 2-cycle of the dual."""
-    return G.from_faces([(0, 2, 3), (2, 1, 3), (4, 7, 6), (7, 5, 6),
-                         (0, 3, 1, 5, 7, 4), (0, 2, 1, 5, 6, 4)])
+    return G.from_rotation(8, [(2, 4, 3), (2, 3, 5), (0, 3, 1), (0, 1, 2),
+                               (0, 6, 7), (1, 7, 6), (4, 5, 7), (4, 6, 5)])
 
 
 def two_blocks_joined_by_a_bridge() -> G.PlaneCubicGraph:
     """Two K4s with one edge subdivided each, the subdividing vertices
     joined by a bridge: both of its darts lie on one face, a loop of the
     dual."""
-    return G.from_faces([(0, 4, 1, 2), (0, 2, 3), (1, 3, 2),
-                         (5, 9, 6, 7), (5, 7, 8), (6, 8, 7),
-                         (0, 4, 9, 6, 8, 5, 9, 4, 1, 3)])
+    return G.from_rotation(10, [(2, 4, 3), (2, 3, 4), (0, 3, 1), (0, 1, 2),
+                                (0, 1, 9), (7, 9, 8), (7, 8, 9), (5, 8, 6),
+                                (5, 6, 7), (4, 5, 6)])
 
 
 Sides = tuple[frozenset[int], frozenset[int]]

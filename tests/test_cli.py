@@ -44,7 +44,7 @@ def test_gen_tube_descriptor():
 
 
 def test_gen_tube_descriptor_of_a_long_tube_is_fast():
-    """Building a tube is linear in its faces: the 2000-layer tube, 12 008
+    """Building a tube is linear in its vertices: the 2000-layer tube, 12 008
     vertices, is described within 5 s."""
     t0 = time.perf_counter()
     r = run_cli(["gen-tube", "2000", "--descriptor"])
@@ -68,9 +68,9 @@ def test_validate_malformed_input_exits_two():
 def test_extend_check_rejects_six_vertex_graph():
     # triangular prism: plane cubic, but its triangles fail validation
     import io
-    from fullex.graphs import from_faces
-    prism = from_faces([(0, 1, 2), (5, 4, 3), (0, 3, 4, 1),
-                        (1, 4, 5, 2), (2, 5, 3, 0)])
+    from fullex.graphs import from_rotation
+    prism = from_rotation(6, [(1, 3, 2), (0, 2, 4), (0, 5, 1),
+                              (0, 4, 5), (1, 5, 3), (2, 3, 4)])
     buf = io.BytesIO()
     PC.write_graphs(buf, [prism])
     r = run_cli(["extend-check", "--k", "2"], input=buf.getvalue())

@@ -158,17 +158,30 @@ def _prism(k: int) -> dict[int, frozenset[int]]:
     return {v: frozenset(ns) for v, ns in adj.items()}
 
 
-def test_capped_index_stops_the_enumeration_at_the_cap(monkeypatch):
-    adj = _prism(32)  # 64 vertices, L_32 + 2 = 4 870 849 perfect matchings
-    drawn = 0
+def _count_draws(monkeypatch) -> list:
+    """Record each perfect matching drawn from ``M.perfect_matchings``."""
+    drawn = []
     enumerate_all = M.perfect_matchings
 
     def counted(g):
-        nonlocal drawn
         for pm in enumerate_all(g):
-            drawn += 1
+            drawn.append(pm)
             yield pm
 
     monkeypatch.setattr(M, "perfect_matchings", counted)
+    return drawn
+
+
+def test_capped_index_stops_the_enumeration_at_the_cap(monkeypatch):
+    adj = _prism(32)  # 64 vertices, L_32 + 2 = 4 870 849 perfect matchings
+    drawn = _count_draws(monkeypatch)
     assert M.PmIndex(adj, E.ENUMERATION_CAP).masks is None
-    assert drawn == E.ENUMERATION_CAP + 1
+    assert len(drawn) == E.ENUMERATION_CAP + 1
+
+
+def test_out_of_range_k_enumerates_no_perfect_matching(monkeypatch):
+    drawn = _count_draws(monkeypatch)
+    for k in (5, -1):
+        with pytest.raises(E.ExtendabilityError, match=rf"^k must lie in 0\.\.3, got {k}$"):
+            E.is_k_extendable(_prism(32), k)
+    assert drawn == []

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -6,6 +7,7 @@ from fullex import families as F
 from fullex import graphs as G
 from fullex import harness
 from fullex import matching as M
+from fullex import planar_code as PC
 
 from conftest import aligned_embedding_map, catalogue, relabel_rotation, without_edges
 
@@ -18,6 +20,14 @@ def test_build_tube_validates():
         assert g.n == 6 * n + 8
         assert g.n == 2 * (G.faces(g).count - 2)  # Euler: n = 2(f-2) for cubic
         assert desc.n_layers == n
+
+
+def test_tube_bytes_are_pinned():
+    """planar_code of every tube that one-byte planar_code holds (1..41
+    layers, up to 254 vertices), labels and orientation included."""
+    data = b"".join(PC.encode_graph(F.build_tube(layers)[0]) for layers in range(1, 42))
+    assert hashlib.sha256(data).hexdigest() == (
+        "2231effecfe7f1f6de0fec5bc9d7089ff965faf5c25db7f4d9769a0324a20364")
 
 
 def test_build_tube_bad_layer_count():

@@ -159,26 +159,6 @@ _FACE_GRAPHS = [*(g for n in range(8, 17, 2) for g in catalogue(n).graphs),
                 *(build_tube(layers)[0] for layers in (1, 2, 3))]
 
 
-@st.composite
-def shuffled_faces(draw):
-    """A graph from _FACE_GRAPHS and its face boundaries in a drawn order,
-    each started at a drawn vertex and reversed or not by a drawn flag."""
-    g = draw(st.sampled_from(_FACE_GRAPHS))
-    cycles = []
-    for b in draw(st.permutations([f.boundary for f in G.faces(g).faces])):
-        start = draw(st.integers(0, len(b) - 1))
-        b = b[start:] + b[:start]
-        cycles.append(b[::-1] if draw(st.booleans()) else b)
-    return g, cycles
-
-
-@PROPERTY
-@given(shuffled_faces())
-def test_from_faces_round_trips(case):
-    g, cycles = case
-    assert G.canonical_code(G.from_faces(cycles)) == G.canonical_code(g)
-
-
 @PROPERTY
 @given(st.sampled_from(_FACE_GRAPHS), st.integers(1, 4), st.none() | st.integers(0, 2**32))
 def test_anti_kekule_sets_agree_with_every_combination(g, size, seed):
