@@ -16,12 +16,12 @@ from __future__ import annotations
 from typing import Iterator, NamedTuple
 
 from . import matching as mt
-from .graphs import Edge, PlaneCubicGraph
+from .graphs import Edge, FullexError, PlaneCubicGraph
 
 SEARCH_CAP = 4
 
 
-class AntiKekuleError(ValueError):
+class AntiKekuleError(FullexError):
     pass
 
 

@@ -3,8 +3,9 @@
 Graphs travel between subcommands as binary planar_code (stdin/stdout or
 files); analysis results are printed as JSON with sorted keys.  Exit codes:
 0 when every check passes, 1 when a counterexample or negative verdict was
-found, 2 for usage or input errors, 3 for an internal error, reported with
-its traceback on stderr.
+found, 2 for usage or input errors (a `FullexError` or `OSError`), 3 for an
+internal error, reported with its traceback on stderr.  Each subcommand
+imports the modules it needs when it runs.
 """
 
 from __future__ import annotations
@@ -15,16 +16,9 @@ import os
 import sys
 from typing import Optional
 
-from . import __version__
-from . import antikekule as ak_mod
-from . import extendability as ext_mod
-from . import families
-from . import harness
-from . import matching as mt
-from . import planar_code
-from .enumerator import (DEFAULT_BOUND, EnumerationError, configured_bound,
-                         enumerate_fullerenes)
-from .graphs import (GraphError, canonical_code, is_chiral, norm_edge,
+from . import __version__, planar_code
+from .enumerator import DEFAULT_BOUND, configured_bound, enumerate_fullerenes
+from .graphs import (FullexError, GraphError, canonical_code, is_chiral, norm_edge,
                      validate_fullerene)
 
 EXIT_OK = 0
@@ -82,6 +76,9 @@ def cmd_validate(args) -> int:
 
 
 def cmd_gen_tube(args) -> int:
+    from . import families
+    if not args.descriptor:  # refuse a tube too big to write before building it
+        planar_code.check_order(6 * args.layers + 8)
     g, desc = families.build_tube(args.layers)
     if args.descriptor:
         _emit({
@@ -99,6 +96,7 @@ def cmd_gen_tube(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
+    from . import harness
     catalogue = enumerate_fullerenes(args.n)
     if args.stdout:
         _write_output(catalogue.graphs, "-")
@@ -114,9 +112,11 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_extend_check(args) -> int:
+    from .extendability import is_k_extendable
+
     def record(g):
         validate_fullerene(g)
-        report = ext_mod.is_k_extendable(g, args.k)
+        report = is_k_extendable(g, args.k)
         rec = {"k": args.k, "extendable": report.extendable,
                "canonical": canonical_code(g).hex()}
         if not report.extendable:
@@ -133,9 +133,11 @@ def cmd_extend_check(args) -> int:
 
 
 def cmd_antikekule(args) -> int:
+    from .antikekule import anti_kekule_number
+
     def record(g):
         validate_fullerene(g)
-        result = ak_mod.anti_kekule_number(g)
+        result = anti_kekule_number(g)
         return {"number": result.number,
                 "witness": [list(e) for e in sorted(result.witness_set)],
                 "canonical": canonical_code(g).hex()}, True
@@ -155,6 +157,7 @@ def _parse_edges(spec: str):
 
 
 def cmd_certify(args) -> int:
+    from . import matching as mt
     graphs = _read_input(args.file)
     pair = _parse_edges(args.edges)
     if pair is None or len(pair) != 2 or len({*pair[0], *pair[1]}) != 4:
@@ -188,6 +191,7 @@ def cmd_canonical(args) -> int:
 
 
 def cmd_verify_all(args) -> int:
+    from . import harness
     if args.jobs < 1:
         return _fail(f"--jobs must be at least 1, got {args.jobs}")
     nmax = configured_bound() if args.nmax is None else args.nmax
@@ -261,9 +265,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (GraphError, planar_code.PlanarCodeError, EnumerationError,
-            mt.MatchingError, ext_mod.ExtendabilityError,
-            ak_mod.AntiKekuleError, families.BadLayerCount, OSError) as exc:
+    except (FullexError, OSError) as exc:
         return _fail(str(exc))
     except Exception:
         import traceback

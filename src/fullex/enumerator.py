@@ -20,13 +20,13 @@ import os
 from itertools import permutations
 from typing import Iterable, Iterator, NamedTuple
 
-from .graphs import (PlaneCubicGraph, _bfs_code, _code_sweep, _dual, _label_map,
-                     _trace_faces, faces, from_code)
+from .graphs import (FullexError, PlaneCubicGraph, _bfs_code, _code_sweep, _dual,
+                     _label_map, _trace_faces, faces, from_code)
 
 DEFAULT_BOUND = 24
 
 
-class EnumerationError(ValueError):
+class EnumerationError(FullexError):
     pass
 
 

@@ -14,7 +14,7 @@ import itertools
 from typing import Iterator, NamedTuple, Optional
 
 from . import matching as mt
-from .graphs import Edge, PlaneCubicGraph
+from .graphs import Edge, FullexError, PlaneCubicGraph
 
 # beyond this many perfect matchings the scan falls back to per-candidate
 # matching computations instead of enumerating them all
@@ -23,7 +23,7 @@ ENUMERATION_CAP = 50_000
 K_CAP = 3
 
 
-class ExtendabilityError(ValueError):
+class ExtendabilityError(FullexError):
     pass
 
 

@@ -13,11 +13,11 @@ import math
 from typing import NamedTuple, Optional
 
 from . import matching as mt
-from .graphs import (Edge, PlaneCubicGraph, embedding_map, from_rotation, norm_edge,
-                     validate_fullerene)
+from .graphs import (Edge, FullexError, PlaneCubicGraph, embedding_map, from_rotation,
+                     norm_edge, validate_fullerene)
 
 
-class BadLayerCount(ValueError):
+class BadLayerCount(FullexError):
     pass
 
 

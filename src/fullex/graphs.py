@@ -17,7 +17,11 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 Edge = tuple[int, int]
 
 
-class GraphError(ValueError):
+class FullexError(ValueError):
+    """Base of every error bad input or arguments raise; the CLI exits 2."""
+
+
+class GraphError(FullexError):
     """Base for rotation-system construction and validation failures."""
 
 

@@ -13,14 +13,14 @@ from __future__ import annotations
 from collections import deque
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from .graphs import Edge, PlaneCubicGraph, components, norm_edge
+from .graphs import Edge, FullexError, PlaneCubicGraph, components, norm_edge
 
 Adjacency = Mapping[int, Iterable[int]]
 
 COUNT_LIMIT = 64
 
 
-class MatchingError(ValueError):
+class MatchingError(FullexError):
     pass
 
 

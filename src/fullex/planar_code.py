@@ -1,7 +1,7 @@
 """Binary planar_code interchange format.
 
 Layout: the ASCII header ``>>planar_code<<`` once per file, then for each
-graph one byte with the vertex count n (n <= 255) followed, for every
+graph one byte with the vertex count n (n <= MAX_ORDER) followed, for every
 vertex 1..n, by its neighbors in rotation order as 1-based bytes and a
 terminating 0 byte.  Writing then reading is byte-identical.
 """
@@ -11,13 +11,20 @@ from __future__ import annotations
 import io
 from typing import BinaryIO, Iterable, Iterator
 
-from .graphs import PlaneCubicGraph, from_rotation
+from .graphs import FullexError, PlaneCubicGraph, from_rotation
 
 HEADER = b">>planar_code<<"
+MAX_ORDER = 255
 
 
-class PlanarCodeError(ValueError):
+class PlanarCodeError(FullexError):
     pass
+
+
+def check_order(n: int) -> None:
+    """Refuse an order that the one-byte vertex count cannot hold."""
+    if n > MAX_ORDER:
+        raise PlanarCodeError(f"{n} vertices exceed the one-byte limit")
 
 
 def encode_graph(g: PlaneCubicGraph) -> bytes:
@@ -32,8 +39,7 @@ def write_graphs(fh: BinaryIO, graphs: Iterable[PlaneCubicGraph]) -> int:
     """Write the header and every graph; nothing is written if one is too big."""
     graphs = list(graphs)
     for g in graphs:
-        if g.n > 255:
-            raise PlanarCodeError(f"{g.n} vertices exceed the one-byte limit")
+        check_order(g.n)
     fh.write(HEADER)
     for g in graphs:
         fh.write(encode_graph(g))

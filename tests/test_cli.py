@@ -1,10 +1,16 @@
+import importlib
+import inspect
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 import time
 from pathlib import Path
 
+import pytest
+
+import fullex
 from fullex import planar_code as PC
 
 from conftest import cube_graph
@@ -217,6 +223,20 @@ def test_gen_tube_too_large_writes_nothing(tmp_path):
     assert not out.exists()
 
 
+def test_gen_tube_too_large_is_refused_before_the_tube_is_built(tmp_path, monkeypatch,
+                                                                 capsys):
+    from fullex import cli, families
+
+    def build_tube(n_layers):
+        raise AssertionError("the tube was built")
+
+    monkeypatch.setattr(families, "build_tube", build_tube)
+    out = tmp_path / "tube.plc"
+    assert cli.main(["gen-tube", "20000", "--out", str(out)]) == 2
+    assert not out.exists()
+    assert "120008 vertices exceed the one-byte limit" in capsys.readouterr().err
+
+
 def test_corrupt_sidecar_is_rewritten(tmp_path):
     sidecar = tmp_path / "fullerenes_n8.json"
     sidecar.write_bytes(b"\x00garbage{")
@@ -298,6 +318,58 @@ def test_version_loads_no_pool_or_dataclasses():
     r = subprocess.run([sys.executable, "-S", "-c", script], env=env,
                        capture_output=True, check=True)
     assert r.stdout.splitlines()[-1] == b"[]"
+
+
+@pytest.mark.parametrize("command, loads", [
+    ("validate", []),
+    ("canonical", []),
+    ("extend-check", ["fullex.extendability", "fullex.matching"]),
+    ("antikekule", ["fullex.antikekule", "fullex.matching"]),
+])
+def test_each_subcommand_loads_only_its_modules(command, loads, tmp_path):
+    batch = tmp_path / "batch.plc"
+    batch.write_bytes(cube_bytes())
+    script = ("import sys\n"
+              "from fullex import cli\n"
+              f"assert cli.main([{command!r}, {str(batch)!r}]) == 0\n"
+              "print(sorted(m for m in sys.modules if m.startswith('fullex')))\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    r = subprocess.run([sys.executable, "-S", "-c", script], env=env,
+                       capture_output=True, check=True)
+    base = ["fullex", "fullex.cli", "fullex.enumerator", "fullex.graphs",
+            "fullex.planar_code"]
+    assert r.stdout.splitlines()[-1].decode() == str(sorted(base + loads))
+
+
+def _domain_roots():
+    from fullex import (antikekule, enumerator, extendability, families, graphs,
+                        matching)
+    return [graphs.GraphError, PC.PlanarCodeError, enumerator.EnumerationError,
+            matching.MatchingError, extendability.ExtendabilityError,
+            antikekule.AntiKekuleError, families.BadLayerCount]
+
+
+def test_every_value_error_of_the_package_is_a_fullex_error():
+    from fullex.graphs import FullexError
+    errors = []
+    for info in pkgutil.iter_modules(fullex.__path__):
+        module = importlib.import_module(f"fullex.{info.name}")
+        errors += [cls for _, cls in inspect.getmembers(module, inspect.isclass)
+                   if cls.__module__ == module.__name__ and issubclass(cls, ValueError)]
+    assert set(_domain_roots()) <= set(errors)
+    assert [cls for cls in errors if not issubclass(cls, FullexError)] == []
+
+
+@pytest.mark.parametrize("error", _domain_roots(), ids=lambda cls: cls.__name__)
+def test_every_domain_error_exits_two(error, monkeypatch, capsys):
+    from fullex import cli
+
+    def bad_input(args):
+        raise error("bad input, not a bug")
+
+    monkeypatch.setattr(cli, "cmd_canonical", bad_input)
+    assert cli.main(["canonical"]) == 2
+    assert capsys.readouterr().err == "error: bad input, not a bug\n"
 
 
 def test_internal_error_exits_three(monkeypatch, capsys):
