@@ -14,7 +14,7 @@ from __future__ import annotations
 import functools
 import json
 import os
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, Iterable, NamedTuple, Optional
 
 from . import __version__
 from . import antikekule as ak_mod
@@ -22,8 +22,8 @@ from . import extendability as ext_mod
 from . import families
 from . import matching as mt
 from . import planar_code
-from .enumerator import Catalogue, enumerate_catalogues, enumerate_fullerenes
-from .graphs import (Edge, PlaneCubicGraph, canonical_code, edge_cuts_up_to,
+from .enumerator import Catalogue, enumerate_catalogues
+from .graphs import (PlaneCubicGraph, canonical_code, edge_cuts_up_to, from_rotation,
                      girth, short_cycles_facial, validate_fullerene)
 
 
@@ -151,35 +151,24 @@ def _tutte_shape(cert: Optional[dict]) -> bool:
             and cert["all_factor_critical"])
 
 
-class ClaimResult:
+class ClaimResult(NamedTuple):
     """Tally of one claim: how many cases it held for, and the failures."""
+    anchor: str
+    claim: str
+    population: int
+    passes: int
+    failures: int
+    counterexamples: list
 
-    def __init__(self, anchor: str, claim: str):
-        self.anchor = anchor
-        self.claim = claim
-        self.population = 0
-        self.passes = 0
-        self.failures = 0
-        self.counterexamples: list = []
 
-    def record(self, ok: bool, counterexample: Optional[dict] = None) -> None:
-        self.population += 1
-        if ok:
-            self.passes += 1
-        else:
-            self.failures += 1
-            if counterexample is not None:
-                self.counterexamples.append(counterexample)
-
-    def to_json(self) -> dict:
-        return {
-            "anchor": self.anchor,
-            "claim": self.claim,
-            "population": self.population,
-            "passes": self.passes,
-            "failures": self.failures,
-            "counterexamples": self.counterexamples,
-        }
+def _claim(anchor: str, text: str,
+           cases: Iterable[tuple[bool, Optional[dict]]]) -> ClaimResult:
+    """The tally of `(ok, counterexample)` cases; a counterexample is kept
+    only for a failing case, and only when it is not None."""
+    cases = list(cases)
+    failed = [cx for ok, cx in cases if not ok]
+    return ClaimResult(anchor, text, len(cases), len(cases) - len(failed),
+                       len(failed), [cx for cx in failed if cx is not None])
 
 
 # per-graph claims: anchor, description, predicate(digest) -> bool
@@ -246,6 +235,11 @@ def _counterexample(g: PlaneCubicGraph, digest: dict) -> dict:
     }
 
 
+def _graph_case(ok: bool, g: PlaneCubicGraph, digest: dict) -> tuple[bool, Optional[dict]]:
+    """A per-graph case, its counterexample made only when it fails."""
+    return ok, None if ok else _counterexample(g, digest)
+
+
 class VerificationReport(NamedTuple):
     nmax: int
     claims: tuple[ClaimResult, ...]
@@ -259,7 +253,7 @@ class VerificationReport(NamedTuple):
             "version": __version__,
             "nmax": self.nmax,
             "ok": self.ok,
-            "claims": [c.to_json() for c in self.claims],
+            "claims": [c._asdict() for c in self.claims],
         }
 
     def render(self) -> str:
@@ -401,49 +395,41 @@ def catalogue_digests(catalogue: Catalogue, jobs: int = 1,
 
 
 def _tube_suite(nmax: int) -> list[ClaimResult]:
-    max_layers = max(2, (nmax - 8) // 6)
-    pm_claim = ClaimResult(
-        "tube-pm-layer-structure",
-        "tube perfect matchings pick exactly one edge per matching layer "
-        "(cap stars and traversed gaps) and every such selection extends "
-        "to exactly one perfect matching")
-    witness_claim = ClaimResult(
-        "tube-witness-pair",
-        "two traversed edges of one gap never extend to a perfect matching")
-    cut_claim = ClaimResult(
-        "tube-traversed-cyclic-cuts",
-        "every traversed-edge layer is an edge cut separating two "
-        "cycle-containing sides")
-    trip_claim = ClaimResult(
-        "tube-recognize-roundtrip",
-        "recognize_tube inverts build_tube")
-    for layers in range(1, max_layers + 1):
+    rows = []
+    for layers in range(1, max(2, (nmax - 8) // 6) + 1):
         g, desc = families.build_tube(layers)
         report = families.verify_tube_pm_structure(layers)
-        pm_claim.record(report.selection_bijection_holds,
-                        {"layers": layers, "pm_count": report.pm_count,
-                         "layer_sizes": list(report.layer_sizes)})
         pair = report.gap_pair_in_common_pm
-        witness_claim.record(pair is None,
-                             {"layers": layers, "pair": pair and _edge_list(pair)})
         # a nontrivial minimal cut of <= 3 edges has a cycle on both sides
         cyclic = {c.edges for c in edge_cuts_up_to(g, 3) if not c.trivial}
-        cut_claim.record(all(layer in cyclic for layer in desc.traversed_edges),
-                         {"layers": layers})
-        rec = families.recognize_tube(g)
-        trip_claim.record(rec is not None and rec.n_layers == layers,
-                          {"layers": layers})
-    return [pm_claim, witness_claim, cut_claim, trip_claim]
+        # its mirror image relabelled v -> v + 3 (mod n): cap centres off 0
+        n = g.n
+        rec = families.recognize_tube(from_rotation(n, [
+            tuple((w + 3) % n for w in reversed(g.rot[(v - 3) % n])) for v in range(n)]))
+        rows.append((
+            (report.selection_bijection_holds, {"layers": layers, "pm_count": report.pm_count,
+                                                "layer_sizes": list(report.layer_sizes)}),
+            (pair is None, {"layers": layers, "pair": pair and _edge_list(pair)}),
+            (all(layer in cyclic for layer in desc.traversed_edges), {"layers": layers}),
+            (rec is not None and rec.n_layers == layers
+             and set(rec.cap_centers) == {(c + 3) % n for c in desc.cap_centers},
+             {"layers": layers})))
+    texts = [
+        ("tube-pm-layer-structure",
+         "tube perfect matchings pick exactly one edge per matching layer "
+         "(cap stars and traversed gaps) and every such selection extends "
+         "to exactly one perfect matching"),
+        ("tube-witness-pair",
+         "two traversed edges of one gap never extend to a perfect matching"),
+        ("tube-traversed-cyclic-cuts",
+         "every traversed-edge layer is an edge cut separating two "
+         "cycle-containing sides"),
+        ("tube-recognize-roundtrip", "recognize_tube inverts build_tube")]
+    return [_claim(anchor, text, cases)
+            for (anchor, text), cases in zip(texts, zip(*rows))]
 
 
 SPORADIC_SIZES = (12, 14, 18, 20)
-
-
-class SporadicCandidate(NamedTuple):
-    graph: PlaneCubicGraph
-    n: int
-    witness_pair: tuple[Edge, Edge]
-    ak: int
 
 
 def _is_sporadic(d: dict) -> bool:
@@ -453,42 +439,19 @@ def _is_sporadic(d: dict) -> bool:
     return not d["is_tube"] and d["ak_number"] == 3 and not d["two_extendable"]
 
 
-def sporadic_candidates(n: int, catalogue=None) -> list[SporadicCandidate]:
-    """The fullerenes on n vertices that pass the sporadic filter, by
-    canonical code, each with its digest's witness: the lexicographically
-    first pair of edges in no perfect matching."""
-    if n not in SPORADIC_SIZES:
-        raise ValueError(f"sporadic sizes are 12, 14, 18 and 20, not {n}")
-    if catalogue is None:
-        catalogue = enumerate_fullerenes(n)
-    out = []
-    for g in sorted(catalogue.graphs, key=canonical_code):
-        d = analyze_graph(g)
-        if _is_sporadic(d):
-            pair = tuple(tuple(e) for e in d["certificate"]["witness"])
-            out.append(SporadicCandidate(g, n, pair, 3))
-    return out
-
-
-def _sporadic_suite(nmax: int, catalogues: dict[int, Catalogue],
-                    digests: dict[int, dict[str, dict]]) -> list[ClaimResult]:
-    present = ClaimResult(
-        "sporadic-candidates-present",
-        "at sizes 12, 14, 18 and 20 the filter (not a tube, anti-Kekule "
-        "number 3, non-2-extendable) is nonempty")
-    certs = ClaimResult(
-        "sporadic-witness-certificates",
-        "every sporadic candidate's witness certificate has two more "
-        "components than deleted vertices, all factor-critical")
-    for n in SPORADIC_SIZES:
-        if n > nmax:
-            continue
-        pairs = [(g, digests[n][canonical_code(g).hex()]) for g in catalogues[n].graphs]
-        cands = [(g, d) for g, d in pairs if _is_sporadic(d)]
-        present.record(bool(cands), {"n": n, "candidates": len(cands)})
-        for g, d in cands:
-            certs.record(_tutte_shape(d["certificate"]), _counterexample(g, d))
-    return [present, certs]
+def _sporadic_suite(rows: dict[int, list[tuple[PlaneCubicGraph, dict]]]) -> list[ClaimResult]:
+    cands = {n: [(g, d) for g, d in rows[n] if _is_sporadic(d)]
+             for n in SPORADIC_SIZES if n in rows}
+    return [
+        _claim("sporadic-candidates-present",
+               "at sizes 12, 14, 18 and 20 the filter (not a tube, anti-Kekule "
+               "number 3, non-2-extendable) is nonempty",
+               ((bool(c), {"n": n, "candidates": len(c)}) for n, c in cands.items())),
+        _claim("sporadic-witness-certificates",
+               "every sporadic candidate's witness certificate has two more "
+               "components than deleted vertices, all factor-critical",
+               (_graph_case(_tutte_shape(d["certificate"]), g, d)
+                for c in cands.values() for g, d in c))]
 
 
 def verify_all(nmax: int, jobs: int = 1,
@@ -510,22 +473,16 @@ def verify_all(nmax: int, jobs: int = 1,
         digests = {n: catalogue_digests(catalogues[n], jobs=jobs, cache=cache,
                                         pool=pool)
                    for n in sizes}
-    claims = [ClaimResult(anchor, text) for anchor, text, _ in GRAPH_CLAIMS]
-    for n in sizes:
-        for g in catalogues[n].graphs:
-            d = digests[n][canonical_code(g).hex()]
-            for claim, (_, _, pred) in zip(claims, GRAPH_CLAIMS):
-                ok = bool(pred(d))
-                claim.record(ok, None if ok else _counterexample(g, d))
-    ak_exists = ClaimResult(
+    rows = {n: [(g, digests[n][canonical_code(g).hex()]) for g in catalogues[n].graphs]
+            for n in sizes}
+    claims = [_claim(anchor, text, (_graph_case(pred(d), g, d)
+                                    for n in sizes for g, d in rows[n]))
+              for anchor, text, pred in GRAPH_CLAIMS]
+    claims.append(_claim(
         "ak-three-exists-each-even-size",
-        "every even size from 10 up has a fullerene with anti-Kekule number 3")
-    for n in sizes:
-        if n < 10:
-            continue
-        found = any(d["ak_number"] == 3 for d in digests[n].values())
-        ak_exists.record(found, {"n": n})
-    claims.append(ak_exists)
+        "every even size from 10 up has a fullerene with anti-Kekule number 3",
+        ((any(d["ak_number"] == 3 for _, d in rows[n]), {"n": n})
+         for n in sizes if n >= 10)))
     claims.extend(_tube_suite(nmax))
-    claims.extend(_sporadic_suite(nmax, catalogues, digests))
+    claims.extend(_sporadic_suite(rows))
     return VerificationReport(nmax, tuple(claims))

@@ -29,7 +29,8 @@ first of each canonical key.  `is_anti_kekule_set` checks
 the definition on the graph minus the edges, and `min_anti_kekule_sets`,
 `nonextendable_pairs`, `rotation_code` and the certificate predicates are
 thin readings of library results that only the tests need, as are the
-fixed graphs (cube, dodecahedron, K4).
+fixed graphs (cube, dodecahedron, K4).  `sporadic` reads the sporadic
+filter off `catalogue_digests` output, as the report does.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ from fullex import antikekule as AK
 from fullex import enumerator as EN
 from fullex import extendability as E
 from fullex import graphs as G
+from fullex import harness as H
 from fullex import matching as M
 
 
@@ -71,6 +73,21 @@ def triangulations(v: int) -> tuple[EN.Rotation, ...]:
     for child in split_children(v):
         level.setdefault(tri_key(v, child), child)
     return tuple(level.values())
+
+
+@functools.cache
+def sporadic(n: int) -> tuple[tuple[G.PlaneCubicGraph, dict], ...]:
+    """The fullerenes on n vertices that pass the report's sporadic filter,
+    in catalogue (canonical code) order, each with its digest."""
+    cat = catalogue(n)
+    digests = H.catalogue_digests(cat)
+    pairs = ((g, digests[G.canonical_code(g).hex()]) for g in cat.graphs)
+    return tuple((g, d) for g, d in pairs if H._is_sporadic(d))
+
+
+def witness_pair(digest: dict) -> tuple[G.Edge, ...]:
+    """The digest's non-2-extendable witness as a pair of edge tuples."""
+    return tuple(tuple(e) for e in digest["certificate"]["witness"])
 
 
 def rotation_code(n: int, rot) -> bytes:

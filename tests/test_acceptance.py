@@ -20,7 +20,8 @@ from fullex import graphs as G
 from fullex import harness
 from fullex import matching as M
 
-from conftest import brute_max_matching_size, canonical_codes, catalogue, random_simple_graph
+from conftest import (brute_max_matching_size, canonical_codes, catalogue, random_simple_graph,
+                      sporadic, witness_pair)
 
 
 def verdict(criterion: str, ok: bool, detail: str = "") -> None:
@@ -177,13 +178,12 @@ def test_criterion_09_sporadic_sizes():
     details = []
     for n in (12, 14, 18, 20):
         t1 = time.time()
-        cands = harness.sporadic_candidates(n, catalogue(n))
+        cands = sporadic(n)
         if not cands:
             ok = False
-        for cand in cands:
-            covered = {v for e in cand.witness_pair for v in e}
-            cert = M.deficiency_certificate(
-                M.induced(cand.graph.adj_dict(), covered))
+        for g, d in cands:
+            covered = {v for e in witness_pair(d) for v in e}
+            cert = M.deficiency_certificate(M.induced(g.adj_dict(), covered))
             if not (len(cert.components) == len(cert.S) + 2
                     and all(cert.factor_critical_flags) and cert.matchable):
                 ok = False

@@ -9,7 +9,8 @@ from fullex import harness
 from fullex import matching as M
 from fullex import planar_code as PC
 
-from conftest import aligned_embedding_map, catalogue, relabel_rotation, without_edges
+from conftest import (aligned_embedding_map, catalogue, relabel_rotation, sporadic,
+                      witness_pair, without_edges)
 
 
 def test_build_tube_validates():
@@ -195,19 +196,19 @@ def test_pm_structure_bounds():
 
 
 def test_sporadic_candidates_twelve():
-    cands = harness.sporadic_candidates(12)
+    cands = sporadic(12)
     assert len(cands) == 1
-    cand = cands[0]
-    assert cand.ak == 3
-    assert not M.extends_to_perfect(cand.graph, cand.witness_pair)
-    assert F.recognize_tube(cand.graph) is None
+    g, d = cands[0]
+    assert d["ak_number"] == 3
+    assert not M.extends_to_perfect(g, witness_pair(d))
+    assert F.recognize_tube(g) is None
 
 
 def test_sporadic_candidates_fourteen_excludes_tube():
-    cands = harness.sporadic_candidates(14)
+    cands = sporadic(14)
     assert cands
     tube_code = G.canonical_code(F.build_tube(1)[0])
-    assert all(G.canonical_code(c.graph) != tube_code for c in cands)
+    assert all(G.canonical_code(g) != tube_code for g, _ in cands)
 
 
 def test_tubes_have_anti_kekule_number_four():
@@ -215,8 +216,3 @@ def test_tubes_have_anti_kekule_number_four():
     ak = 3 test already excludes every tube."""
     for layers in range(1, 7):
         assert harness.analyze_graph(F.build_tube(layers)[0])["ak_number"] == 4
-
-
-def test_sporadic_size_precondition():
-    with pytest.raises(ValueError):
-        harness.sporadic_candidates(8)

@@ -15,7 +15,8 @@ from fullex import planar_code as PC
 from fullex.enumerator import BoundExceeded
 from fullex.graphs import canonical_code
 
-from conftest import catalogue, cube_graph, dodecahedron_graph, exhaustive_cyclic_cut_leq3
+from conftest import (catalogue, cube_graph, dodecahedron_graph, exhaustive_cyclic_cut_leq3,
+                      sporadic, witness_pair)
 
 
 def test_analyze_cube_digest(cube):
@@ -106,6 +107,41 @@ def test_corrupted_cache_entry_fails_with_counterexample(tmp_path):
     g = next(PC.read_graphs(PC.HEADER + bytes.fromhex(record["planar_code"])))
     fresh = harness.analyze_graph(g)
     assert fresh["connectivity"] == 3  # the graph is fine; the cache was not
+
+
+def test_failing_report_keeps_its_bytes(tmp_path):
+    """A report with failing claims keeps its pinned bytes: the sidecars of
+    a run at nmax 16 are rewritten under their own source stamp, so that
+    no graph at n = 10 has anti-Kekule number 3, every certificate at
+    n = 12 has as many components as deleted vertices, and every graph at
+    n = 14 has connectivity 2."""
+    harness.verify_all(16, cache_dir=str(tmp_path))
+
+    def rewrite(n, edit):
+        sidecar = tmp_path / f"fullerenes_n{n}.json"
+        data = json.loads(sidecar.read_text())
+        for digest in data["digests"].values():
+            edit(digest)
+        sidecar.write_text(json.dumps(data))
+
+    def no_spare_components(digest):
+        if digest["certificate"] is not None:
+            digest["certificate"]["component_count"] = digest["certificate"]["s_size"]
+
+    rewrite(10, lambda d: d.update(ak_number=4))
+    rewrite(12, no_spare_components)
+    rewrite(14, lambda d: d.update(connectivity=2))
+    report = harness.verify_all(16, cache_dir=str(tmp_path))
+    failing = {c.anchor: (c.failures, len(c.counterexamples))
+               for c in report.claims if c.failures}
+    assert failing == {"connectivity-three": (4, 4),
+                       "witness-certificate-shape": (1, 1),
+                       "ak-three-exists-each-even-size": (1, 1),
+                       "sporadic-witness-certificates": (1, 1)}
+    text = report.render().encode()
+    assert len(text) == 20213
+    assert hashlib.sha256(text).hexdigest() == (
+        "296fc7590fbcbfc3df795d7ff5cbdca089906a3e72dbe4bc375d91a8dae96611")
 
 
 def test_malformed_cache_entry_is_reanalysed(tmp_path):
@@ -362,7 +398,7 @@ def test_sporadic_candidates_match_the_public_per_graph_functions(n):
             witness = E.is_k_extendable(g, 2).witness
             if witness is not None:
                 expected.append((g, witness))
-    got = harness.sporadic_candidates(n, cat)
+    got = sporadic(n)
     assert expected
-    assert [(c.graph, c.witness_pair) for c in got] == expected
-    assert all(c.n == n and c.ak == 3 for c in got)
+    assert [(g, witness_pair(d)) for g, d in got] == expected
+    assert all(d["n"] == n and d["ak_number"] == 3 for _, d in got)

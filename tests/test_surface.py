@@ -1,10 +1,12 @@
-"""Every top-level function and class of the library has a reader.
+"""Every top-level function and class of the library has a reader, and
+every name a library module imports is read in that module.
 
 A reader of a name is an `ast.Name` or `ast.Attribute` with that name in
 some module of `src/fullex` other than `__init__`, outside the name's own
 definition, or a word match in a `perfbench/*.py` script, whose tracer
 names its targets in strings.  Names that only the tests read belong in
-`tests/conftest.py`.
+`tests/conftest.py`.  An imported name is read when the module that
+imports it holds an `ast.Name` with it.
 """
 
 import ast
@@ -13,9 +15,6 @@ from pathlib import Path
 
 ROOT = Path(__file__).parents[1]
 MODULES = sorted(p for p in (ROOT / "src" / "fullex").glob("*.py") if p.name != "__init__.py")
-
-# documented entry points that no module reads
-ALLOWED = {"sporadic_candidates"}
 
 
 def _names_read(tree: ast.AST, skip: ast.AST | None = None) -> set[str]:
@@ -45,7 +44,7 @@ def unread_definitions() -> list[str]:
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 continue
             name = node.name
-            if name in ALLOWED or re.search(rf"\b{re.escape(name)}\b", bench):
+            if re.search(rf"\b{re.escape(name)}\b", bench):
                 continue
             if any(name in _names_read(t, node if m == module else None)
                    for m, t in trees.items()):
@@ -57,3 +56,22 @@ def unread_definitions() -> list[str]:
 def test_every_library_definition_has_a_reader():
     assert unread_definitions() == []
 
+
+def unread_imports() -> list[str]:
+    unread = []
+    for path in sorted((ROOT / "src" / "fullex").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in read:
+                        unread.append(f"{path.stem}.{name}")
+    return unread
+
+
+def test_every_library_import_is_read():
+    assert unread_imports() == []
