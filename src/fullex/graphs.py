@@ -12,7 +12,8 @@ n - m + f = 2.
 from __future__ import annotations
 
 from itertools import accumulate
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from math import gcd
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 Edge = tuple[int, int]
 
@@ -95,22 +96,20 @@ class EdgeCut(NamedTuple):
 class PlaneCubicGraph:
     """Immutable cubic plane graph; canonical sweep and short-cycle edge sets cached."""
 
-    __slots__ = ("n", "rot", "adj", "edge_list", "_faces", "_sweep", "_cycles")
+    __slots__ = ("n", "rot", "adj", "_faces", "_sweep", "_cycles")
 
     def __init__(self, n: int, rot: tuple[tuple[int, int, int], ...],
                  faces: tuple[Face, ...]):
         self.n = n
         self.rot = rot
         self.adj = tuple(frozenset(nbrs) for nbrs in rot)
-        self.edge_list = tuple(sorted(
-            {norm_edge(v, w) for v in range(n) for w in rot[v]}))
         self._faces = faces
         self._sweep: tuple[bytes, bool, Sequence[int]] | None = None
         self._cycles: frozenset[frozenset[Edge]] | None = None
 
     @property
     def m(self) -> int:
-        return len(self.edge_list)
+        return 3 * self.n // 2
 
     def adj_dict(self) -> dict[int, frozenset[int]]:
         return {v: self.adj[v] for v in range(self.n)}
@@ -211,6 +210,14 @@ def validate_fullerene(g: PlaneCubicGraph) -> FaceInventory:
 # Canonical codes
 # ---------------------------------------------------------------------------
 
+def _roots(rot: Sequence[Sequence[int]]) -> tuple[tuple, Iterator[tuple[int, int, int]]]:
+    """Both orientations of rot, and the sweep's roots (orientation, tail,
+    head) in dart order: plain, then mirrored, each by vertex and position."""
+    plain = tuple(tuple(r) for r in rot)
+    orient = (plain, tuple(r[::-1] for r in plain))
+    return orient, ((m, u, v) for m, rr in enumerate(orient) for u, r in enumerate(rr) for v in r)
+
+
 def _code_sweep(n: int, rot: Sequence[Sequence[int]]) -> tuple[bytes, bool, list[int]]:
     """(canonical code, whether the embedding is chiral, its labelling)
     from one sweep; the labelling is the label order of the first root
@@ -225,64 +232,48 @@ def _code_sweep(n: int, rot: Sequence[Sequence[int]]) -> tuple[bytes, bool, list
     least code equals P (an orientation-reversing automorphism exists) iff
     some mirrored root ties P and none beats it.
 
-    Roots are darts, numbered in sweep order: mirrored after plain, and
-    within each by vertex and then by position in the rotation.  When a
-    root ties the best code, the `_label_map` of the two label orders is
-    an automorphism.  It maps every root onto one that emits the same
-    code, so a union-find, started at the first tie, merges each dart with
-    its image, and a root whose class holds an earlier dart is skipped:
-    that dart was swept, or skipped for a swept one, and emitted the same
-    code.  The least code is unchanged, and so are the chirality and the
-    labelling: the first root to emit the least code has no earlier dart
-    in its class, and a skipped mirrored root either shares a class with a
-    swept mirrored one or with a plain one, and the latter takes an
+    Roots are darts, numbered in `_roots` order.  When a root ties the best
+    code, the `_label_map` phi of the two label orders is an automorphism,
+    and a dart and its image under phi emit the same code, so the later of
+    the two gets a skip mark and marked roots are skipped: phi carries the
+    darts at x onto those at phi(x), and the later block is marked whole,
+    unless phi fixes x and turns its k darts by j, when each lies in the
+    orbit of one of the first gcd(j, k).  The marks need no closure: a
+    marked dart has an earlier one in its orbit, so, by descent, every
+    orbit's first dart is unmarked and swept.  The least code is unchanged,
+    and so are the chirality and the labelling: the first root to emit the
+    least code is never marked, and a skipped mirrored root has a swept
+    mirrored root in its orbit, or a plain one, and the latter takes an
     orientation reversal, found only from a mirrored root that tied.
     """
-    plain = tuple(tuple(r) for r in rot)
-    orient = (plain, tuple(r[::-1] for r in plain))
-    offset = [0, *accumulate(map(len, plain))]  # dart (u, i) of orientation m
-    half = offset[n]                             # is m * half + offset[u] + i
+    orient, roots = _roots(rot)
+    offset = [0, *accumulate(map(len, orient[0]))]  # dart (u, i) of orientation m
+    half = offset[n]                                 # is m * half + offset[u] + i
+    skip = bytearray(2 * half)
     best: list[int] | None = None
     best_m, best_order = 0, []
-    parent: list[int] | None = None  # the union-find over darts; roots are least
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = x = parent[parent[x]]
-        return x
-
     tie = beaten = False
-    dart = -1
-    for m, rr in enumerate(orient):
-        for u in range(n):
-            for v in rr[u]:
-                dart += 1
-                if parent is not None and parent[dart] != dart:
-                    continue  # parents are smaller, so its class holds an earlier dart
-                found = _bfs_code(n, rr, u, v, best)
-                if found is None:
-                    continue
-                if found[0] is not best:
-                    best, best_order = found
-                    beaten, best_m = bool(m), m
-                    continue
-                tie = tie or bool(m)
-                if parent is None:
-                    parent = list(range(2 * half))
-                phi = _label_map(best_order, found[1])
-                flip = m ^ best_m
-                for s in range(m, 2):  # once mirrored, plain darts are all swept
-                    src, dst = orient[s], orient[s ^ flip]
-                    for x, y in enumerate(phi):
-                        r = src[x]
-                        j, k = dst[y].index(phi[r[0]]), len(r)
-                        a0, b0 = s * half + offset[x], (s ^ flip) * half + offset[y]
-                        for i in range(k):
-                            a, b = find(a0 + i), find(b0 + (i + j) % k)
-                            if a < b:
-                                parent[b] = a
-                            elif b < a:
-                                parent[a] = b
+    for dart, (m, u, v) in enumerate(roots):
+        if skip[dart]:
+            continue
+        found = _bfs_code(n, orient[m], u, v, best)
+        if found is None:
+            continue
+        if found[0] is not best:
+            best, best_order = found
+            beaten, best_m = bool(m), m
+            continue
+        tie = tie or bool(m)
+        phi = _label_map(best_order, found[1])
+        flip = m ^ best_m
+        for s in range(m, 2):  # once mirrored, plain darts are all swept
+            for x, y in enumerate(phi):
+                a, b = s * half + offset[x], (s ^ flip) * half + offset[y]
+                start, end = max(a, b), max(a, b) + offset[x + 1] - offset[x]
+                if a == b:  # x fixed, its darts turned by j
+                    r = orient[s][x]
+                    start += gcd(r.index(phi[r[0]]), len(r))
+                skip[start:end] = b"\1" * (end - start)
     assert best is not None
     return bytes(best), beaten or not tie, best_order
 
@@ -370,12 +361,20 @@ def from_code(code: bytes) -> PlaneCubicGraph:
 
 def embedding_map(g1: PlaneCubicGraph, g2: PlaneCubicGraph) -> dict[int, int] | None:
     """A vertex map carrying the embedding of g1 onto g2 (mirror allowed),
-    or None, read off the two cached sweeps.  Canonical codes agree iff
-    such a map exists, and then the two labellings come from roots that
-    emit one code, so matching their equal labels is one (`_label_map`)."""
-    code1, _, order1 = _swept(g1)
+    or None, with only g2 swept: codes agree iff one exists, so g1's roots
+    emit codes against g2's in sweep order; one below it, or none tying it,
+    means None, and the first tie is the root g1's own sweep labels by, so
+    matching its labels with g2's labelling is the map (`_label_map`)."""
+    if g1.n != g2.n:
+        return None
     code2, _, order2 = _swept(g2)
-    return dict(zip(order1, order2)) if code1 == code2 else None
+    target = list(code2)
+    orient, roots = _roots(g1.rot)
+    for m, u, v in roots:
+        found = _bfs_code(g1.n, orient[m], u, v, target)
+        if found is not None:
+            return dict(zip(found[1], order2)) if found[0] is target else None
+    return None
 
 
 def is_chiral(g: PlaneCubicGraph) -> bool:

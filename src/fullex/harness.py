@@ -389,7 +389,7 @@ def catalogue_digests(catalogue: Catalogue, jobs: int = 1,
     for g in catalogue.graphs:
         key = canonical_code(g).hex()
         digests[key] = cached[key] if key in cached else fresh[key]
-    if cache:
+    if cache and todo:  # a sidecar that held every digest is left as read
         cache.save(catalogue.n, catalogue, digests)
     return digests
 

@@ -545,7 +545,7 @@ def exhaustive_edge_cuts(g: G.PlaneCubicGraph, k: int) -> list[tuple[G.EdgeCut, 
     adj = g.adj_dict()
     cuts = []
     for size in range(1, k + 1):
-        for combo in itertools.combinations(g.edge_list, size):
+        for combo in itertools.combinations(M.edges_of(adj), size):
             blocked = frozenset(combo)
             comps = components_without(adj, blocked)
             if len(comps) != 2:
@@ -647,7 +647,7 @@ def exhaustive_cyclic_cut_leq3(g: G.PlaneCubicGraph) -> bool:
     cycles, by one components search per edge subset."""
     adj = g.adj_dict()
     for size in range(1, 4):
-        for combo in itertools.combinations(g.edge_list, size):
+        for combo in itertools.combinations(M.edges_of(adj), size):
             blocked = frozenset(combo)
             comps = components_without(adj, blocked)
             if sum(1 for c in comps if has_cycle(c, adj, blocked)) >= 2:

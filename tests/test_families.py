@@ -9,8 +9,8 @@ from fullex import harness
 from fullex import matching as M
 from fullex import planar_code as PC
 
-from conftest import (aligned_embedding_map, catalogue, relabel_rotation, sporadic,
-                      witness_pair, without_edges)
+from conftest import (aligned_embedding_map, catalogue, relabel_rotation, relabelled_mirror,
+                      sporadic, witness_pair, without_edges)
 
 
 def test_build_tube_validates():
@@ -114,6 +114,21 @@ def test_recognize_relabeled_tube():
     assert desc.n_layers == 2
     assert sorted(desc.cap_centers) == sorted(
         perm[c] for c in F.build_tube(2)[1].cap_centers)
+
+
+def test_recognize_tube_sweeps_only_its_input(monkeypatch):
+    """recognize_tube reads no sweep but its input's: once that is cached,
+    it makes no `_code_sweep` call, not even of the tube it builds."""
+    built = F.build_tube(3)[0]
+    g = relabelled_mirror(built, random.Random(8))
+    G.canonical_code(g)
+
+    def sweep(n, rot):
+        raise AssertionError("recognize_tube made a sweep")
+
+    monkeypatch.setattr(G, "_code_sweep", sweep)
+    desc = F.recognize_tube(g)
+    assert desc is not None and desc.n_layers == 3
 
 
 def test_recognize_tube_same_under_aligned_walk(monkeypatch):

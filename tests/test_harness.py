@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from fullex import antikekule as A
+from fullex import enumerator as EN
 from fullex import extendability as E
 from fullex import families as F
 from fullex import graphs as G
@@ -387,6 +388,38 @@ def test_failed_sidecar_save_keeps_the_previous_file(tmp_path, monkeypatch):
     monkeypatch.undo()
     assert cache.load(8) == digests
     assert sorted(p.name for p in tmp_path.iterdir()) == ["fullerenes_n8.json"]
+
+
+def test_full_current_sidecar_is_not_rewritten(tmp_path, monkeypatch):
+    """A second pass over a sidecar that holds every digest under the
+    current source stamp reads it and leaves the file as it is."""
+    cat = catalogue(12)
+    cache = harness.DigestCache(str(tmp_path))
+    digests = harness.catalogue_digests(cat, cache=cache)
+
+    def save(*args):
+        raise AssertionError("a full, current sidecar was rewritten")
+
+    monkeypatch.setattr(harness.DigestCache, "save", save)
+    assert harness.catalogue_digests(cat, cache=cache) == digests
+
+
+def test_verify_all_sweeps_each_graph_once(monkeypatch):
+    """verify_all(16) sweeps each of the 15 classes on 8-16 vertices once,
+    in the enumerator, and the relabelled mirror of each of the 1- and
+    2-layer tubes once, in recognize_tube; no built tube is swept."""
+    sweep, sizes = G._code_sweep, []
+
+    def counted(n, rot):
+        sizes.append(n)
+        return sweep(n, rot)
+
+    monkeypatch.setattr(G, "_code_sweep", counted)
+    monkeypatch.setattr(EN, "_code_sweep", counted)
+    harness.verify_all(16)
+    assert len(sizes) == 17
+    assert sorted(sizes) == sorted(
+        [g.n for n in range(8, 17, 2) for g in catalogue(n).graphs] + [14, 20])
 
 
 @pytest.mark.parametrize("n", [12, 14, 18])

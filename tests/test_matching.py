@@ -49,7 +49,7 @@ def test_has_perfect_matching(cube):
 
 def test_extends_to_perfect(cube):
     assert M.extends_to_perfect(cube, [])
-    for e in cube.edge_list:
+    for e in M.edges_of(cube.adj_dict()):
         assert M.extends_to_perfect(cube, [e])
     with pytest.raises(M.NotAMatching):
         M.extends_to_perfect(cube, [(0, 1), (1, 2)])
