@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import Iterator, NamedTuple
 
 from . import matching as mt
-from .graphs import Edge, FullexError, PlaneCubicGraph
+from .graphs import Edge, FullexError
 
 SEARCH_CAP = 4
 
@@ -82,8 +82,9 @@ def sets_of_size(index: mt.PmIndex, size: int) -> Iterator[frozenset[Edge]]:
     yield from extend((), 0, 0)
 
 
-def search(index: mt.PmIndex) -> AntiKekuleResult:
-    """Smallest anti-Kekule set, searched at sizes 1, 2, 3, then 4.
+def anti_kekule_number(index: mt.PmIndex) -> AntiKekuleResult:
+    """Smallest anti-Kekule set of the indexed graph, searched at sizes 1,
+    2, 3, then 4; ``index`` must hold every perfect matching.
 
     Raises SearchExhausted if nothing of size <= 4 works; for the graphs
     this project studies that would be a falsification and must be loud.
@@ -94,8 +95,3 @@ def search(index: mt.PmIndex) -> AntiKekuleResult:
     raise SearchExhausted(
         f"no anti-Kekule set of size <= {SEARCH_CAP}; every fullerene should "
         f"have one of size 3 or 4")
-
-
-def anti_kekule_number(g: PlaneCubicGraph | mt.Adjacency) -> AntiKekuleResult:
-    """Smallest anti-Kekule set of the graph; see ``search``."""
-    return search(mt.PmIndex(mt.adjacency_of(g)))

@@ -133,11 +133,12 @@ def cmd_extend_check(args) -> int:
 
 
 def cmd_antikekule(args) -> int:
+    from . import matching as mt
     from .antikekule import anti_kekule_number
 
     def record(g):
         validate_fullerene(g)
-        result = anti_kekule_number(g)
+        result = anti_kekule_number(mt.PmIndex(g.adj_dict()))
         return {"number": result.number,
                 "witness": [list(e) for e in sorted(result.witness_set)],
                 "canonical": canonical_code(g).hex()}, True

@@ -21,6 +21,9 @@ class BadLayerCount(FullexError):
     pass
 
 
+MAX_CHECKED_LAYERS = 6  # the largest tube verify_tube_pm_structure checks
+
+
 class TubeDescriptor(NamedTuple):
     n_layers: int
     cap_centers: tuple[int, int]
@@ -114,7 +117,6 @@ class TubePerfectMatchingReport(NamedTuple):
     or None.
     """
 
-    n_layers: int
     pm_count: int
     layer_sizes: tuple[int, ...]
     one_traversed_per_gap: bool
@@ -124,12 +126,8 @@ class TubePerfectMatchingReport(NamedTuple):
     gap_pair_in_common_pm: Optional[tuple[Edge, Edge]]
 
     @property
-    def layer_product(self) -> int:
-        return math.prod(self.layer_sizes)
-
-    @property
     def count_matches_layer_product(self) -> bool:
-        return self.pm_count == self.layer_product
+        return self.pm_count == math.prod(self.layer_sizes)
 
     @property
     def selection_bijection_holds(self) -> bool:
@@ -138,8 +136,9 @@ class TubePerfectMatchingReport(NamedTuple):
                 and self.count_matches_layer_product)
 
 
-def verify_tube_pm_structure(n_layers: int) -> TubePerfectMatchingReport:
-    """Measure the perfect-matching layer structure of one tube.
+def verify_tube_pm_structure(g: PlaneCubicGraph,
+                             desc: TubeDescriptor) -> TubePerfectMatchingReport:
+    """Measure the perfect-matching layer structure of a tube from ``build_tube``.
 
     One index of every perfect matching answers each check by counting the
     perfect matchings that contain given edges: (a) a layer holds exactly
@@ -149,9 +148,8 @@ def verify_tube_pm_structure(n_layers: int) -> TubePerfectMatchingReport:
     (c) the count equals the product of the layer sizes.  Everything is
     measured, nothing assumed.
     """
-    if not 1 <= n_layers <= 6:
+    if not 1 <= desc.n_layers <= MAX_CHECKED_LAYERS:
         raise BadLayerCount("layer count for the exhaustive check must be 1..6")
-    g, desc = build_tube(n_layers)
     count = mt.PmIndex(g.adj_dict()).count
     pm_count = count(())
 
@@ -162,7 +160,6 @@ def verify_tube_pm_structure(n_layers: int) -> TubePerfectMatchingReport:
     layers = desc.matching_layers()
     gaps = desc.traversed_edges
     return TubePerfectMatchingReport(
-        n_layers=n_layers,
         pm_count=pm_count,
         layer_sizes=tuple(len(layer) for layer in layers),
         one_traversed_per_gap=all(one_per_pm(layer) for layer in gaps),

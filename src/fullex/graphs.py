@@ -489,8 +489,8 @@ def edge_cuts_up_to(g: PlaneCubicGraph, k: int) -> list[EdgeCut]:
     return sorted(map(EdgeCut, _cycles_up_to(dual, k)), key=lambda c: sorted(c.edges))
 
 
-def connectivity(g: PlaneCubicGraph) -> int:
-    """Vertex connectivity: the least size of a cut in ``edge_cuts_up_to(g, 3)``.
+def connectivity(cuts: list[EdgeCut]) -> int:
+    """Vertex connectivity: the least size in ``cuts = edge_cuts_up_to(g, 3)``.
 
     The three edges at a vertex form a cut, which contains a minimal cut,
     so the list is not empty and its least size is the edge connectivity
@@ -505,12 +505,12 @@ def connectivity(g: PlaneCubicGraph) -> int:
     has no neighbour in S, so the kappa removed edges separate H1 from H2:
     lambda <= kappa.
     """
-    return min(len(c.edges) for c in edge_cuts_up_to(g, 3))
+    return min(len(c.edges) for c in cuts)
 
 
-def has_cyclic_cut_leq3(g: PlaneCubicGraph) -> bool:
-    """True iff <= 3 edges can be removed leaving two components with
-    cycles: iff ``edge_cuts_up_to(g, 3)`` holds a nontrivial cut.
+def has_cyclic_cut_leq3(cuts: list[EdgeCut]) -> bool:
+    """True iff <= 3 edges can be removed from g leaving two components with
+    cycles: iff ``cuts = edge_cuts_up_to(g, 3)`` holds a nontrivial cut.
 
     It suffices to look at minimal cuts.  Let F be a set of <= 3 edges and
     C1, C2 cyclic components of G - F; then d(C1) lies in F.  The component
@@ -525,4 +525,4 @@ def has_cyclic_cut_leq3(g: PlaneCubicGraph) -> bool:
     edges share an end, a trivial one, so a minimal cut of <= 3 edges has
     a cycle on both sides iff it is nontrivial.
     """
-    return any(not c.trivial for c in edge_cuts_up_to(g, 3))
+    return any(not c.trivial for c in cuts)

@@ -23,8 +23,9 @@ from . import families
 from . import matching as mt
 from . import planar_code
 from .enumerator import Catalogue, enumerate_catalogues
-from .graphs import (PlaneCubicGraph, canonical_code, edge_cuts_up_to, from_rotation,
-                     girth, short_cycles_facial, validate_fullerene)
+from .graphs import (PlaneCubicGraph, canonical_code, connectivity, edge_cuts_up_to,
+                     from_rotation, girth, has_cyclic_cut_leq3, short_cycles_facial,
+                     validate_fullerene)
 
 
 def _edge_list(edges) -> list[list[int]]:
@@ -103,31 +104,30 @@ def analyze_graph(g: PlaneCubicGraph) -> dict:
     """Full analysis digest of one fullerene; plain JSON-able values only.
 
     Each fact is computed once: the minimal cuts of size <= 3 give the
-    connectivity and the nontrivial cut count, which is positive iff some
-    cut is cyclic (as in ``graphs``), and one index of all perfect matchings
-    serves the preconditions, the k = 1..3 scans and the anti-Kekule search.
+    connectivity, the cyclic-cut flag and the nontrivial cut count, and one
+    index of all perfect matchings serves the preconditions, the k = 1..3
+    scans and the anti-Kekule search.
     """
     inv = validate_fullerene(g)
     tube = families.recognize_tube(g)
     cuts3 = edge_cuts_up_to(g, 3)
-    nontrivial = sum(1 for c in cuts3 if not c.trivial)
     adj = g.adj_dict()
     index = mt.PmIndex(adj)
     ext_mod.check_preconditions(index, ext_mod.K_CAP)
     witnesses = [next(ext_mod.nonextendable_matchings(index, k), None)
                  for k in (1, 2, 3)]
     flags = [w is None for w in witnesses]
-    ak = ak_mod.search(index)
+    ak = ak_mod.anti_kekule_number(index)
     digest = {
         "n": g.n,
         "p4": inv.p4,
         "p5": inv.p5,
         "p6": inv.p6,
-        "connectivity": min(len(c.edges) for c in cuts3),
+        "connectivity": connectivity(cuts3),
         "girth": girth(g),
         "short_cycles_facial": short_cycles_facial(g),
-        "nontrivial_cuts_leq3": nontrivial,
-        "has_cyclic_cut_leq3": nontrivial > 0,
+        "nontrivial_cuts_leq3": sum(1 for c in cuts3 if not c.trivial),
+        "has_cyclic_cut_leq3": has_cyclic_cut_leq3(cuts3),
         "is_tube": tube is not None,
         "tube_layers": tube.n_layers if tube else None,
         "one_extendable": flags[0],
@@ -394,11 +394,11 @@ def catalogue_digests(catalogue: Catalogue, jobs: int = 1,
     return digests
 
 
-def _tube_suite(nmax: int) -> list[ClaimResult]:
+def _tube_suite(tube_layers: range) -> list[ClaimResult]:
     rows = []
-    for layers in range(1, max(2, (nmax - 8) // 6) + 1):
+    for layers in tube_layers:
         g, desc = families.build_tube(layers)
-        report = families.verify_tube_pm_structure(layers)
+        report = families.verify_tube_pm_structure(g, desc)
         pair = report.gap_pair_in_common_pm
         # a nontrivial minimal cut of <= 3 edges has a cycle on both sides
         cyclic = {c.edges for c in edge_cuts_up_to(g, 3) if not c.trivial}
@@ -459,10 +459,15 @@ def verify_all(nmax: int, jobs: int = 1,
     """Run every registered claim over the catalogues up to nmax.
 
     Raises enumerator.BoundExceeded when nmax is below 8, where no catalogue
-    exists and every claim would hold vacuously.
+    exists and every claim would hold vacuously, and families.BadLayerCount
+    before any enumeration when its tubes outgrow the exhaustive check.
     """
     if nmax % 2 != 0:
         nmax -= 1
+    tube_layers = range(1, max(2, (nmax - 8) // 6) + 1)  # those of <= nmax vertices, 2 at least
+    if len(tube_layers) > families.MAX_CHECKED_LAYERS:  # refused before the walk
+        raise families.BadLayerCount(f"nmax = {nmax}: the exhaustive tube check stops at "
+                                     f"{families.MAX_CHECKED_LAYERS} layers")
     cache = DigestCache(cache_dir) if cache_dir else None
     sizes = list(range(8, nmax + 1, 2))
     # an empty range is refused as its one out-of-range size
@@ -483,6 +488,6 @@ def verify_all(nmax: int, jobs: int = 1,
         "every even size from 10 up has a fullerene with anti-Kekule number 3",
         ((any(d["ak_number"] == 3 for _, d in rows[n]), {"n": n})
          for n in sizes if n >= 10)))
-    claims.extend(_tube_suite(nmax))
+    claims.extend(_tube_suite(tube_layers))
     claims.extend(_sporadic_suite(rows))
     return VerificationReport(nmax, tuple(claims))

@@ -100,7 +100,7 @@ def test_criterion_05_tube_suite():
     details = []
     for layers in (1, 2, 3, 4):
         g, desc = F.build_tube(layers)
-        report = F.verify_tube_pm_structure(layers)
+        report = F.verify_tube_pm_structure(g, desc)
         # one traversed edge per gap, and the one-edge-per-matching-layer
         # selections (cap stars included) biject with the perfect matchings;
         # spoke-only selections each leave the 3 x 3 cap completions

@@ -21,21 +21,21 @@ def test_is_anti_kekule_set_basics(cube):
 
 def test_cube_and_dodecahedron_have_number_four(cube, dodecahedron):
     for g in (cube, dodecahedron):
-        result = AK.anti_kekule_number(g)
+        result = AK.anti_kekule_number(M.PmIndex(g.adj_dict()))
         assert result.number == 4
         assert is_anti_kekule_set(g, result.witness_set)
         assert min_anti_kekule_sets(g, 3) == []
 
 
 def test_witness_leaves_connected_graph(cube):
-    result = AK.anti_kekule_number(cube)
+    result = AK.anti_kekule_number(M.PmIndex(cube.adj_dict()))
     left = without_edges(M.adjacency_of(cube), result.witness_set)
     assert M.is_connected(left)
     assert not M.has_perfect_matching(left)
 
 
 def test_witness_is_lexicographically_first(cube):
-    result = AK.anti_kekule_number(cube)
+    result = AK.anti_kekule_number(M.PmIndex(cube.adj_dict()))
     adj = M.adjacency_of(cube)
     for combo in itertools.combinations(M.edges_of(adj), 4):
         if frozenset(combo) == result.witness_set:
@@ -45,7 +45,8 @@ def test_witness_is_lexicographically_first(cube):
 
 def test_sporadic_twelve_has_number_three():
     cat = catalogue(12)
-    numbers = sorted(AK.anti_kekule_number(g).number for g in cat.graphs)
+    numbers = sorted(AK.anti_kekule_number(M.PmIndex(g.adj_dict())).number
+                     for g in cat.graphs)
     assert numbers == [3, 4]
 
 

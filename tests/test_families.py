@@ -76,8 +76,8 @@ def test_traversed_layers_are_cyclic_three_cuts():
 
 
 def test_tube_has_cyclic_cut(cube):
-    assert G.has_cyclic_cut_leq3(F.build_tube(1)[0])
-    assert not G.has_cyclic_cut_leq3(cube)
+    assert G.has_cyclic_cut_leq3(G.edge_cuts_up_to(F.build_tube(1)[0], 3))
+    assert not G.has_cyclic_cut_leq3(G.edge_cuts_up_to(cube, 3))
 
 
 def test_recognize_round_trip():
@@ -157,7 +157,7 @@ def test_recognize_tube_same_under_aligned_walk(monkeypatch):
 
 def test_pm_structure_small_tubes():
     for n in range(1, 7):  # every layer count the exhaustive check accepts
-        rep = F.verify_tube_pm_structure(n)
+        rep = F.verify_tube_pm_structure(*F.build_tube(n))
         assert rep.one_traversed_per_gap
         assert rep.one_star_edge_per_cap
         assert rep.every_layer_selection_unique
@@ -189,12 +189,12 @@ def test_pm_structure_flags_a_wrong_gap_layer(monkeypatch, first_gap, has_pair):
             traversed_edges=(frozenset(layer), *desc.traversed_edges[1:]))
 
     monkeypatch.setattr(F, "build_tube", wrong_first_gap)
-    rep = F.verify_tube_pm_structure(2)
+    rep = F.verify_tube_pm_structure(*F.build_tube(2))
     assert not rep.one_traversed_per_gap
     assert not rep.selection_bijection_holds
     pair = rep.gap_pair_in_common_pm
     assert (pair is not None) == has_pair
-    witness = harness._tube_suite(14)[1]
+    witness = harness._tube_suite(range(1, 3))[1]
     if has_pair:
         assert M.extends_to_perfect(build(2)[0], pair)
         assert witness.failures == 2
@@ -205,9 +205,9 @@ def test_pm_structure_flags_a_wrong_gap_layer(monkeypatch, first_gap, has_pair):
 
 def test_pm_structure_bounds():
     with pytest.raises(F.BadLayerCount):
-        F.verify_tube_pm_structure(0)
+        F.verify_tube_pm_structure(*F.build_tube(0))
     with pytest.raises(F.BadLayerCount):
-        F.verify_tube_pm_structure(7)
+        F.verify_tube_pm_structure(*F.build_tube(7))
 
 
 def test_sporadic_candidates_twelve():

@@ -235,11 +235,14 @@ def test_embedding_map_of_non_isomorphic_pair_is_none():
 
 
 def test_connectivity(cube, dodecahedron, k4):
-    assert G.connectivity(cube) == 3
-    assert G.connectivity(dodecahedron) == 3
-    assert G.connectivity(k4) == 3
-    assert G.connectivity(two_blocks_joined_by_two_edges()) == 2
-    assert G.connectivity(two_blocks_joined_by_a_bridge()) == 1
+    def connectivity(g):
+        return G.connectivity(G.edge_cuts_up_to(g, 3))
+
+    assert connectivity(cube) == 3
+    assert connectivity(dodecahedron) == 3
+    assert connectivity(k4) == 3
+    assert connectivity(two_blocks_joined_by_two_edges()) == 2
+    assert connectivity(two_blocks_joined_by_a_bridge()) == 1
 
 
 def test_girth(cube, dodecahedron, k4):
@@ -312,9 +315,10 @@ def test_short_cycles_are_the_subset_scan():
 
 def test_connectivity_girth_and_cyclic_cut_are_the_exhaustive_scans():
     for g in _cut_test_graphs():
-        assert G.connectivity(g) == exhaustive_connectivity(g)
+        cuts = G.edge_cuts_up_to(g, 3)
+        assert G.connectivity(cuts) == exhaustive_connectivity(g)
         assert G.girth(g) == bfs_girth(g)
-        assert G.has_cyclic_cut_leq3(g) == exhaustive_cyclic_cut_leq3(g)
+        assert G.has_cyclic_cut_leq3(cuts) == exhaustive_cyclic_cut_leq3(g)
 
 
 def test_edge_cuts_of_size_four_are_the_exhaustive_scan():
@@ -358,5 +362,5 @@ def test_edge_cut_cap():
 
 
 def test_no_cyclic_cut_in_cube_or_dodecahedron(cube, dodecahedron):
-    assert not G.has_cyclic_cut_leq3(cube)
-    assert not G.has_cyclic_cut_leq3(dodecahedron)
+    assert not G.has_cyclic_cut_leq3(G.edge_cuts_up_to(cube, 3))
+    assert not G.has_cyclic_cut_leq3(G.edge_cuts_up_to(dodecahedron, 3))

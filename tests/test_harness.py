@@ -78,6 +78,24 @@ def test_verify_all_refuses_a_bound_below_eight(nmax):
         harness.verify_all(nmax)
 
 
+@pytest.mark.parametrize("nmax", [50, 51, 60])
+def test_verify_all_refuses_a_tube_past_the_exhaustive_check_before_the_walk(
+        nmax, monkeypatch, capsys):
+    # nmax 48 takes the 6-layer tube, the largest the check accepts; 50 takes 7
+    def walk(*args):
+        raise AssertionError("the walk ran")
+
+    monkeypatch.setenv("FULLEX_NMAX", str(nmax))
+    monkeypatch.setattr(EN, "_walk", walk)
+    with pytest.raises(F.BadLayerCount, match="6"):
+        harness.verify_all(nmax)
+    from fullex import cli
+    assert cli.main(["verify-all", "--nmax", str(nmax)]) == 2
+    assert "exhaustive tube check" in capsys.readouterr().err
+    with pytest.raises(AssertionError, match="the walk ran"):
+        harness.verify_all(48)
+
+
 def test_verify_all_report_fields():
     report = harness.verify_all(10)
     payload = report.to_json()
@@ -231,6 +249,16 @@ def test_counterexample_record_identifies_graph(cube):
 
 def test_analyze_graph_computes_each_fact_once(monkeypatch):
     calls = {"pm": 0, "cert": 0, "blossom": 0}
+    # each structure fact comes from the one function that defines it
+    for module, name in [(G, "edge_cuts_up_to"), (G, "connectivity"),
+                         (G, "has_cyclic_cut_leq3"), (A, "anti_kekule_number")]:
+        def counted(*args, _name=name, _fn=getattr(module, name)):
+            calls[_name] += 1
+            return _fn(*args)
+        calls[name] = 0
+        for ns in (module, harness):
+            if hasattr(ns, name):
+                monkeypatch.setattr(ns, name, counted)
     enumerate_pms = M.perfect_matchings
     certify = M.deficiency_certificate
     has_pm = M.has_perfect_matching
@@ -253,9 +281,11 @@ def test_analyze_graph_computes_each_fact_once(monkeypatch):
     graphs = list(catalogue(12).graphs) + [F.build_tube(1)[0]]
     certified = 0
     for g in graphs:
-        calls.update(pm=0, cert=0, blossom=0)
+        calls.update(dict.fromkeys(calls, 0))
         d = harness.analyze_graph(g)
         assert calls["pm"] == 1
+        assert calls["edge_cuts_up_to"] == calls["connectivity"] == 1
+        assert calls["has_cyclic_cut_leq3"] == calls["anti_kekule_number"] == 1
         assert calls["blossom"] == 0
         assert calls["cert"] <= 1
         certified += calls["cert"]
@@ -265,15 +295,24 @@ def test_analyze_graph_computes_each_fact_once(monkeypatch):
 
 def test_tube_suite_enumerates_perfect_matchings_once_per_tube(monkeypatch):
     calls = []
+    builds = []
     enumerate_pms = M.perfect_matchings
+    build = F.build_tube
 
     def counted_pms(g):
         calls.append(len(M.adjacency_of(g)))
         return enumerate_pms(g)
 
+    def counted_build(n_layers):
+        builds.append(n_layers)
+        return build(n_layers)
+
     monkeypatch.setattr(M, "perfect_matchings", counted_pms)
-    claims = harness._tube_suite(20)
+    monkeypatch.setattr(F, "build_tube", counted_build)
+    claims = harness._tube_suite(range(1, 3))
     assert calls == [14, 20]  # the tubes with one and two layers
+    # the suite's tube, then recognize_tube's reference tube
+    assert builds == [1, 1, 2, 2]
     assert all(c.failures == 0 and c.population == 2 for c in claims)
 
 
@@ -427,7 +466,8 @@ def test_sporadic_candidates_match_the_public_per_graph_functions(n):
     cat = catalogue(n)
     expected = []
     for g in sorted(cat.graphs, key=canonical_code):
-        if F.recognize_tube(g) is None and A.anti_kekule_number(g).number == 3:
+        if (F.recognize_tube(g) is None
+                and A.anti_kekule_number(M.PmIndex(g.adj_dict())).number == 3):
             witness = E.is_k_extendable(g, 2).witness
             if witness is not None:
                 expected.append((g, witness))
