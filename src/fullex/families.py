@@ -21,9 +21,6 @@ class BadLayerCount(FullexError):
     pass
 
 
-MAX_CHECKED_LAYERS = 6  # the largest tube verify_tube_pm_structure checks
-
-
 class TubeDescriptor(NamedTuple):
     n_layers: int
     cap_centers: tuple[int, int]
@@ -148,8 +145,8 @@ def verify_tube_pm_structure(g: PlaneCubicGraph,
     (c) the count equals the product of the layer sizes.  Everything is
     measured, nothing assumed.
     """
-    if not 1 <= desc.n_layers <= MAX_CHECKED_LAYERS:
-        raise BadLayerCount("layer count for the exhaustive check must be 1..6")
+    if desc.n_layers > 6:
+        raise BadLayerCount(f"the exhaustive check takes at most 6 layers, got {desc.n_layers}")
     count = mt.PmIndex(g.adj_dict()).count
     pm_count = count(())
 

@@ -394,9 +394,9 @@ def catalogue_digests(catalogue: Catalogue, jobs: int = 1,
     return digests
 
 
-def _tube_suite(tube_layers: range) -> list[ClaimResult]:
+def _tube_suite(nmax: int) -> list[ClaimResult]:
     rows = []
-    for layers in tube_layers:
+    for layers in range(1, max(2, (nmax - 8) // 6) + 1):
         g, desc = families.build_tube(layers)
         report = families.verify_tube_pm_structure(g, desc)
         pair = report.gap_pair_in_common_pm
@@ -464,10 +464,8 @@ def verify_all(nmax: int, jobs: int = 1,
     """
     if nmax % 2 != 0:
         nmax -= 1
-    tube_layers = range(1, max(2, (nmax - 8) // 6) + 1)  # those of <= nmax vertices, 2 at least
-    if len(tube_layers) > families.MAX_CHECKED_LAYERS:  # refused before the walk
-        raise families.BadLayerCount(f"nmax = {nmax}: the exhaustive tube check stops at "
-                                     f"{families.MAX_CHECKED_LAYERS} layers")
+    # first, so that a tube past the exhaustive check is refused before the walk
+    tube_claims = _tube_suite(nmax)
     cache = DigestCache(cache_dir) if cache_dir else None
     sizes = list(range(8, nmax + 1, 2))
     # an empty range is refused as its one out-of-range size
@@ -488,6 +486,6 @@ def verify_all(nmax: int, jobs: int = 1,
         "every even size from 10 up has a fullerene with anti-Kekule number 3",
         ((any(d["ak_number"] == 3 for _, d in rows[n]), {"n": n})
          for n in sizes if n >= 10)))
-    claims.extend(_tube_suite(tube_layers))
+    claims.extend(tube_claims)
     claims.extend(_sporadic_suite(rows))
     return VerificationReport(nmax, tuple(claims))
