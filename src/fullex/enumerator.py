@@ -1,29 +1,34 @@
 """Isomorph-free generation of all (4,5,6)-fullerenes up to a vertex bound.
 
 ``enumerate_catalogues`` (and ``enumerate_fullerenes`` for one size) works
-on the dual side: one depth-first walk grows simple sphere triangulations
-from K4 by vertex splitting, up to v_max = nmax/2 + 2 vertices, and
-dualizes the classes with all degrees in {4, 5, 6}.  A child on v' vertices
-is made only when its defect (the summed distance of its degrees from
-[4, 6]) is at most 2 (v_max - v') (`_walk`), from one split per orbit of
-the parent's automorphisms (`_children`), and kept only when its new edge
-is canonical (McKay's canonical augmentation, `_canonical_key`), so the
-leaves of every size up to nmax come out of the one walk, each once.
+on the dual side.  The class is the simple sphere triangulations with
+every degree in {4, 5, 6}, the duals of (4,5,6)-fullerenes.  One
+depth-first walk grows the class, and only the class, from its roots, the
+stacks (`_stack`), by vertex splitting up to v_max = nmax/2 + 2 vertices,
+and dualizes every node.  A split is made only when the child stays in the
+class, from one split per orbit of the parent's automorphisms
+(`_children`), and kept only when its new edge is canonical (McKay's
+canonical augmentation, `_canonical_key`), so the classes of every size up
+to nmax come out of the one walk, each once.  The walk is complete when
+every canonical edge of a class other than a stack keeps the class
+(`_walk`); the pinned census certifies that through n = CERTIFIED_BOUND,
+and larger sizes are refused.
 
 Nothing is cached between calls.  The test suite certifies the catalogues
-against an independent rotation-system search.
+against the pinned census and an independent rotation-system search.
 """
 
 from __future__ import annotations
 
 import os
-from itertools import permutations
 from typing import Iterable, Iterator, NamedTuple
 
 from .graphs import (FullexError, PlaneCubicGraph, _bfs_code, _code_sweep, _dual,
                      _label_map, _trace_faces, faces, from_code)
 
 DEFAULT_BOUND = 24
+# the largest size at which the pinned census certifies the walk complete
+CERTIFIED_BOUND = 34
 
 
 class EnumerationError(FullexError):
@@ -91,9 +96,6 @@ def _catalogue_from(n: int, rotations) -> Catalogue:
 
 Rotation = tuple[tuple[int, ...], ...]
 Group = list[tuple[int, ...]]  # vertex maps, phi[u] the image of u
-
-_K4_ROT: Rotation = ((1, 2, 3), (0, 3, 2), (0, 1, 3), (0, 2, 1))
-_K4_GROUP: Group = list(permutations(range(4)))
 
 
 def _split_vertex(n: int, rot: Rotation, w: int, a: int, b: int) -> Rotation:
@@ -189,58 +191,26 @@ def _canonical_key(n: int, rot: Rotation, x: int, y: int) -> tuple[bytes, Group]
     return bytes(best), [_label_map(ties[0], t) for t in ties]
 
 
-def _children(n: int, rot: Rotation, slack: int,
-              group: Group) -> Iterator[tuple[Rotation, Group]]:
-    """(child, its group) for the vertex splits of `rot` with defect at most
-    `slack` and a canonical new edge, one per orbit of `group`, the
-    automorphisms of `rot`: the first split of an orbit is tested, and its
-    images under `group` are marked done.  A split is the vertex w and the
-    pair r[a], r[b], the apexes of the new edge.
-
-    With the defect delta(T) = sum of dist(deg v, [4, 6]), delta(child) is
-    read off the parent: splitting w (degree d) at rotation positions
-    a < b gives w degree b - a + 2 and the new vertex d - b + a + 2, r[a]
-    and r[b] gain one each, and no other degree changes.
-
-    The new edge has degree sum d + 4.  An edge yz with y, z != w and z not
-    adjacent to w keeps the rotation at z and its common neighbours with y,
-    so it stays contractible exactly when it was, and its degree sum grows
-    by one only when y is r[a] or r[b].  If such an edge would have sum
-    below d + 4 in the child, the split is refused before it is made,
-    whatever the slack (`_walk` proves the bound it passes).
+def _children(n: int, rot: Rotation, group: Group) -> Iterator[tuple[Rotation, Group]]:
+    """(child, its group) for the vertex splits of `rot`, a class member,
+    that keep the class and whose new edge is canonical, one per orbit of
+    `group`, the automorphisms of `rot`: the first split of an orbit is
+    tested, and its images under `group` are marked done.  A split is the
+    vertex w and the pair r[a], r[b], the apexes of the new edge.  Splitting
+    w (degree d) at rotation positions a < b gives w degree b - a + 2 and
+    the new vertex d - b + a + 2, r[a] and r[b] gain one each, and no other
+    degree changes, so the child is a class member when these four degrees
+    end in 4..6.
     """
-    dist = [max(4 - d, 0, d - 6) for d in range(n + 2)]
     deg = [len(r) for r in rot]
-    delta = sum(dist[d] for d in deg)
-    nbrs = [set(r) for r in rot]
-    sums = sorted((deg[y] + deg[z], y, z) for y in range(n) for z in rot[y]
-                  if y < z and len(nbrs[y] & nbrs[z]) == 2)
     done: set[tuple[int, int, int]] = set()
     for w in range(n):
-        r, d, near = rot[w], deg[w], nbrs[w]
-        must: set[int] | None = set()  # what r[a], r[b] must include
-        for s, y, z in sums:
-            if s >= d + 4:
-                break
-            if w in (y, z) or (y in near and z in near):
-                continue
-            if s < d + 3 or (y not in near and z not in near):
-                must = None
-                break
-            must.add(y if y in near else z)
-        if must is None or len(must) > 2:
-            continue
-        base = delta - dist[d]
-        # the change in delta as a rotation neighbour gains one
-        gain = [dist[deg[x] + 1] - dist[deg[x]] for x in r]
+        r, d = rot[w], deg[w]
         for a in range(d):
             for b in range(a + 1, d):
-                if (base + gain[a] + gain[b] + dist[b - a + 2]
-                        + dist[d - b + a + 2] > slack
-                        or not must.issubset((r[a], r[b]))):
-                    continue
                 p, q = r[a], r[b]
-                if (w, p, q) in done:
+                if (not 2 <= b - a <= 4 or not 2 <= d - b + a <= 4
+                        or deg[p] == 6 or deg[q] == 6 or (w, p, q) in done):
                     continue
                 for g in group:  # the orbit, each pair read both ways
                     done.update(((g[w], g[p], g[q]), (g[w], g[q], g[p])))
@@ -250,52 +220,62 @@ def _children(n: int, rot: Rotation, slack: int,
                     yield child, found[1]
 
 
+def _stack(k: int) -> Rotation:
+    """The stack S_k: k triangles, vertex 3i + j the j-th of the i-th, with
+    consecutive triangles joined as an antiprism, 3i + j adjacent to
+    3(i + 1) + j and 3(i + 1) + j - 1 (mod 3 in j).  The end vertices have
+    degree 4 and the rest 6; S_2 is the octahedron, and S_(L + 2) is the
+    dual of the tube with L layers."""
+    steps = ((0, 1), (-1, 1), (-1, 0), (0, -1), (1, -1), (1, 0))
+    return tuple(tuple(3 * (i + di) + (j + dj) % 3 for di, dj in steps if 0 <= i + di < k)
+                 for i in range(k) for j in range(3))
+
+
 def _walk(v_max: int) -> Iterator[tuple[int, list[Rotation]]]:
-    """Yield (v, the classes on v vertices with all degrees in {4, 5, 6})
-    for v = 4..v_max, grown depth-first from K4 by `_children`, which
-    makes a child on v' vertices only when delta(child) <= 2 (v_max - v').
+    """Yield (v, the classes on v vertices) for v = 4..v_max, the class
+    being the simple sphere triangulations with every degree in {4, 5, 6}:
+    the walk grows them depth-first by `_children` from the stacks S_k with
+    3k <= v_max, each root with the group `_canonical_key` gives on one of
+    its canonical edges.  Levels 4 and 5 are empty.
 
-    Lemma: in a simple triangulation on v >= 5 vertices, contracting a
-    contractible edge xy of least degree sum s = d_x + d_y raises delta by
-    at most 2.  With f(d) = dist(d, [4, 6]), the merged vertex has degree
-    s - 4 and the two apexes lose one each, so the rise is M + A, with
-    M = f(s - 4) - f(d_x) - f(d_y) and A adding f(d - 1) - f(d) over the
-    apexes, each term at most 1 and positive only for degree <= 4.  If
-    s <= 10, f(s - 4) <= (4 - d_x)+ + (4 - d_y)+; if min(d_x, d_y) is 3 or
-    4, s - 4 is the other degree or one less: either way M <= 0, so the
-    rise is at most A <= 2.  Otherwise d_x, d_y >= 5 and
-    M = s - 10 - (d_x - 6)+ - (d_y - 6)+ <= 2, while an apex a of degree
-    <= 4 would make ax or ay contractible, of degree sum < s: a degree-3
-    apex has a triangle as link, and with link x y p q, ax stays
-    contractible unless xp is an edge, ay unless yq is, and both chords
-    with a would form K5.  So A <= 0.
+    Each class T comes at most once.  Its canonical edges form one orbit, so
+    T is accepted only from one parent class, T with a canonical edge
+    contracted, and from one split of it (McKay's argument): if splits s1,
+    s2 of P give children C1, C2 with canonical new edges e1, e2 and equal
+    keys, an isomorphism C1 -> C2 (mirror allowed), composed with an
+    automorphism of C2, maps e1 onto e2 and so their apexes onto theirs.  It
+    descends to the contractions, P both times: an automorphism of P that
+    maps s1 (merged vertex, apexes) onto s2, so `_children` tests one of
+    them.  All splits of one orbit give one class, their new edges canonical
+    or not together.
 
-    Each class T on v <= v_max vertices comes once.  Its canonical edges
-    form one orbit, so T is accepted only from one parent class, T with a
-    canonical edge contracted, and from one split of it (McKay's argument):
-    if splits s1, s2 of P give children C1, C2 with canonical new edges
-    e1, e2 and equal keys, an isomorphism C1 -> C2 (mirror allowed),
-    composed with an automorphism of C2, maps e1 onto e2 and so their
-    apexes onto theirs.  It descends to the contractions, P both times: an
-    automorphism of P that maps s1 (merged vertex, apexes) onto s2, so
-    `_children` tests one of them.  All splits of one orbit give one class,
-    their new edges canonical or not together.
-    That split is made: a canonical edge has the least degree sum (the
-    invariant of `_canonical_key` leads with it), so by the lemma the
-    contraction path of T meets delta <= 2 (v - v') <= 2 (v_max - v') on
-    v' vertices; by induction each parent on it is in the walk and its
-    split to the next passes the defect filter.
+    An edge xy keeps the class when contracting it leaves every degree in
+    4..6: d_x + d_y <= 10 (the merged vertex has degree d_x + d_y - 4) and
+    both apexes have degree >= 5 (each loses one).  A stack's canonical
+    edges are the edges of its end triangles, its only contractible edges of
+    degree sum 8, and contracting one leaves the third vertex of the
+    triangle with degree 3.  So a stack is never accepted as a child, only
+    walked from as a root.  Every other class T comes once if each of its
+    canonical edges keeps the class: then T's parent is a class member, and
+    by induction down its contraction path, which ends at a stack, each
+    parent on it is in the walk and its split to the next is made.  Were the
+    condition false for some T, the walk would miss T.  It holds through
+    v = 19 (n = 34): the walk reproduces every row of the pinned census,
+    written by an earlier walk that grew every triangulation under a defect
+    bound proved complete, and `enumerate_catalogues` refuses larger sizes.
     """
     levels: list[list[Rotation]] = [[] for _ in range(v_max + 1)]
 
     def grow(n: int, rot: Rotation, group: Group) -> None:
-        if all(4 <= len(r) <= 6 for r in rot):
-            levels[n].append(rot)
+        levels[n].append(rot)
         if n < v_max:
-            for child, child_group in _children(n, rot, 2 * (v_max - n - 1), group):
+            for child, child_group in _children(n, rot, group):
                 grow(n + 1, child, child_group)
 
-    grow(4, _K4_ROT, _K4_GROUP)
+    for k in range(2, v_max // 3 + 1):
+        rot = _stack(k)
+        keys = (_canonical_key(3 * k, rot, x, y) for x, r in enumerate(rot) for y in r)
+        grow(3 * k, rot, next(key for key in keys if key is not None)[1])
     for v in range(4, v_max + 1):
         yield v, levels[v]
 
@@ -309,7 +289,7 @@ def _dualize(n: int, rot: Rotation) -> Rotation:
 def enumerate_catalogues(sizes: Iterable[int],
                          bound: int | None = None) -> dict[int, Catalogue]:
     """The catalogue of every size in `sizes`, all from one walk.  Each dual
-    is a fullerene: 3-connected, its faces simple and sized as the leaf's degrees."""
+    is a fullerene: 3-connected, its faces simple and sized as its triangulation's degrees."""
     wanted = sorted(set(sizes))
     for n in wanted:
         if n % 2 != 0:
@@ -318,6 +298,10 @@ def enumerate_catalogues(sizes: Iterable[int],
         if not 8 <= n <= limit:
             raise BoundExceeded(f"n = {n} outside the enumeration range 8..{limit}"
                                 " (FULLEX_NMAX sets the upper end)")
+        if n > CERTIFIED_BOUND:
+            raise BoundExceeded(
+                f"n = {n} is above {CERTIFIED_BOUND}, the largest size at which"
+                " the pinned census certifies the enumeration complete")
     out: dict[int, Catalogue] = {}
     for v, leaves in _walk(wanted[-1] // 2 + 2) if wanted else ():
         n = 2 * v - 4  # a cubic dual has 2v - 4 vertices

@@ -8,8 +8,8 @@ from fullex import graphs as G
 from fullex.families import build_tube
 
 from conftest import (canonical_codes, catalogue, catalogues, embedding_automorphisms,
-                      keyset_children, relabel_rotation, rotation_code,
-                      split_children, tri_key, triangulations)
+                      relabel_rotation, rotation_code, split_children, tri_key,
+                      triangulations)
 
 
 # simple sphere triangulations per vertex count (simplicial polyhedra)
@@ -19,6 +19,10 @@ TRIANGULATION_COUNTS = {4: 1, 5: 1, 6: 2, 7: 5, 8: 14, 9: 50, 10: 233,
 
 def _defect(rot):
     return sum(max(4 - len(r), 0, len(r) - 6) for r in rot)
+
+
+def _in_class(rot):
+    return all(4 <= len(r) <= 6 for r in rot)
 
 
 def _codes(v, rots):
@@ -74,24 +78,26 @@ def test_canonical_key_separates_exactly_as_rotation_code():
 
 
 def test_each_class_is_accepted_once_from_one_parent():
-    """Level by level, for walks to v_max <= 11, `_children` (one split per
-    orbit of the parent's group, kept when its new edge is canonical)
-    yields every class on v vertices with defect <= 4 (v_max - v) exactly
-    once, and from one parent."""
-    for v_max in range(5, 12):
-        level = [(EN._K4_ROT, EN._K4_GROUP)]
-        for n in range(4, v_max):
-            slack = 4 * (v_max - n - 1)
-            parents: dict[bytes, list[int]] = {}
-            children = []
-            for i, (rot, group) in enumerate(level):
-                for child, child_group in EN._children(n, rot, slack, group):
-                    parents.setdefault(rotation_code(n + 1, child), []).append(i)
-                    children.append((child, child_group))
-            assert all(len(p) == 1 for p in parents.values())
-            want = [rot for rot in triangulations(n + 1) if _defect(rot) <= slack]
-            assert set(parents) == _codes(n + 1, want)
-            level = children
+    """Level by level up to 11 vertices, from the stacks, `_children` (one
+    class-keeping split per orbit of the parent's group, kept when its new
+    edge is canonical) yields every class on v vertices with all degrees in
+    {4, 5, 6} that is not a stack exactly once, and from one parent."""
+    level = []
+    for n in range(6, 12):
+        if n % 3 == 0:  # a root
+            stack = EN._stack(n // 3)
+            level.append((stack, sorted(embedding_automorphisms(n, stack))))
+        want = [rot for rot in triangulations(n) if _in_class(rot)]
+        assert len(level) == len(want)
+        assert _codes(n, [rot for rot, _ in level]) == _codes(n, want)
+        parents: dict[bytes, list[int]] = {}
+        children = []
+        for i, (rot, group) in enumerate(level):
+            for child, child_group in EN._children(n, rot, group):
+                parents.setdefault(rotation_code(n + 1, child), []).append(i)
+                children.append((child, child_group))
+        assert all(len(p) == 1 for p in parents.values())
+        level = children
 
 
 def test_canonical_key_returns_the_automorphism_group():
@@ -109,80 +115,6 @@ def test_canonical_key_returns_the_automorphism_group():
                     assert set(found[1]) == want
                     checked += 1
     assert checked >= 73  # at least one canonical edge per class
-    assert len(EN._K4_GROUP) == 24
-    assert set(EN._K4_GROUP) == embedding_automorphisms(4, EN._K4_ROT)
-
-
-def test_one_split_per_orbit_keeps_the_key_set_children(monkeypatch):
-    """For every class on v <= 10 vertices at slack 4 (11 - v'), `_children`
-    yields the children of the per-parent key set (`keyset_children`), in
-    the same order.  The walk to v_max 10 makes 121 `_canonical_key` calls,
-    against 486 with the key set: testing symmetric splits again fails."""
-    for v in range(4, 11):
-        for rot in triangulations(v):
-            group = sorted(embedding_automorphisms(v, rot))
-            slack = 4 * (11 - v - 1)
-            orbits = [child for child, _ in EN._children(v, rot, slack, group)]
-            assert orbits == list(keyset_children(v, rot, slack))
-    calls = []
-    key = EN._canonical_key
-    monkeypatch.setattr(EN, "_canonical_key", lambda *a: calls.append(a) or key(*a))
-    for _ in EN._walk(10):
-        pass
-    assert len(calls) == 121
-
-    def grow(n, rot):
-        for child in keyset_children(n, rot, 2 * (10 - n - 1)) if n < 10 else ():
-            grow(n + 1, child)
-
-    calls.clear()
-    grow(4, EN._K4_ROT)
-    assert len(calls) == 486
-
-
-def test_contraction_raises_defect_by_at_most_four():
-    """The walk's lemma on all 29 444 splits of the triangulations on
-    v <= 10 vertices, each parent being the contraction of its child's new
-    edge; the bound is reached."""
-    rises = []
-    for n in range(4, 11):
-        for parent in triangulations(n):
-            d = _defect(parent)
-            for w in range(n):
-                k = len(parent[w])
-                for a in range(k):
-                    for b in range(a + 1, k):
-                        child = EN._split_vertex(n, parent, w, a, b)
-                        rises.append(d - _defect(child))
-    assert len(rises) == 29444
-    assert max(rises) == 4
-
-
-def _least_contractible_sum(v, rot):
-    nbrs = [set(r) for r in rot]
-    return min(len(rot[y]) + len(rot[z]) for y in range(v) for z in rot[y]
-               if y < z and len(nbrs[y] & nbrs[z]) == 2)
-
-
-def test_canonical_contraction_raises_defect_by_at_most_two():
-    """`_walk`'s lemma on the 4 144 of those splits whose new edge has the
-    least degree sum among the child's contractible edges: the rise is at
-    most 2, reached only for children on 5 and 6 vertices."""
-    rises: dict[int, list[int]] = {}
-    for n in range(4, 11):
-        for parent in triangulations(n):
-            d = _defect(parent)
-            for w in range(n):
-                k = len(parent[w])
-                for a in range(k):
-                    for b in range(a + 1, k):
-                        child = EN._split_vertex(n, parent, w, a, b)
-                        if (len(child[w]) + len(child[n])
-                                == _least_contractible_sum(n + 1, child)):
-                            rises.setdefault(n + 1, []).append(d - _defect(child))
-    assert sum(map(len, rises.values())) == 4144
-    assert {v: max(r) for v, r in rises.items()} == {
-        5: 2, 6: 2, 7: 1, 8: 0, 9: 1, 10: 1, 11: 1}
 
 
 def test_walk_leaves_are_the_filtered_levels():
@@ -190,8 +122,7 @@ def test_walk_leaves_are_the_filtered_levels():
         seen = []
         for v, leaves in EN._walk(v_max):
             seen.append(v)
-            full = [rot for rot in triangulations(v)
-                    if all(4 <= len(r) <= 6 for r in rot)]
+            full = [rot for rot in triangulations(v) if _in_class(rot)]
             assert len(leaves) == len(full)
             assert _codes(v, leaves) == _codes(v, full)
         assert seen == list(range(4, v_max + 1))
@@ -360,18 +291,20 @@ def _contractions(n, rot):
 
 
 def test_no_constant_defect_bound_is_closed_under_contraction():
-    """Why `_walk` bounds the defect by v_max - v', not by a constant.
-    delta = 0 is not closed: one of the 4 classes on 9 vertices with all
-    degrees in {4, 5, 6} has no contraction that keeps them there.  Nor
-    is delta <= 1: quartering the icosahedron, contracting one edge at a
-    degree-5 vertex and quartering again gives 158 vertices with degrees
-    5^13 6^144 7^1, no two of the 5s and the 7 adjacent, and every edge
-    contractible; every contraction leaves delta >= 2, a second vertex of
-    degree 7 or one of degree at least 8."""
+    """Why `_walk` has roots besides the octahedron.  The class, delta = 0,
+    is not closed under contraction: one of the 4 classes on 9 vertices,
+    the stack S_3 (the dual of the 1-layer tube), has no contraction that
+    keeps every degree in {4, 5, 6}, so it can only be a root.  Nor is
+    delta <= 1 closed, so no walk under a constant defect bound starts from
+    the octahedron alone: quartering the icosahedron, contracting one edge
+    at a degree-5 vertex and quartering again gives 158 vertices with
+    degrees 5^13 6^144 7^1, no two of the 5s and the 7 adjacent, and every
+    edge contractible; every contraction leaves delta >= 2, a second vertex
+    of degree 7 or one of degree at least 8."""
     zero = [rot for rot in triangulations(9) if _defect(rot) == 0]
     assert len(zero) == 4
-    assert sum(min(map(_defect, _contractions(9, rot))) > 0
-               for rot in zero) == 1
+    closed = [rot for rot in zero if min(map(_defect, _contractions(9, rot))) > 0]
+    assert _codes(9, closed) == _codes(9, [EN._stack(3)])
 
     ico = next(rot for v, rots in EN._walk(12) if v == 12 for rot in rots
                if all(len(r) == 5 for r in rot))
@@ -387,3 +320,28 @@ def test_no_constant_defect_bound_is_closed_under_contraction():
     contractions = _contractions(n, rot)
     assert len(contractions) == sum(degrees) // 2
     assert min(map(_defect, contractions)) == 2
+
+
+def test_stacks_are_the_octahedron_and_the_tube_duals():
+    octa = [rot for rot in triangulations(6) if all(len(r) == 4 for r in rot)]
+    assert _codes(6, [EN._stack(2)]) == _codes(6, octa)
+    for k in range(3, 9):
+        v = 3 * k
+        dual = G.from_rotation(2 * v - 4, EN._dualize(v, EN._stack(k)))
+        assert G.canonical_code(dual) == G.canonical_code(build_tube(k - 2)[0]), k
+
+
+def test_only_the_stacks_have_a_canonical_edge_that_leaves_the_class():
+    """The walk's completeness condition, on the classes of the independent
+    triangulation levels for v <= 11 (the walk itself never emits a class
+    that breaks it): contracting a canonical edge keeps every degree in
+    {4, 5, 6}, except in the stacks."""
+    members = [(v, rot) for v in range(6, 12) for rot in triangulations(v)
+               if _in_class(rot)]
+    assert len(members) == 25
+    leaving = [(v, rot) for v, rot in members
+               for x, r in enumerate(rot) for y in r
+               if EN._canonical_key(v, rot, x, y) is not None
+               and not _in_class(_contracted(v, rot, x, y)[1])]
+    assert {(v, rotation_code(v, rot)) for v, rot in leaving} == {
+        (3 * k, rotation_code(3 * k, EN._stack(k))) for k in (2, 3)}

@@ -92,8 +92,25 @@ def test_verify_all_refuses_a_tube_past_the_exhaustive_check_before_the_walk(
     from fullex import cli
     assert cli.main(["verify-all", "--nmax", str(nmax)]) == 2
     assert "at most 6 layers, got 7" in capsys.readouterr().err
-    with pytest.raises(AssertionError, match="the walk ran"):
+    # 48 passes the tube check and meets the census bound
+    with pytest.raises(BoundExceeded, match="above 34"):
         harness.verify_all(48)
+
+
+@pytest.mark.parametrize("nmax", [36, 48])
+def test_verify_all_refuses_a_size_past_the_census_before_the_walk(
+        nmax, monkeypatch, capsys):
+    # the census certifies the walk through n = 34 only, whatever FULLEX_NMAX says
+    def walk(*args):
+        raise AssertionError("the walk ran")
+
+    monkeypatch.setenv("FULLEX_NMAX", str(nmax))
+    monkeypatch.setattr(EN, "_walk", walk)
+    with pytest.raises(BoundExceeded, match="above 34"):
+        EN.enumerate_catalogues([34, nmax])
+    from fullex import cli
+    assert cli.main(["verify-all", "--nmax", str(nmax)]) == 2
+    assert f"n = 36 is above {EN.CERTIFIED_BOUND}" in capsys.readouterr().err
 
 
 def test_verify_all_report_fields():
