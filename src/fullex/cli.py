@@ -17,7 +17,7 @@ import sys
 from typing import Optional
 
 from . import __version__, planar_code
-from .enumerator import DEFAULT_BOUND, configured_bound, enumerate_fullerenes
+from .enumerator import CERTIFIED_BOUND, DEFAULT_BOUND, configured_bound, enumerate_fullerenes
 from .graphs import (FullexError, GraphError, canonical_code, is_chiral, norm_edge,
                      validate_fullerene)
 
@@ -249,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-all", help="run the complete claim suite")
     p.add_argument("--nmax", type=int, default=None,
                    help="largest vertex count, up to and by default "
-                        f"FULLEX_NMAX (else {DEFAULT_BOUND})")
+                        f"FULLEX_NMAX (else {DEFAULT_BOUND}), at most {CERTIFIED_BOUND}")
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--cache-dir", default=None)
     p.set_defaults(func=cmd_verify_all)

@@ -200,7 +200,8 @@ def _children(n: int, rot: Rotation, group: Group) -> Iterator[tuple[Rotation, G
     w (degree d) at rotation positions a < b gives w degree b - a + 2 and
     the new vertex d - b + a + 2, r[a] and r[b] gain one each, and no other
     degree changes, so the child is a class member when these four degrees
-    end in 4..6.
+    end in 4..6.  The first two sum to d + 4 <= 10, so they are at most 6
+    when both are at least 4.
     """
     deg = [len(r) for r in rot]
     done: set[tuple[int, int, int]] = set()
@@ -209,8 +210,8 @@ def _children(n: int, rot: Rotation, group: Group) -> Iterator[tuple[Rotation, G
         for a in range(d):
             for b in range(a + 1, d):
                 p, q = r[a], r[b]
-                if (not 2 <= b - a <= 4 or not 2 <= d - b + a <= 4
-                        or deg[p] == 6 or deg[q] == 6 or (w, p, q) in done):
+                if (not 2 <= b - a <= d - 2 or deg[p] == 6 or deg[q] == 6
+                        or (w, p, q) in done):
                     continue
                 for g in group:  # the orbit, each pair read both ways
                     done.update(((g[w], g[p], g[q]), (g[w], g[q], g[p])))
@@ -291,6 +292,10 @@ def enumerate_catalogues(sizes: Iterable[int],
     """The catalogue of every size in `sizes`, all from one walk.  Each dual
     is a fullerene: 3-connected, its faces simple and sized as its triangulation's degrees."""
     wanted = sorted(set(sizes))
+    if wanted and wanted[-1] > CERTIFIED_BOUND:
+        raise BoundExceeded(
+            f"n = {wanted[-1]} is above {CERTIFIED_BOUND}, the largest size at which"
+            " the pinned census certifies the enumeration complete")
     for n in wanted:
         if n % 2 != 0:
             raise OddVertexCount(f"cubic graphs have even order, got {n}")
@@ -298,10 +303,6 @@ def enumerate_catalogues(sizes: Iterable[int],
         if not 8 <= n <= limit:
             raise BoundExceeded(f"n = {n} outside the enumeration range 8..{limit}"
                                 " (FULLEX_NMAX sets the upper end)")
-        if n > CERTIFIED_BOUND:
-            raise BoundExceeded(
-                f"n = {n} is above {CERTIFIED_BOUND}, the largest size at which"
-                " the pinned census certifies the enumeration complete")
     out: dict[int, Catalogue] = {}
     for v, leaves in _walk(wanted[-1] // 2 + 2) if wanted else ():
         n = 2 * v - 4  # a cubic dual has 2v - 4 vertices

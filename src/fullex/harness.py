@@ -459,7 +459,8 @@ def verify_all(nmax: int, jobs: int = 1,
     """Run every registered claim over the catalogues up to nmax.
 
     Raises enumerator.BoundExceeded when nmax is below 8, where no catalogue
-    exists and every claim would hold vacuously, and families.BadLayerCount
+    exists and every claim would hold vacuously, or above
+    enumerator.CERTIFIED_BOUND, and families.BadLayerCount
     before any enumeration when its tubes outgrow the exhaustive check.
     """
     if nmax % 2 != 0:

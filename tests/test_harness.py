@@ -97,20 +97,23 @@ def test_verify_all_refuses_a_tube_past_the_exhaustive_check_before_the_walk(
         harness.verify_all(48)
 
 
-@pytest.mark.parametrize("nmax", [36, 48])
+@pytest.mark.parametrize("nmax,env", [(36, None), (36, "36"), (48, "48")])
 def test_verify_all_refuses_a_size_past_the_census_before_the_walk(
-        nmax, monkeypatch, capsys):
+        nmax, env, monkeypatch, capsys):
     # the census certifies the walk through n = 34 only, whatever FULLEX_NMAX says
     def walk(*args):
         raise AssertionError("the walk ran")
 
-    monkeypatch.setenv("FULLEX_NMAX", str(nmax))
+    if env is None:
+        monkeypatch.delenv("FULLEX_NMAX", raising=False)
+    else:
+        monkeypatch.setenv("FULLEX_NMAX", env)
     monkeypatch.setattr(EN, "_walk", walk)
     with pytest.raises(BoundExceeded, match="above 34"):
-        EN.enumerate_catalogues([34, nmax])
+        EN.enumerate_catalogues([8, nmax])
     from fullex import cli
     assert cli.main(["verify-all", "--nmax", str(nmax)]) == 2
-    assert f"n = 36 is above {EN.CERTIFIED_BOUND}" in capsys.readouterr().err
+    assert f"n = {nmax} is above {EN.CERTIFIED_BOUND}" in capsys.readouterr().err
 
 
 def test_verify_all_report_fields():
