@@ -97,7 +97,7 @@ def test_verify_all_refuses_a_tube_past_the_exhaustive_check_before_the_walk(
         harness.verify_all(48)
 
 
-@pytest.mark.parametrize("nmax,env", [(36, None), (36, "36"), (48, "48")])
+@pytest.mark.parametrize("nmax,env", [(36, None), (48, "48")])
 def test_verify_all_refuses_a_size_past_the_census_before_the_walk(
         nmax, env, monkeypatch, capsys):
     # the census certifies the walk through n = 34 only, whatever FULLEX_NMAX says
