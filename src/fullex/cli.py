@@ -5,7 +5,10 @@ files); analysis results are printed as JSON with sorted keys.  Exit codes:
 0 when every check passes, 1 when a counterexample or negative verdict was
 found, 2 for usage or input errors (a `FullexError` or `OSError`), 3 for an
 internal error, reported with its traceback on stderr.  Each subcommand
-imports the modules it needs when it runs.
+imports the modules it needs when it runs.  One size range holds for every
+command: a catalogue size is even and in 8..CERTIFIED_BOUND, `verify-all
+--nmax` (DEFAULT_BOUND unless given) names the largest, and a size out of
+range exits 2 before any work.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import sys
 from typing import Optional
 
 from . import __version__, planar_code
-from .enumerator import CERTIFIED_BOUND, DEFAULT_BOUND, configured_bound, enumerate_fullerenes
+from .enumerator import CERTIFIED_BOUND, DEFAULT_BOUND, enumerate_fullerenes
 from .graphs import (FullexError, GraphError, canonical_code, is_chiral, norm_edge,
                      validate_fullerene)
 
@@ -195,9 +198,7 @@ def cmd_verify_all(args) -> int:
     from . import harness
     if args.jobs < 1:
         return _fail(f"--jobs must be at least 1, got {args.jobs}")
-    nmax = configured_bound() if args.nmax is None else args.nmax
-    report = harness.verify_all(nmax, jobs=args.jobs,
-                                cache_dir=args.cache_dir)
+    report = harness.verify_all(args.nmax, jobs=args.jobs, cache_dir=args.cache_dir)
     sys.stdout.write(report.render())
     return EXIT_OK if report.ok else EXIT_COUNTEREXAMPLE
 
@@ -247,9 +248,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_canonical)
 
     p = sub.add_parser("verify-all", help="run the complete claim suite")
-    p.add_argument("--nmax", type=int, default=None,
-                   help="largest vertex count, up to and by default "
-                        f"FULLEX_NMAX (else {DEFAULT_BOUND}), at most {CERTIFIED_BOUND}")
+    p.add_argument("--nmax", type=int, default=DEFAULT_BOUND,
+                   help=f"largest vertex count, 8 to {CERTIFIED_BOUND} (default {DEFAULT_BOUND})")
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--cache-dir", default=None)
     p.set_defaults(func=cmd_verify_all)

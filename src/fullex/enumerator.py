@@ -20,7 +20,6 @@ against the pinned census and an independent rotation-system search.
 
 from __future__ import annotations
 
-import os
 from typing import Iterable, Iterator, NamedTuple
 
 from .graphs import (FullexError, PlaneCubicGraph, _bfs_code, _code_sweep, _dual,
@@ -41,17 +40,6 @@ class BoundExceeded(EnumerationError):
 
 class OddVertexCount(EnumerationError):
     pass
-
-
-def configured_bound() -> int:
-    value = os.environ.get("FULLEX_NMAX")
-    if value is None:
-        return DEFAULT_BOUND
-    try:
-        return int(value)
-    except ValueError:
-        raise EnumerationError(
-            f"FULLEX_NMAX must be an integer, got {value!r}") from None
 
 
 class Catalogue(NamedTuple):
@@ -290,19 +278,21 @@ def _dualize(n: int, rot: Rotation) -> Rotation:
 def enumerate_catalogues(sizes: Iterable[int],
                          bound: int | None = None) -> dict[int, Catalogue]:
     """The catalogue of every size in `sizes`, all from one walk.  Each dual
-    is a fullerene: 3-connected, its faces simple and sized as its triangulation's degrees."""
+    is a fullerene: 3-connected, its faces simple and sized as its triangulation's degrees.
+
+    Every size must be even and in 8..`bound` (CERTIFIED_BOUND if None),
+    and none above CERTIFIED_BOUND; else this raises before the walk."""
     wanted = sorted(set(sizes))
     if wanted and wanted[-1] > CERTIFIED_BOUND:
         raise BoundExceeded(
             f"n = {wanted[-1]} is above {CERTIFIED_BOUND}, the largest size at which"
             " the pinned census certifies the enumeration complete")
+    limit = CERTIFIED_BOUND if bound is None else bound
     for n in wanted:
         if n % 2 != 0:
             raise OddVertexCount(f"cubic graphs have even order, got {n}")
-        limit = configured_bound() if bound is None else bound
         if not 8 <= n <= limit:
-            raise BoundExceeded(f"n = {n} outside the enumeration range 8..{limit}"
-                                " (FULLEX_NMAX sets the upper end)")
+            raise BoundExceeded(f"n = {n} outside the enumeration range 8..{limit}")
     out: dict[int, Catalogue] = {}
     for v, leaves in _walk(wanted[-1] // 2 + 2) if wanted else ():
         n = 2 * v - 4  # a cubic dual has 2v - 4 vertices

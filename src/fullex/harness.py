@@ -458,15 +458,12 @@ def verify_all(nmax: int, jobs: int = 1,
                cache_dir: Optional[str] = None) -> VerificationReport:
     """Run every registered claim over the catalogues up to nmax.
 
-    Raises enumerator.BoundExceeded when nmax is below 8, where no catalogue
-    exists and every claim would hold vacuously, or above
-    enumerator.CERTIFIED_BOUND, and families.BadLayerCount
-    before any enumeration when its tubes outgrow the exhaustive check.
+    Raises enumerator.BoundExceeded, before the walk and before any tube is
+    built, when nmax is below 8, where no catalogue exists and every claim
+    would hold vacuously, or above enumerator.CERTIFIED_BOUND.
     """
     if nmax % 2 != 0:
         nmax -= 1
-    # first, so that a tube past the exhaustive check is refused before the walk
-    tube_claims = _tube_suite(nmax)
     cache = DigestCache(cache_dir) if cache_dir else None
     sizes = list(range(8, nmax + 1, 2))
     # an empty range is refused as its one out-of-range size
@@ -487,6 +484,6 @@ def verify_all(nmax: int, jobs: int = 1,
         "every even size from 10 up has a fullerene with anti-Kekule number 3",
         ((any(d["ak_number"] == 3 for _, d in rows[n]), {"n": n})
          for n in sizes if n >= 10)))
-    claims.extend(tube_claims)
+    claims.extend(_tube_suite(nmax))
     claims.extend(_sporadic_suite(rows))
     return VerificationReport(nmax, tuple(claims))

@@ -59,7 +59,7 @@ def catalogue(n: int, naive: bool = False) -> EN.Catalogue:
 @functools.cache
 def catalogues(nmax: int) -> dict[int, EN.Catalogue]:
     """Every fast catalogue on 8..nmax vertices, from one walk."""
-    return EN.enumerate_catalogues(range(8, nmax + 1, 2), bound=nmax)
+    return EN.enumerate_catalogues(range(8, nmax + 1, 2))
 
 
 @functools.cache

@@ -31,6 +31,7 @@ import sys
 import pytest
 
 from fullex import harness
+from fullex.enumerator import enumerate_fullerenes
 
 from conftest import canonical_codes, catalogue, catalogues
 
@@ -46,17 +47,22 @@ ANALYSED_IN_TIER1 = 28  # larger rows check their codes only, unless FULL
 CLASSICAL_COUNTS = {20: 1, 22: 0, 24: 1, 26: 1, 28: 2, 30: 3, 32: 6, 34: 6}
 
 
-def census_row(n: int, analysis: bool = True) -> dict:
-    """The row of size n; without `analysis`, its code keys only."""
-    # n <= 20 from the walk the other tests share, the rest from one walk
-    cat = catalogues(20 if n <= 20 else max(CENSUS_SIZES))[n]
+def code_row(cat) -> dict:
+    """The code keys of a catalogue's row: size, faces and code sha256."""
     codes = "\n".join(sorted(c.hex() for c in canonical_codes(cat)))
-    row = {
+    return {
         "size": cat.size,
         "faces": {f"{p4},{p5},{p6}": k
                   for (p4, p5, p6), k in sorted(cat.counts.items())},
         "sha256": hashlib.sha256(codes.encode()).hexdigest(),
     }
+
+
+def census_row(n: int, analysis: bool = True) -> dict:
+    """The row of size n; without `analysis`, its code keys only."""
+    # n <= 20 from the walk the other tests share, the rest from one walk
+    cat = catalogues(20 if n <= 20 else max(CENSUS_SIZES))[n]
+    row = code_row(cat)
     if analysis:
         digests = [harness.analyze_graph(g) for g in cat.graphs]
         row["analysis"] = {
@@ -83,6 +89,12 @@ def test_census(n):
     else:
         row = census_row(n, analysis=False)
         assert row == {key: pinned[key] for key in row}
+
+
+def test_sizes_up_to_the_census_bound_need_no_environment(monkeypatch):
+    monkeypatch.setattr(os, "environ", {})
+    row = code_row(enumerate_fullerenes(26))
+    assert row == {key: _pinned()["26"][key] for key in row}
 
 
 @pytest.mark.skipif(not FULL, reason="runs with FULLEX_CENSUS_FULL=1")

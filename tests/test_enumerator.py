@@ -218,22 +218,13 @@ def test_fast_and_naive_members_are_identical():
 def test_bounds_and_parity():
     with pytest.raises(EN.OddVertexCount):
         EN.enumerate_fullerenes(9)
-    with pytest.raises(EN.BoundExceeded):
-        EN.enumerate_fullerenes(6)
-    with pytest.raises(EN.BoundExceeded):
-        EN.enumerate_fullerenes(26)
-
-
-def test_env_override(monkeypatch):
-    monkeypatch.setenv("FULLEX_NMAX", "12")
-    assert EN.configured_bound() == 12
-    with pytest.raises(EN.BoundExceeded):
-        EN.enumerate_fullerenes(14)
-    monkeypatch.setenv("FULLEX_NMAX", "abc")
-    with pytest.raises(EN.EnumerationError):
-        EN.configured_bound()
-    monkeypatch.delenv("FULLEX_NMAX")
-    assert EN.configured_bound() == EN.DEFAULT_BOUND
+    for n in (6, 36):
+        with pytest.raises(EN.BoundExceeded):
+            EN.enumerate_fullerenes(n)
+    assert EN.enumerate_fullerenes(26).size == 93
+    # an explicit bound is a lower ceiling, as the benchmark batch passes one
+    with pytest.raises(EN.BoundExceeded, match="range 8..12"):
+        EN.enumerate_fullerenes(14, bound=12)
 
 
 def test_determinism():

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from fullex import antikekule as A
+from fullex import cli
 from fullex import enumerator as EN
 from fullex import extendability as E
 from fullex import families as F
@@ -71,49 +72,34 @@ def test_verify_all_smallest_population():
     assert parsed["ok"] is True and parsed["nmax"] == 8
 
 
+@pytest.fixture
+def no_work(monkeypatch):
+    """The walk and the tube builder fail the test if either runs."""
+    def refuse(*args):
+        raise AssertionError("work was done before the refusal")
+
+    monkeypatch.setattr(EN, "_walk", refuse)
+    monkeypatch.setattr(F, "build_tube", refuse)
+
+
 @pytest.mark.parametrize("nmax", [6, 7, 0])
-def test_verify_all_refuses_a_bound_below_eight(nmax):
+def test_verify_all_refuses_a_bound_below_eight(nmax, no_work):
     # no catalogue exists below n = 8, so every claim would hold vacuously
     with pytest.raises(BoundExceeded, match="outside the enumeration range 8"):
         harness.verify_all(nmax)
-
-
-@pytest.mark.parametrize("nmax", [50, 51, 60])
-def test_verify_all_refuses_a_tube_past_the_exhaustive_check_before_the_walk(
-        nmax, monkeypatch, capsys):
-    # nmax 48 takes the 6-layer tube, the largest the check accepts; 50 takes 7
-    def walk(*args):
-        raise AssertionError("the walk ran")
-
-    monkeypatch.setenv("FULLEX_NMAX", str(nmax))
-    monkeypatch.setattr(EN, "_walk", walk)
-    with pytest.raises(F.BadLayerCount, match="6"):
-        harness.verify_all(nmax)
-    from fullex import cli
     assert cli.main(["verify-all", "--nmax", str(nmax)]) == 2
-    assert "at most 6 layers, got 7" in capsys.readouterr().err
-    # 48 passes the tube check and meets the census bound
+
+
+@pytest.mark.parametrize("nmax", [36, 48, 50, 51, 60])
+def test_verify_all_refuses_a_size_past_the_census_before_the_walk(nmax, no_work, capsys):
+    # the census certifies the walk through n = 34 only; from 50 on the tubes
+    # would also outgrow the exhaustive check, which is never reached
     with pytest.raises(BoundExceeded, match="above 34"):
-        harness.verify_all(48)
-
-
-@pytest.mark.parametrize("nmax,env", [(36, None), (48, "48")])
-def test_verify_all_refuses_a_size_past_the_census_before_the_walk(
-        nmax, env, monkeypatch, capsys):
-    # the census certifies the walk through n = 34 only, whatever FULLEX_NMAX says
-    def walk(*args):
-        raise AssertionError("the walk ran")
-
-    if env is None:
-        monkeypatch.delenv("FULLEX_NMAX", raising=False)
-    else:
-        monkeypatch.setenv("FULLEX_NMAX", env)
-    monkeypatch.setattr(EN, "_walk", walk)
+        harness.verify_all(nmax)
     with pytest.raises(BoundExceeded, match="above 34"):
         EN.enumerate_catalogues([8, nmax])
-    from fullex import cli
     assert cli.main(["verify-all", "--nmax", str(nmax)]) == 2
-    assert f"n = {nmax} is above {EN.CERTIFIED_BOUND}" in capsys.readouterr().err
+    assert f"n = {nmax - nmax % 2} is above {EN.CERTIFIED_BOUND}" in capsys.readouterr().err
 
 
 def test_verify_all_report_fields():
