@@ -330,68 +330,50 @@ class DigestCache:
         return payload
 
 
-def _process_pool(workers: int):
-    """A process pool of `workers` processes.  concurrent.futures, and with
-    it multiprocessing, is imported here and in catalogue_digests' parallel
-    branch only, so a run that starts no pool never loads it."""
-    from concurrent.futures import ProcessPoolExecutor
-    return ProcessPoolExecutor(max_workers=workers)
+def _analyze(graphs: list[PlaneCubicGraph], jobs: int) -> list[dict]:
+    """analyze_graph of each graph, in order: the one place a pool starts,
+    with workers capped by the CPUs this process may run on and by the
+    graphs.  One worker, or a pool that cannot start or loses a worker,
+    analyses in process; a run that starts no pool never imports
+    concurrent.futures, and with it multiprocessing."""
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    workers = min(jobs, cpus, len(graphs))
+    if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
+        try:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                return list(pool.map(analyze_graph, graphs))
+        except (OSError, BrokenProcessPool):
+            pass  # analysed in process below
+    return [analyze_graph(g) for g in graphs]
 
 
-class _LazyPool:
-    """A process pool of `workers` processes shared by the catalogue_digests
-    calls of one run and started by the first call that needs it."""
-
-    def __init__(self, workers: int):
-        self.workers = workers
-        self._executor = None
-
-    def map(self, fn, items):
-        if self._executor is None:
-            self._executor = _process_pool(self.workers)
-        return self._executor.map(fn, items)
-
-    def __enter__(self) -> "_LazyPool":
-        return self
-
-    def __exit__(self, *exc) -> bool:
-        if self._executor is not None:
-            self._executor.shutdown()
-        return False
+def _digest_catalogues(catalogues: list[Catalogue], jobs: int,
+                       cache: Optional[DigestCache]) -> list[dict[str, dict]]:
+    """Digest per canonical hex for each catalogue, in catalogue order.  The
+    graphs no sidecar holds, of every catalogue, go through one `_analyze`
+    call; a sidecar that lacked a digest is saved once all are analysed."""
+    held = [cache.load(cat.n) if cache else {} for cat in catalogues]
+    todo = [g for cat, cached in zip(catalogues, held) for g in cat.graphs
+            if canonical_code(g).hex() not in cached]
+    fresh = {canonical_code(g).hex(): d for g, d in zip(todo, _analyze(todo, jobs))}
+    out = []
+    for cat, cached in zip(catalogues, held):
+        keys = [canonical_code(g).hex() for g in cat.graphs]
+        digests = {key: cached[key] if key in cached else fresh[key] for key in keys}
+        if cache and not digests.keys() <= cached.keys():
+            cache.save(cat.n, cat, digests)
+        out.append(digests)
+    return out
 
 
 def catalogue_digests(catalogue: Catalogue, jobs: int = 1,
-                      cache: Optional[DigestCache] = None,
-                      pool: Optional[_LazyPool] = None) -> dict[str, dict]:
-    """Digest per canonical hex for the catalogue, optionally in parallel.
-
-    Output is independent of the worker count: graphs are keyed by their
-    canonical code and the mapping is rebuilt in catalogue order.  Workers
-    are capped by the CPUs and the uncached graphs; one runs in process.
-    More run in `pool` if given, else in a pool of their own.
-    """
-    cached = cache.load(catalogue.n) if cache else {}
-    todo = [g for g in catalogue.graphs
-            if canonical_code(g).hex() not in cached]
-    workers = min(jobs, os.cpu_count() or 1, len(todo))
-    results = None
-    if workers > 1:
-        from concurrent.futures.process import BrokenProcessPool
-        try:
-            with _LazyPool(workers) as own:  # starts no pool unless used
-                results = list((pool or own).map(analyze_graph, todo))
-        except (OSError, BrokenProcessPool):
-            pass  # analysed serially below
-    if results is None:
-        results = [analyze_graph(g) for g in todo]
-    fresh = {canonical_code(g).hex(): digest for g, digest in zip(todo, results)}
-    digests = {}
-    for g in catalogue.graphs:
-        key = canonical_code(g).hex()
-        digests[key] = cached[key] if key in cached else fresh[key]
-    if cache and todo:  # a sidecar that held every digest is left as read
-        cache.save(catalogue.n, catalogue, digests)
-    return digests
+                      cache: Optional[DigestCache] = None) -> dict[str, dict]:
+    """Digest per canonical hex for one catalogue, in catalogue order; the
+    one-catalogue case of `_digest_catalogues`, whose pool rules it keeps."""
+    return _digest_catalogues([catalogue], jobs, cache)[0]
 
 
 def _tube_suite(nmax: int) -> list[ClaimResult]:
@@ -460,7 +442,9 @@ def verify_all(nmax: int, jobs: int = 1,
 
     Raises enumerator.BoundExceeded, before the walk and before any tube is
     built, when nmax is below 8, where no catalogue exists and every claim
-    would hold vacuously, or above enumerator.CERTIFIED_BOUND.
+    would hold vacuously, or above enumerator.CERTIFIED_BOUND.  Every
+    uncached graph of every size is analysed in one pass, so a run starts at
+    most one pool, and only when two or more graphs are left to analyse.
     """
     if nmax % 2 != 0:
         nmax -= 1
@@ -468,14 +452,9 @@ def verify_all(nmax: int, jobs: int = 1,
     sizes = list(range(8, nmax + 1, 2))
     # an empty range is refused as its one out-of-range size
     catalogues = enumerate_catalogues(sizes or [nmax])
-    # one pool for every size: starting one per size costs more than the
-    # analysis of the small ones
-    with _LazyPool(min(jobs, os.cpu_count() or 1)) as pool:
-        digests = {n: catalogue_digests(catalogues[n], jobs=jobs, cache=cache,
-                                        pool=pool)
-                   for n in sizes}
-    rows = {n: [(g, digests[n][canonical_code(g).hex()]) for g in catalogues[n].graphs]
-            for n in sizes}
+    digests = _digest_catalogues([catalogues[n] for n in sizes], jobs, cache)
+    rows = {n: list(zip(catalogues[n].graphs, d.values()))
+            for n, d in zip(sizes, digests)}
     claims = [_claim(anchor, text, (_graph_case(pred(d), g, d)
                                     for n in sizes for g, d in rows[n]))
               for anchor, text, pred in GRAPH_CLAIMS]

@@ -334,9 +334,12 @@ def test_derived_cyclic_cut_flag_matches_exhaustive_scan():
 
 
 class _RecordingPool:
-    """Stand-in for harness._process_pool that runs the map in process."""
+    """Stand-in for concurrent.futures.ProcessPoolExecutor that runs the map
+    in process; harness._analyze imports the executor when it runs, so
+    patching it in concurrent.futures reaches it."""
 
     created: list[int] = []
+    mapped: list[int] = []
     broken = False
 
     def __init__(self, max_workers):
@@ -349,47 +352,100 @@ class _RecordingPool:
         return False
 
     def map(self, fn, items):
+        items = list(items)
+        self.mapped.append(len(items))
         if self.broken:
             raise BrokenProcessPool("a worker died")
         return map(fn, items)
 
-    def shutdown(self):
-        pass
 
-
-def test_jobs_clamped_to_cpus_and_uncached_graphs(monkeypatch):
-    monkeypatch.setattr(harness, "_process_pool", _RecordingPool)
+@pytest.fixture
+def recording_pool(monkeypatch):
+    """_RecordingPool in place of the executor, with fresh records, and a
+    setter for the CPUs this process may run on (its affinity set)."""
+    import concurrent.futures
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
     monkeypatch.setattr(_RecordingPool, "created", [])
-    monkeypatch.setattr(harness.os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(_RecordingPool, "mapped", [])
+
+    def cpus(count: int, affinity: int | None = None) -> None:
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: count)
+        # raising=False: a platform without affinity gets one for the test
+        monkeypatch.setattr(harness.os, "sched_getaffinity",
+                            lambda pid: set(range(affinity or count)), raising=False)
+    return cpus
+
+
+def test_jobs_clamped_to_cpus_and_uncached_graphs(recording_pool):
+    recording_pool(4)
     cat12 = catalogue(12)
     serial = harness.catalogue_digests(cat12, jobs=1)
     assert harness.catalogue_digests(cat12, jobs=10**6) == serial
     assert _RecordingPool.created == [2]  # two graphs at n = 12
     harness.catalogue_digests(catalogue(16), jobs=10**6)
-    assert _RecordingPool.created == [2, 4]  # six graphs, four CPUs
+    assert _RecordingPool.created == [2, 4]  # seven graphs, four CPUs
     harness.catalogue_digests(catalogue(8), jobs=10**6)
     assert _RecordingPool.created == [2, 4]  # one graph runs serially
 
 
-def test_broken_pool_falls_back_to_serial(monkeypatch):
-    monkeypatch.setattr(harness, "_process_pool", _RecordingPool)
+def test_jobs_clamped_to_the_cpus_this_process_may_run_on(recording_pool):
+    """Four CPUs on the host but an affinity set of one (`taskset -c 0`):
+    four workers would share one CPU, so the analysis runs in process."""
+    recording_pool(4, affinity=1)
+    cat = catalogue(16)
+    assert harness.catalogue_digests(cat, jobs=4) == harness.catalogue_digests(cat)
+    assert _RecordingPool.created == []
+    assert harness.verify_all(12, jobs=4).ok
+    assert _RecordingPool.created == []
+
+
+def test_broken_pool_falls_back_to_serial(recording_pool, monkeypatch):
+    recording_pool(2)
     monkeypatch.setattr(_RecordingPool, "broken", True)
-    monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
     cat = catalogue(12)
     assert (harness.catalogue_digests(cat, jobs=2)
             == harness.catalogue_digests(cat, jobs=1))
+    assert _RecordingPool.created == [2]
 
 
-def test_verify_all_starts_one_pool(monkeypatch, tmp_path):
-    monkeypatch.setattr(harness, "_process_pool", _RecordingPool)
-    monkeypatch.setattr(_RecordingPool, "created", [])
-    monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+def test_verify_all_starts_one_pool(recording_pool, tmp_path):
+    """One map over the graphs of every size that no sidecar holds."""
+    recording_pool(2)
     serial = harness.verify_all(16).render()
     assert _RecordingPool.created == []
     assert harness.verify_all(16, jobs=2, cache_dir=str(tmp_path)).render() == serial
-    assert _RecordingPool.created == [2]  # sizes 12, 14 and 16 share it
-    harness.verify_all(16, jobs=2, cache_dir=str(tmp_path))
-    assert _RecordingPool.created == [2]  # every digest cached: no pool
+    assert (_RecordingPool.created, _RecordingPool.mapped) == ([2], [15])  # sizes 8-16
+    (tmp_path / "fullerenes_n16.json").unlink()
+    assert harness.verify_all(16, jobs=2, cache_dir=str(tmp_path)).render() == serial
+    assert (_RecordingPool.created, _RecordingPool.mapped) == ([2, 2], [15, 7])
+    assert harness.verify_all(16, jobs=2, cache_dir=str(tmp_path)).render() == serial
+    assert _RecordingPool.created == [2, 2]  # every digest cached: no pool
+
+
+def test_partly_cached_parallel_run_saves_only_what_lacked_a_digest(
+        recording_pool, tmp_path, monkeypatch):
+    """n = 14's sidecar deleted and one n = 12 entry malformed: the run maps
+    those five graphs, gives the serial bytes and rewrites those two sizes."""
+    recording_pool(2)
+    serial = harness.verify_all(16).render()
+    harness.verify_all(16, cache_dir=str(tmp_path))
+    (tmp_path / "fullerenes_n14.json").unlink()
+    sidecar = tmp_path / "fullerenes_n12.json"
+    data = json.loads(sidecar.read_text())
+    next(iter(data["digests"].values()))["p4"] = None
+    sidecar.write_text(json.dumps(data))
+    saved, save = [], harness.DigestCache.save
+
+    def spy(self, n, *args):
+        saved.append(n)
+        return save(self, n, *args)
+
+    monkeypatch.setattr(harness.DigestCache, "save", spy)
+    assert harness.verify_all(16, jobs=2, cache_dir=str(tmp_path)).render() == serial
+    assert _RecordingPool.mapped == [5]  # one graph at n = 12, four at n = 14
+    assert saved == [12, 14]
+    cache = harness.DigestCache(str(tmp_path))
+    assert len(cache.load(12)) == 2 and len(cache.load(14)) == 4
 
 
 def test_unreadable_sidecar_is_a_cache_miss(tmp_path):
