@@ -22,19 +22,14 @@ class BadLayerCount(FullexError):
 
 
 class TubeDescriptor(NamedTuple):
+    """A tube in its graph's labels: ``n_layers``, both ``cap_centers``, the
+    ``concentric_cycles`` and each gap's ``traversed_edges``.  The cap stars,
+    the three edges at each cap centre, are read from the graph."""
+
     n_layers: int
     cap_centers: tuple[int, int]
     concentric_cycles: tuple[tuple[int, ...], ...]
     traversed_edges: tuple[frozenset[Edge], ...]
-    cap_stars: tuple[frozenset[Edge], frozenset[Edge]]
-
-    def matching_layers(self) -> tuple[frozenset[Edge], ...]:
-        """Edge layers where every perfect matching picks exactly one edge.
-
-        The two cap-center stars count as the innermost and outermost
-        layers; the traversed-edge sets fill the gaps in between.
-        """
-        return (self.cap_stars[0], *self.traversed_edges, self.cap_stars[1])
 
 
 def build_tube(n_layers: int) -> tuple[PlaneCubicGraph, TubeDescriptor]:
@@ -66,10 +61,7 @@ def build_tube(n_layers: int) -> tuple[PlaneCubicGraph, TubeDescriptor]:
     traversed = tuple(
         frozenset(norm_edge(v(i - 1, 2 * t + 1), v(i, 2 * t)) for t in range(3))
         for i in range(1, n + 1))
-    stars = (frozenset(norm_edge(center_a, w) for w in g.adj[center_a]),
-             frozenset(norm_edge(center_b, w) for w in g.adj[center_b]))
-    desc = TubeDescriptor(n, (center_a, center_b), cycles, traversed, stars)
-    return g, desc
+    return g, TubeDescriptor(n, (center_a, center_b), cycles, traversed)
 
 
 def recognize_tube(g: PlaneCubicGraph) -> Optional[TubeDescriptor]:
@@ -96,10 +88,7 @@ def recognize_tube(g: PlaneCubicGraph) -> Optional[TubeDescriptor]:
     traversed = tuple(
         frozenset(norm_edge(phi[u], phi[v]) for u, v in layer)
         for layer in desc.traversed_edges)
-    stars = tuple(frozenset(norm_edge(phi[u], phi[v]) for u, v in star)
-                  for star in desc.cap_stars)
-    return TubeDescriptor(layers, (centers[0], centers[1]), cycles, traversed,
-                          (stars[0], stars[1]))
+    return TubeDescriptor(layers, (centers[0], centers[1]), cycles, traversed)
 
 
 class TubePerfectMatchingReport(NamedTuple):
@@ -107,11 +96,8 @@ class TubePerfectMatchingReport(NamedTuple):
 
     The matching layers are the two cap-center stars plus the traversed-edge
     set of every gap; a perfect matching picks exactly one edge from each.
-    ``gap_extension_counts`` records how many perfect matchings extend every
-    traversed-edges-only selection (the two caps each contribute a factor 3,
-    so the value is 9 throughout).  ``gap_pair_in_common_pm`` is the first
-    pair of traversed edges of one gap that some perfect matching contains,
-    or None.
+    ``gap_pair_in_common_pm`` is the first pair of traversed edges of one
+    gap that some perfect matching contains, or None.
     """
 
     pm_count: int
@@ -119,7 +105,6 @@ class TubePerfectMatchingReport(NamedTuple):
     one_traversed_per_gap: bool
     one_star_edge_per_cap: bool
     every_layer_selection_unique: bool
-    gap_extension_counts: tuple[int, ...]
     gap_pair_in_common_pm: Optional[tuple[Edge, Edge]]
 
     @property
@@ -135,9 +120,10 @@ class TubePerfectMatchingReport(NamedTuple):
 
 def verify_tube_pm_structure(g: PlaneCubicGraph,
                              desc: TubeDescriptor) -> TubePerfectMatchingReport:
-    """Measure the perfect-matching layer structure of a tube from ``build_tube``.
+    """Measure the perfect-matching layer structure of a described tube.
 
-    One index of every perfect matching answers each check by counting the
+    The cap stars are g's three edges at each of ``desc.cap_centers``.  One
+    index of every perfect matching answers each check by counting the
     perfect matchings that contain given edges: (a) a layer holds exactly
     one edge of every perfect matching when its single-edge counts sum to
     the total and no two of its edges share one; (b) every selection of
@@ -154,18 +140,17 @@ def verify_tube_pm_structure(g: PlaneCubicGraph,
         return (sum(count((e,)) for e in layer) == pm_count
                 and not any(map(count, itertools.combinations(layer, 2))))
 
-    layers = desc.matching_layers()
+    stars = [frozenset(norm_edge(c, w) for w in g.adj[c]) for c in desc.cap_centers]
     gaps = desc.traversed_edges
+    layers = (stars[0], *gaps, stars[1])
     return TubePerfectMatchingReport(
         pm_count=pm_count,
         layer_sizes=tuple(len(layer) for layer in layers),
         one_traversed_per_gap=all(one_per_pm(layer) for layer in gaps),
-        one_star_edge_per_cap=all(one_per_pm(star) for star in desc.cap_stars),
+        one_star_edge_per_cap=all(one_per_pm(star) for star in stars),
         every_layer_selection_unique=all(
             count(sel) == 1
             for sel in itertools.product(*[sorted(layer) for layer in layers])),
-        gap_extension_counts=tuple(sorted(
-            map(count, itertools.product(*[sorted(layer) for layer in gaps])))),
         gap_pair_in_common_pm=next(
             (pair for layer in gaps
              for pair in itertools.combinations(sorted(layer), 2)

@@ -55,29 +55,13 @@ def norm_edge(u: int, v: int) -> Edge:
     return (u, v) if u < v else (v, u)
 
 
-class Face(NamedTuple):
-    """Facial walk as the cyclic vertex sequence of its boundary."""
-
-    boundary: tuple[int, ...]
-
-    @property
-    def size(self) -> int:
-        return len(self.boundary)
-
-    def directed_edges(self) -> list[tuple[int, int]]:
-        b = self.boundary
-        return [(b[i], b[(i + 1) % len(b)]) for i in range(len(b))]
-
-
 class FaceInventory(NamedTuple):
-    faces: tuple[Face, ...]
+    """Each face as the cyclic tuple of its boundary vertices; p4..p6 count sizes."""
+
+    faces: tuple[tuple[int, ...], ...]
     p4: int
     p5: int
     p6: int
-
-    @property
-    def count(self) -> int:
-        return len(self.faces)
 
 
 class EdgeCut(NamedTuple):
@@ -99,7 +83,7 @@ class PlaneCubicGraph:
     __slots__ = ("n", "rot", "adj", "_faces", "_sweep", "_cycles")
 
     def __init__(self, n: int, rot: tuple[tuple[int, int, int], ...],
-                 faces: tuple[Face, ...]):
+                 faces: tuple[tuple[int, ...], ...]):
         self.n = n
         self.rot = rot
         self.adj = tuple(frozenset(nbrs) for nbrs in rot)
@@ -182,15 +166,15 @@ def from_rotation(n: int, rot: Sequence[Sequence[int]]) -> PlaneCubicGraph:
             f"n - m + f = {n} - {m} + {len(walks)} != 2; not a sphere embedding")
     if len(components(dict(enumerate(fixed)))) != 1:
         raise NotSpherical("rotation system is not connected")
-    return PlaneCubicGraph(n, tuple(fixed), tuple(Face(w) for w in walks))
+    return PlaneCubicGraph(n, tuple(fixed), tuple(walks))
 
 
 def faces(g: PlaneCubicGraph) -> FaceInventory:
     fs = g._faces
     hist = {4: 0, 5: 0, 6: 0}
     for f in fs:
-        if f.size in hist:
-            hist[f.size] += 1
+        if len(f) in hist:
+            hist[len(f)] += 1
     return FaceInventory(fs, hist[4], hist[5], hist[6])
 
 
@@ -201,8 +185,8 @@ def validate_fullerene(g: PlaneCubicGraph) -> FaceInventory:
     not a polygon and is rejected with the same error.
     """
     for f in g._faces:
-        if f.size not in (4, 5, 6) or len(set(f.boundary)) != f.size:
-            raise BadFaceSize(f.boundary, f.size)
+        if len(f) not in (4, 5, 6) or len(set(f)) != len(f):
+            raise BadFaceSize(f, len(f))
     return faces(g)
 
 
@@ -459,8 +443,8 @@ def short_cycles_facial(g: PlaneCubicGraph) -> bool:
     edge set of a simple 4- or 5-cycle C walks C once, and is C, or has
     length 5 on the edges of a 4-cycle, which cannot be: a closed walk on a
     4-cycle has even length."""
-    facial = {frozenset(norm_edge(*d) for d in f.directed_edges())
-              for f in g._faces if f.size in (4, 5)}
+    facial = {frozenset(norm_edge(f[i - 1], f[i]) for i in range(len(f)))
+              for f in g._faces if len(f) in (4, 5)}
     return all(c in facial for c in _short_cycles(g) if len(c) > 3)
 
 
@@ -485,7 +469,7 @@ def edge_cuts_up_to(g: PlaneCubicGraph, k: int) -> list[EdgeCut]:
         raise ValueError("edge cut enumeration is capped at k = 4")
     if k < 1:
         return []
-    dual = _dual([f.boundary for f in g._faces])
+    dual = _dual(g._faces)
     return sorted(map(EdgeCut, _cycles_up_to(dual, k)), key=lambda c: sorted(c.edges))
 
 

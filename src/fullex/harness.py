@@ -22,7 +22,7 @@ from . import extendability as ext_mod
 from . import families
 from . import matching as mt
 from . import planar_code
-from .enumerator import Catalogue, enumerate_catalogues
+from .enumerator import CERTIFIED_BOUND, Catalogue, enumerate_catalogues
 from .graphs import (PlaneCubicGraph, canonical_code, connectivity, edge_cuts_up_to,
                      from_rotation, girth, has_cyclic_cut_leq3, short_cycles_facial,
                      validate_fullerene)
@@ -442,16 +442,17 @@ def verify_all(nmax: int, jobs: int = 1,
 
     Raises enumerator.BoundExceeded, before the walk and before any tube is
     built, when nmax is below 8, where no catalogue exists and every claim
-    would hold vacuously, or above enumerator.CERTIFIED_BOUND.  Every
-    uncached graph of every size is analysed in one pass, so a run starts at
-    most one pool, and only when two or more graphs are left to analyse.
+    would hold vacuously, or above CERTIFIED_BOUND, odd or even; an odd nmax
+    within the bound rounds down.  Every uncached graph of every size is
+    analysed in one pass, so a run starts at most one pool, and only when
+    two or more graphs are left to analyse.
     """
-    if nmax % 2 != 0:
-        nmax -= 1
+    if nmax <= CERTIFIED_BOUND:
+        nmax -= nmax % 2
     cache = DigestCache(cache_dir) if cache_dir else None
     sizes = list(range(8, nmax + 1, 2))
-    # an empty range is refused as its one out-of-range size
-    catalogues = enumerate_catalogues(sizes or [nmax])
+    # an empty range, or one past the census, is refused at nmax itself
+    catalogues = enumerate_catalogues(sizes if 8 <= nmax <= CERTIFIED_BOUND else [nmax])
     digests = _digest_catalogues([catalogues[n] for n in sizes], jobs, cache)
     rows = {n: list(zip(catalogues[n].graphs, d.values()))
             for n, d in zip(sizes, digests)}

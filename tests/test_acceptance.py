@@ -104,12 +104,14 @@ def test_criterion_05_tube_suite():
         # one traversed edge per gap, and the one-edge-per-matching-layer
         # selections (cap stars included) biject with the perfect matchings;
         # spoke-only selections each leave the 3 x 3 cap completions
+        count = M.PmIndex(g.adj_dict()).count
+        spokes = itertools.product(*map(sorted, desc.traversed_edges))
         structure_ok = (report.one_traversed_per_gap
                         and report.one_star_edge_per_cap
                         and report.every_layer_selection_unique
                         and report.count_matches_layer_product
                         and report.pm_count == 3 ** (layers + 2)
-                        and set(report.gap_extension_counts) == {9})
+                        and {count(sel) for sel in spokes} == {9})
         rep2 = E.is_k_extendable(g, 2)
         witness_ok = (not rep2.extendable
                       and any(set(rep2.witness) <= set(layer)

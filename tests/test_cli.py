@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import inspect
 import json
@@ -47,6 +48,11 @@ def test_gen_tube_descriptor():
     assert desc["layers"] == 2
     assert desc["vertices"] == 20
     assert len(desc["traversed_edges"]) == 2
+    # the bytes for 1..6 layers pin centres, cycles and edges in their order
+    out = b"".join(run_cli(["gen-tube", str(layers), "--descriptor"]).stdout
+                   for layers in range(1, 7))
+    assert hashlib.sha256(out).hexdigest() == (
+        "b55057641051a9701d677e45f7971a1a964c47bb4e25d70b7296dac4db94117e")
 
 
 def test_gen_tube_descriptor_of_a_long_tube_is_fast():

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import random
 
 import pytest
@@ -19,7 +20,7 @@ def test_build_tube_validates():
         inv = G.validate_fullerene(g)
         assert (inv.p4, inv.p5) == (6, 0)
         assert g.n == 6 * n + 8
-        assert g.n == 2 * (G.faces(g).count - 2)  # Euler: n = 2(f-2) for cubic
+        assert g.n == 2 * (len(G.faces(g).faces) - 2)  # Euler: n = 2(f-2) for cubic
         assert desc.n_layers == n
 
 
@@ -43,7 +44,7 @@ def test_descriptor_structure():
     def edge_set(walk):
         return frozenset(G.norm_edge(a, b) for a, b in zip(walk, walk[1:] + walk[:1]))
 
-    facial = {edge_set(f.boundary) for f in G.faces(g).faces}
+    facial = {edge_set(f) for f in G.faces(g).faces}
     seen = set()
     for cyc in desc.concentric_cycles:
         assert len(cyc) == 6
@@ -54,8 +55,10 @@ def test_descriptor_structure():
         assert len(layer) == 3
         assert not (layer & seen)
         seen |= layer
-    for star in desc.cap_stars:
-        assert len(star) == 3
+    # each cap star: three edges from a centre to the innermost or outermost cycle
+    ends = (desc.concentric_cycles[0], desc.concentric_cycles[-1])
+    for c, cyc in zip(desc.cap_centers, ends):
+        assert len(g.adj[c]) == 3 and g.adj[c] < set(cyc)
 
 
 def test_traversed_layers_are_cyclic_three_cuts():
@@ -150,22 +153,44 @@ def test_recognize_tube_same_under_aligned_walk(monkeypatch):
     assert sum(d is not None for d in found) == 14
     for g, desc in zip(graphs, found):
         if desc is not None:
-            quads = [v for f in G.faces(g).faces if f.size == 4 for v in f.boundary]
+            quads = [v for f in G.faces(g).faces if len(f) == 4 for v in f]
             assert sorted(desc.cap_centers) == sorted(
                 v for v in set(quads) if quads.count(v) == 3)
 
 
 def test_pm_structure_small_tubes():
     for n in range(1, 7):  # every layer count the exhaustive check accepts
-        rep = F.verify_tube_pm_structure(*F.build_tube(n))
+        g, desc = F.build_tube(n)
+        rep = F.verify_tube_pm_structure(g, desc)
         assert rep.one_traversed_per_gap
         assert rep.one_star_edge_per_cap
         assert rep.every_layer_selection_unique
         assert rep.pm_count == 3 ** (n + 2)
         assert rep.count_matches_layer_product
-        # spoke-only selections leave exactly the 3 x 3 cap completions
-        assert set(rep.gap_extension_counts) == {9}
         assert rep.selection_bijection_holds
+        # spoke-only selections leave exactly the 3 x 3 cap completions
+        count = M.PmIndex(g.adj_dict()).count
+        gaps = [sorted(layer) for layer in desc.traversed_edges]
+        assert {count(sel) for sel in itertools.product(*gaps)} == {9}
+
+
+def test_pm_structure_on_recognised_tubes(monkeypatch):
+    """The layer check holds on the relabelled mirrors of 1-4 layers that the
+    tube suite recognises, with the cap stars read at the transported centres."""
+    recognize = F.recognize_tube
+    seen = []
+
+    def spy(h):
+        seen.append(h)
+        return recognize(h)
+
+    monkeypatch.setattr(F, "recognize_tube", spy)
+    harness._tube_suite(32)
+    assert [h.n for h in seen] == [14, 20, 26, 32]
+    for h in seen:
+        rep = F.verify_tube_pm_structure(h, recognize(h))
+        assert rep.selection_bijection_holds
+        assert rep.gap_pair_in_common_pm is None
 
 
 @pytest.mark.parametrize("first_gap, has_pair", [

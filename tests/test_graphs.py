@@ -19,12 +19,12 @@ def test_cube_construction(cube):
     assert cube.n == 8
     assert cube.m == 12
     inv = G.faces(cube)
-    assert inv.count == 6
+    assert len(inv.faces) == 6
     assert (inv.p4, inv.p5, inv.p6) == (6, 0, 0)
 
 
 def test_k4_is_plane_cubic_but_not_fullerene(k4):
-    assert G.faces(k4).count == 4
+    assert len(G.faces(k4).faces) == 4
     with pytest.raises(G.BadFaceSize) as err:
         G.validate_fullerene(k4)
     assert err.value.size == 3
@@ -72,9 +72,9 @@ def test_sphere_and_torus_rejected(cube):
 def test_face_tracing_covers_every_directed_edge(cube, dodecahedron):
     for g in (cube, dodecahedron):
         darts = [(v, w) for v in range(g.n) for w in g.rot[v]]
-        traced = [e for f in G.faces(g).faces for e in f.directed_edges()]
+        traced = [(f[i - 1], f[i]) for f in G.faces(g).faces for i in range(len(f))]
         assert sorted(darts) == sorted(traced)
-        assert g.n - g.m + G.faces(g).count == 2
+        assert g.n - g.m + len(G.faces(g).faces) == 2
 
 
 def test_canonical_code_relabeling_invariance(cube, dodecahedron):
@@ -215,7 +215,7 @@ def test_sweep_labelling_emits_the_code_and_maps_faces_onto_faces():
     graphs += [build_tube(layers)[0] for layers in range(1, 7)]
 
     def face_edges(g, phi):
-        return {frozenset(G.norm_edge(phi[a], phi[b]) for a, b in f.directed_edges())
+        return {frozenset(G.norm_edge(phi[f[i - 1]], phi[f[i]]) for i in range(len(f)))
                 for f in G.faces(g).faces}
 
     for g in graphs:

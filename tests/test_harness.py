@@ -52,7 +52,7 @@ def test_short_cycle_search_runs_once_per_graph(monkeypatch):
         searches.clear()
         d = harness.analyze_graph(g)
         assert (d["girth"], d["short_cycles_facial"]) == (girth, True)
-        assert sorted(searches) == [(G.faces(g).count, 3), (g.n, 5)]
+        assert sorted(searches) == [(len(G.faces(g).faces), 3), (g.n, 5)]
 
 
 def test_certificate_fields():
@@ -90,16 +90,24 @@ def test_verify_all_refuses_a_bound_below_eight(nmax, no_work):
     assert cli.main(["verify-all", "--nmax", str(nmax)]) == 2
 
 
-@pytest.mark.parametrize("nmax", [36, 48, 50, 51, 60])
+@pytest.mark.parametrize("nmax", [35, 36, 48, 50, 51, 60])
 def test_verify_all_refuses_a_size_past_the_census_before_the_walk(nmax, no_work, capsys):
     # the census certifies the walk through n = 34 only; from 50 on the tubes
-    # would also outgrow the exhaustive check, which is never reached
+    # would also outgrow the exhaustive check, which is never reached.  An odd
+    # nmax past 34 is refused as given, not rounded down into the range
     with pytest.raises(BoundExceeded, match="above 34"):
         harness.verify_all(nmax)
     with pytest.raises(BoundExceeded, match="above 34"):
         EN.enumerate_catalogues([8, nmax])
     assert cli.main(["verify-all", "--nmax", str(nmax)]) == 2
-    assert f"n = {nmax - nmax % 2} is above {EN.CERTIFIED_BOUND}" in capsys.readouterr().err
+    assert f"n = {nmax} is above {EN.CERTIFIED_BOUND}" in capsys.readouterr().err
+
+
+def test_verify_all_rounds_an_odd_size_within_the_census_down():
+    for nmax in (9, 11):
+        report = harness.verify_all(nmax)
+        assert report.nmax == nmax - 1
+        assert report.render() == harness.verify_all(nmax - 1).render()
 
 
 def test_verify_all_report_fields():
